@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Record the golden CLI outputs and scenario reports the tests compare with.
+
+Writes tests/data/golden/cli.json (argv, exit code and stdout of each
+command below, run from the repository root) and
+tests/data/golden/scenarios/<id>.txt (the seed-0 report of every
+scenario).  Run it only when an output is meant to change:
+
+    PYTHONPATH=src python3 scripts/record_golden.py
+"""
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+from conseq.cli import main
+from conseq.scenarios import run_scenario, scenario_ids
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "golden"
+
+# system file -> (hypotheses, derive goal)
+SYSTEMS = {
+    "branching": ("a,b", "d"),
+    "pair-chain": ("a,c", "d"),
+    "single-step": ("a", "c"),
+    "step-limited": ("x1,x2", "b"),
+    "with-axioms": ("d", "e"),
+}
+
+# (variant, extra argv): per variant one derived query with --max-steps,
+# one Certified query and one BoundedEvidence query, in that order.
+PD_QUERIES = (
+    ("standard", ["--hyp", "(P1 -> P0), P1", "--goal", "P0", "--size-cap", "8", "--max-steps", "5"]),
+    ("standard", ["--hyp", "(P2 -> P0)", "--goal", "(P1 -> P0)", "--size-cap", "10"]),
+    ("standard", ["--hyp", "P3, ((P3 -> P3) -> (P1 -> P1)), ~P3", "--goal", "(P3 -> (P1 -> P1))"]),
+    (
+        "restricted-mp",
+        ["--n", "1", "--hyp", "(P1 -> P2), (P2 -> P3), P1", "--goal", "P3", "--size-cap", "10", "--max-steps", "5"],
+    ),
+    (
+        "restricted-mp",
+        ["--n", "3", "--hyp", "((P2 -> P2) -> (P1 -> P1)), ((P2 -> P2) -> ~P2), ~P1", "--goal", "P2"],
+    ),
+    ("restricted-mp", ["--n", "1", "--hyp", "(P2 -> P0), P2", "--goal", "P0"]),
+    ("missing-atom", ["--n", "1", "--hyp", "(~P0 -> ~P1), P1", "--goal", "P0", "--max-steps", "5"]),
+    (
+        "missing-atom",
+        ["--n", "3", "--hyp", "(~P0 -> (P0 -> P0)), P0, (P0 -> (P0 -> P0))", "--goal", "(P0 -> (P0 -> P3))"],
+    ),
+    ("missing-atom", ["--n", "3", "--hyp", "P0, (~P0 -> (P0 -> P0)), P0", "--goal", "(~P3 -> (P3 -> P3))"]),
+    ("positive", ["--n", "1", "--hyp", "(P1 -> P2), P1", "--goal", "P2", "--max-steps", "3"]),
+    ("positive", ["--n", "2", "--hyp", "((P0 -> P0) -> (P0 -> P0))", "--goal", "P0"]),
+    (
+        "positive",
+        [
+            "--n",
+            "3",
+            "--hyp",
+            "((P3 -> P0) -> (P3 -> P3)), ((P0 -> P0) -> (P3 -> P3)), ~~P3",
+            "--goal",
+            "((P0 -> P3) -> (P0 -> P0))",
+        ],
+    ),
+)
+
+
+def golden_argv():
+    argvs = []
+    for name, (hyp, goal) in SYSTEMS.items():
+        path = f"systems/{name}.system"
+        argvs += [
+            ["saturate", "--system", path, "--hyp", hyp],
+            ["derive", "--system", path, "--hyp", hyp, "--goal", goal, "--max-steps", "8"],
+            ["bounded", "--system", path, "--hyp", hyp, "--steps", "3"],
+            ["check-axioms", "--system", path],
+            ["csystems", "--system", path],
+        ]
+    for pair, hyp in (("pair-chain,single-step", "a"), ("branching,single-step", "a,b")):
+        systems = ",".join(f"systems/{name}.system" for name in pair.split(","))
+        argvs.append(["meet", "--systems", systems, "--hyp", hyp])
+        for via in ("union", "closed-systems"):
+            argvs.append(["sup", "--systems", systems, "--hyp", hyp, "--via", via])
+    for variant, extra in PD_QUERIES:
+        argvs.append(["pd", "search", "--variant", variant] + extra)
+    return argvs
+
+
+def run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def main_record():
+    os.chdir(ROOT)
+    cases = []
+    for argv in golden_argv():
+        code, stdout = run_cli(argv)
+        cases.append({"argv": argv, "exit": code, "stdout": stdout})
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    (GOLDEN / "cli.json").write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
+    scenarios = GOLDEN / "scenarios"
+    scenarios.mkdir(exist_ok=True)
+    for scenario_id in scenario_ids():
+        report = run_scenario(scenario_id, seed=0).render()
+        (scenarios / f"{scenario_id}.txt").write_text(report + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main_record()

@@ -140,36 +140,29 @@ def _cmd_pd_h(args: argparse.Namespace) -> int:
 def _cmd_pd_search(args: argparse.Namespace) -> int:
     hypotheses = _parse_formulas(args.hyp) if args.hyp else []
     goal = pd.parse(args.goal)
-    seeds = hypotheses + [goal]
-    n = args.n
-    if args.variant in ("missing-atom", "positive") and n is not None:
-        seeds.append(pd.bridge_axiom(n))
-    pool = pd.subformula_closure(seeds, args.size_cap, max_pool=args.pool_cap)
-    system = pd.pd_system(
-        args.variant, pool, n=None if args.variant == "standard" else n
+    search = pd.search_pool(
+        args.variant, hypotheses, goal, n=args.n, size_cap=args.size_cap, max_pool=args.pool_cap
     )
-    hyp_subset = pd.formula_subset(system, hypotheses)
-    pool_subset = pd.pool_subset(system)
-    result = saturate(system, hyp_subset, pool_subset)
     goal_element = pd.wff_element(goal)
-    if goal_element in result.closure:
+    if goal_element in search.result.closure:
         if args.max_steps is not None:
             size = min_derivation_size(
-                system, hyp_subset, goal_element, cap=args.max_steps, pool=pool_subset
+                search.system, search.hypotheses, goal_element, cap=args.max_steps, pool=search.pool
             )
             if size is None:
                 print(f"derivable, but not within {args.max_steps} steps")
                 return 1
             print(f"minimal steps: {size}")
-        print(result.witnesses[goal_element].render())
+        print(search.result.witnesses[goal_element].render())
         return 0
     certificate = pd.certificate_non_derivable(
         args.variant,
         hypotheses,
         goal,
-        n=None if args.variant == "standard" else n,
+        n=args.n,
         size_cap=args.size_cap,
         max_pool=args.pool_cap,
+        search=search,
     )
     if isinstance(certificate, pd.Certified):
         print(f"not derivable: {pd.wff_to_text(certificate.transform)} is falsified by {certificate.valuation}")

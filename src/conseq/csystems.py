@@ -39,7 +39,7 @@ def closed_systems(op: Operator, language: ExplicitLanguage, *, bound: int = 6) 
     """Collect the image of P(language); verify every image is a fixed
     point and the whole language is among them."""
     _require_small_language(language, bound)
-    members: list[FiniteSubset] = []
+    members: dict[FiniteSubset, None] = {}
     for subset in all_subsets(language):
         closed = op.apply(subset)
         if closed not in members:
@@ -48,12 +48,12 @@ def closed_systems(op: Operator, language: ExplicitLanguage, *, bound: int = 6) 
                     f"{closed} is an image but not a fixed point; "
                     "the operator is not idempotent"
                 )
-            members.append(closed)
+            members[closed] = None
     top = FiniteSubset(language, language.elements)
     if top not in members:
         raise UsageError("the whole language is not closed; not a consequence operator")
-    members.sort(key=lambda s: (len(s.members), s.members))
-    return CSystemFamily(operator=op, language=language, members=tuple(members))
+    ordered = sorted(members, key=lambda s: (len(s.members), s.members))
+    return CSystemFamily(operator=op, language=language, members=tuple(ordered))
 
 
 def _require_closed(op: Operator, subset: FiniteSubset, side: str) -> None:

@@ -2,10 +2,12 @@
 
 Saturation computes everything derivable from a hypothesis set: start
 from the hypotheses and all axioms, then keep applying rule tuples
-whose premises are already present.  Evaluation is semi-naive (a tuple
-is re-examined only when one of its premises is newly derived), each
-element is derived exactly once, and every derived element carries a
-replayable derivation witness.
+whose premises are already present.  Evaluation runs in rounds, and
+every round scans every grounded tuple; a tuple fires when its
+conclusion is new, all its premises are present and at least one of
+them was derived in the previous round.  Each element is derived
+exactly once, and every derived element carries a replayable
+derivation witness.
 
 The bounded variants count steps the way numbered deductions do:
 inserting a hypothesis or axiom costs a step, and a rule application
@@ -355,38 +357,28 @@ def canonical_system(op, language: ExplicitLanguage, name: str = "canonical") ->
     One axiom set holds op(empty), and for every non-empty subset F of
     the language (premises in sorted order) the k-premise relation
     holds a tuple per element of op(F).  Construction is refused unless
-    `op` is extensive, monotone and idempotent, because saturation of
-    the result always has those properties.
+    `op` passes `check_axioms` over the whole language, because
+    saturation of the result always satisfies the closure axioms.
     """
+    from .operators import check_axioms, tabulate  # operators imports this module
+
     if not isinstance(language, ExplicitLanguage):
         raise UsageError("canonical systems need an explicit finite language")
-    image: dict[frozenset[Element], FiniteSubset] = {}
-    subsets = list(all_subsets(language))
-    for x in subsets:
-        image[frozenset(x.members)] = op.apply(x)
-    for x in subsets:
-        if not x.is_subset_of(image[frozenset(x.members)]):
-            raise UsageError(f"operator is not extensive at {x}; refusing")
-    for x in subsets:
-        cx = image[frozenset(x.members)]
-        for y in subsets:
-            if x.is_subset_of(y) and not cx.is_subset_of(image[frozenset(y.members)]):
-                raise UsageError(f"operator is not monotone between {x} and {y}; refusing")
-    for x in subsets:
-        cx = image[frozenset(x.members)]
-        if image[frozenset(cx.members)] != cx:
-            raise UsageError(f"operator is not idempotent at {x}; refusing")
+    table = tabulate(op, language)
+    cex = check_axioms(table, language, bound=len(language.elements)).counterexample
+    if cex is not None:
+        at = ", ".join(str(s) for s in cex.subsets)
+        raise UsageError(f"operator is not {cex.axiom} at {at}; refusing")
 
-    rules: list[Rule] = [
-        UnaryRule("axioms", image[frozenset()])
-    ]
+    subsets = list(all_subsets(language))
+    rules: list[Rule] = [UnaryRule("axioms", table.apply(FiniteSubset.empty(language)))]
     n = len(language.elements)
     for k in range(1, n + 1):
         tuples: list[tuple[Element, ...]] = []
         for x in subsets:
             if len(x.members) != k:
                 continue
-            for e in image[frozenset(x.members)]:
+            for e in table.apply(x):
                 tuples.append(x.members + (e,))
         rules.append(TupleRule(f"from{k}", k + 1, tuple(tuples)))
     return RuleSystem(name, language, tuple(rules))
@@ -496,7 +488,8 @@ def intersect_rulewise(a: RuleSystem, b: RuleSystem) -> RuleSystem:
             and isinstance(right, TupleRule)
             and left.arity == right.arity
         ):
-            shared = tuple(t for t in left.tuples if t in set(right.tuples))
+            right_tuples = set(right.tuples)
+            shared = tuple(t for t in left.tuples if t in right_tuples)
             rules.append(TupleRule(rule_id, left.arity, shared))
         elif isinstance(left, TupleRule):
             rules.append(TupleRule(rule_id, left.arity, ()))

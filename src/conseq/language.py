@@ -172,12 +172,8 @@ class EnumeratedLanguage:
 Language = Union[ExplicitLanguage, EnumeratedLanguage]
 
 
-def same_language(a: Language, b: Language) -> bool:
-    return a == b
-
-
 def require_same_language(a: Language, b: Language, context: str) -> None:
-    if not same_language(a, b):
+    if a != b:
         raise DomainError(f"{context}: mismatched languages {a!r} and {b!r}")
 
 

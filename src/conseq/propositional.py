@@ -18,11 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import AbstractSet, Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence, Union
 
 from .errors import DomainError, InputSyntaxError, UsageError
 from .language import Element, ExplicitLanguage, FiniteSubset
 from .rules import RuleSystem, SchemaRule, UnaryRule
+
+if TYPE_CHECKING:
+    from .engine import SaturationResult
 
 # ---------------------------------------------------------------------------
 # formulas
@@ -503,6 +506,48 @@ def formula_subset(system: RuleSystem, wffs: Iterable[Wff]) -> FiniteSubset:
     return FiniteSubset(system.language, tuple(wff_element(w) for w in wffs))
 
 
+DEFAULT_SIZE_CAP = 22
+DEFAULT_MAX_POOL = 400
+
+
+@dataclass(frozen=True)
+class PoolSearch:
+    """One saturation of the hypotheses over a capped formula pool."""
+
+    system: RuleSystem
+    hypotheses: FiniteSubset
+    pool: FiniteSubset
+    result: SaturationResult
+
+
+def search_pool(
+    variant: str,
+    hypotheses: Sequence[Wff],
+    goal: Wff,
+    *,
+    n: int | None = None,
+    size_cap: int = DEFAULT_SIZE_CAP,
+    max_pool: int = DEFAULT_MAX_POOL,
+) -> PoolSearch:
+    """Saturate `hypotheses` in the variant's system over the pool that
+    the query seeds.
+
+    The pool is the subformula closure of the hypotheses, the goal and,
+    for the variants that have one, the bridge axiom of index n.  The
+    standard variant ignores n.
+    """
+    from .engine import saturate  # local import keeps module layering flat
+
+    seeds = list(hypotheses) + [goal]
+    if variant in ("missing-atom", "positive") and n is not None:
+        seeds.append(bridge_axiom(n))
+    pool = subformula_closure(seeds, size_cap, max_pool=max_pool)
+    system = pd_system(variant, pool, n=None if variant == "standard" else n)
+    hyp_subset = formula_subset(system, hypotheses)
+    whole = pool_subset(system)
+    return PoolSearch(system, hyp_subset, whole, saturate(system, hyp_subset, whole))
+
+
 # ---------------------------------------------------------------------------
 # non-derivability evidence
 
@@ -532,9 +577,6 @@ class BoundedEvidence:
 
 CertificateResult = Union[Certified, BoundedEvidence]
 
-DEFAULT_SIZE_CAP = 22
-DEFAULT_MAX_POOL = 400
-
 
 def certificate_non_derivable(
     variant: str,
@@ -544,6 +586,7 @@ def certificate_non_derivable(
     n: int | None = None,
     size_cap: int = DEFAULT_SIZE_CAP,
     max_pool: int = DEFAULT_MAX_POOL,
+    search: PoolSearch | None = None,
 ) -> CertificateResult:
     """Evidence that `goal` is not derivable from `hypotheses`.
 
@@ -555,9 +598,10 @@ def certificate_non_derivable(
     and we fall back to saturating a capped pool and reporting the
     failed search.  A goal that is derivable within the caps is
     refused.
-    """
-    from .engine import saturate  # local import keeps module layering flat
 
+    `search`, when given, must be `search_pool` of this same query and
+    caps; it is used in place of saturating the pool again.
+    """
     if goal in set(hypotheses):
         raise UsageError("the goal is already a hypothesis; nothing to certify")
     if variant not in VARIANTS:
@@ -570,19 +614,14 @@ def certificate_non_derivable(
     if valuation is not None:
         return Certified(goal=goal, transform=transform, valuation=valuation)
 
-    seeds = list(hypotheses) + [goal]
-    if variant in ("missing-atom", "positive") and n is not None:
-        seeds.append(bridge_axiom(n))
-    pool = subformula_closure(seeds, size_cap, max_pool=max_pool)
-    system = pd_system(variant, pool, n=None if variant == "standard" else n)
-    closure = saturate(
-        system, formula_subset(system, hypotheses), pool_subset(system)
-    ).closure
+    if search is None:
+        search = search_pool(variant, hypotheses, goal, n=n, size_cap=size_cap, max_pool=max_pool)
+    closure = search.result.closure
     if wff_element(goal) in closure:
         raise UsageError("the goal is derivable within the caps; nothing to certify")
     return BoundedEvidence(
         goal=goal,
-        pool_size=len(pool),
+        pool_size=len(search.pool),
         size_cap=size_cap,
         closure_size=len(closure.members),
     )

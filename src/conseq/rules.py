@@ -48,17 +48,14 @@ class TupleRule:
     def __post_init__(self) -> None:
         if self.arity < 2:
             raise UsageError(f"rule {self.rule_id}: arity must be at least 2")
-        seen = []
-        for t in self.tuples:
-            t = tuple(t)
+        tuples = tuple(dict.fromkeys(tuple(t) for t in self.tuples))
+        for t in tuples:
             if len(t) != self.arity:
                 raise UsageError(
                     f"rule {self.rule_id}: tuple {tuple(str(e) for e in t)} "
                     f"does not have arity {self.arity}"
                 )
-            if t not in seen:
-                seen.append(t)
-        object.__setattr__(self, "tuples", tuple(seen))
+        object.__setattr__(self, "tuples", tuples)
 
     def premises(self, index: int) -> tuple[Element, ...]:
         return self.tuples[index][:-1]

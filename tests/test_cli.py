@@ -5,13 +5,19 @@ Exit code contract: 0 success / all checks pass, 1 a check failed
 2 malformed usage or unparseable input.
 """
 
+import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import conseq.cli
+import conseq.engine
+import conseq.propositional
 from conseq.cli import main
 
-SYSTEMS = Path(__file__).parent.parent / "systems"
+ROOT = Path(__file__).parent.parent
+SYSTEMS = ROOT / "systems"
 STEPS = str(SYSTEMS / "step-limited.system")
 PAIRS = str(SYSTEMS / "pair-chain.system")
 SINGLE = str(SYSTEMS / "single-step.system")
@@ -180,6 +186,36 @@ def test_pd_search_reports_bounded_evidence(capsys):
     assert "evidence only, not a proof" in out
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--hyp", "(P1 -> P0), P1", "--goal", "P0", "--size-cap", "8", "--max-steps", "5"], 0),
+        (["--hyp", "(P2 -> P0)", "--goal", "(P1 -> P0)", "--size-cap", "10"], 1),
+        (["--variant", "restricted-mp", "--n", "1", "--hyp", "(P2 -> P0), P2", "--goal", "P0"], 1),
+    ],
+    ids=["derived", "certified", "bounded"],
+)
+def test_pd_search_builds_and_saturates_its_pool_once(capsys, monkeypatch, argv, expected):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in (
+        (conseq.propositional, "subformula_closure"),
+        (conseq.engine, "saturate"),
+        (conseq.cli, "saturate"),
+    ):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    code, _, _ = run(capsys, "pd", "search", *argv)
+    assert code == expected
+    assert calls == {"subformula_closure": 1, "saturate": 1}
+
+
 def test_example_runs_scenarios(capsys):
     code, out, _ = run(capsys, "example", "2.2")
     assert code == 0
@@ -219,3 +255,16 @@ def test_entrypoint_raises_system_exit(capsys):
             sys.argv = old
     assert info.value.code == 0
     capsys.readouterr()
+
+
+GOLDEN_CASES = json.loads((ROOT / "tests" / "data" / "golden" / "cli.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN_CASES, ids=[f"{i:02d}-{c['argv'][0]}" for i, c in enumerate(GOLDEN_CASES)]
+)
+def test_golden_stdout_and_exit_code(capsys, monkeypatch, case):
+    # recorded by scripts/record_golden.py; argv paths are relative to the root
+    monkeypatch.chdir(ROOT)
+    code, out, _ = run(capsys, *case["argv"])
+    assert (code, out) == (case["exit"], case["stdout"])

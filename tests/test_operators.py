@@ -242,6 +242,19 @@ def test_sup_is_the_least_upper_bound():
             assert lub.apply(s) == s
 
 
+def test_sup_closes_within_the_sets_every_operand_fixes():
+    # a -> b -> c within two steps: {a} reaches {a,b}, which is not fixed
+    language = ExplicitLanguage.of_tokens("abc")
+    a, b, c = language.elements
+    two_steps = BoundedOperator(
+        RuleSystem("chain", language, (TupleRule("step", 2, ((a, b), (b, c))),)), 2
+    )
+    lub = sup_w([two_steps], language)
+    assert leq(two_steps, lub, language)
+    assert FiniteSubset(language, (a, b)) not in lub.closed_sets
+    assert all(two_steps.apply(s) == s for s in lub.closed_sets)
+
+
 def test_sup_rejects_operators_that_move_the_whole_language():
     shrink = TableOperator(LANG, {s: FiniteSubset.empty(LANG) for s in all_subsets(LANG)})
     with pytest.raises(UsageError, match="fix the whole language"):
@@ -346,6 +359,54 @@ def test_check_axioms_reports_the_first_failing_axiom():
     x, y = report.counterexample.subsets
     assert x.is_subset_of(y)
     assert counterexample_reproduces(bumpy, report.counterexample)
+
+
+def _literal_axioms(out, n):
+    """The closure axioms read off a bitmask table as they are defined,
+    finite character as a union over every submask; each field is the
+    first failing input in check_axioms' scan order, or None."""
+    masks = range(1 << n)
+
+    def submasks(x):
+        return [f for f in range(x, -1, -1) if f & ~x == 0]
+
+    def union(x):
+        acc = 0
+        for f in submasks(x):
+            acc |= out[f]
+        return acc
+
+    return {
+        "extensive": next(((x,) for x in masks if x & ~out[x]), None),
+        "monotone": next(
+            ((lo, hi) for hi in masks for lo in submasks(hi) if out[lo] & ~out[hi]), None
+        ),
+        "idempotent": next(((x,) for x in masks if out[out[x]] != out[x]), None),
+        "finite_character": next(((x,) for x in masks if union(x) != out[x]), None),
+    }
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(
+            st.integers(min_value=0, max_value=(1 << n) - 1), min_size=1 << n, max_size=1 << n
+        )
+    )
+)
+def test_check_axioms_matches_the_literal_definitions(out):
+    n = len(out).bit_length() - 1
+    language = small_language(n)
+    subsets = list(all_subsets(language))  # subsets[m] has bit i of m for element i
+    op = TableOperator(language, {s: subsets[out[m]] for m, s in enumerate(subsets)})
+    report = check_axioms(op, language)
+    oracle = _literal_axioms(out, n)
+    for axiom, cex in oracle.items():
+        assert getattr(report, axiom) == (cex is None)
+    failed = [(axiom, cex) for axiom, cex in oracle.items() if cex is not None]
+    got = report.counterexample
+    got = None if got is None else (got.axiom, tuple(subsets.index(s) for s in got.subsets))
+    assert got == (failed[0] if failed else None)
 
 
 def test_check_axioms_enforces_the_exhaustiveness_bound():

@@ -35,6 +35,7 @@ from conseq.propositional import (
     parse,
     pd_system,
     pool_subset,
+    search_pool,
     subformula_closure,
     subformulas,
     wff_element,
@@ -376,6 +377,11 @@ def test_certificate_bounded_route():
     assert result.goal == P0
     assert result.size_cap == 22
     assert 0 < result.closure_size <= result.pool_size
+    # a finished search of the same query stands in for saturating again
+    search = search_pool("restricted-mp", [Impl(P2, P0), P2], P0, n=1, size_cap=22)
+    assert result == certificate_non_derivable(
+        "restricted-mp", [Impl(P2, P0), P2], P0, n=1, size_cap=22, search=search
+    )
 
 
 def test_certificate_refusals():

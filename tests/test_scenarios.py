@@ -1,10 +1,14 @@
 """The scenario registry: every named demonstration passes, and the
 reports are deterministic regression fixtures."""
 
+from pathlib import Path
+
 import pytest
 
 from conseq.errors import UsageError
 from conseq.scenarios import Assertion, ScenarioReport, run_scenario, scenario_ids
+
+GOLDEN = Path(__file__).parent / "data" / "golden" / "scenarios"
 
 EXPECTED_IDS = (
     "2.1-axioms",
@@ -35,6 +39,8 @@ def test_every_scenario_passes_at_defaults(scenario_id):
     assert report.assertions, "a scenario must assert something"
     assert report.passed, report.render()
     assert report.render().endswith(f"SCENARIO {scenario_id}: PASS")
+    # recorded by scripts/record_golden.py
+    assert report.render() + "\n" == (GOLDEN / f"{scenario_id}.txt").read_text(encoding="utf-8")
 
 
 def test_reports_are_deterministic():
