@@ -2,12 +2,15 @@
 
 Saturation computes everything derivable from a hypothesis set: start
 from the hypotheses and all axioms, then keep applying rule tuples
-whose premises are already present.  Evaluation runs in rounds, and
-every round scans every grounded tuple; a tuple fires when its
-conclusion is new, all its premises are present and at least one of
-them was derived in the previous round.  Each element is derived
-exactly once, and every derived element carries a replayable
-derivation witness.
+whose premises are already present.  Evaluation runs in rounds.  The
+grounded tuples are numbered in rule order, then tuple order, and an
+index maps each premise to the numbers of the tuples that use it; a
+round's candidates are the tuples that use an element derived in the
+previous round, visited in number order.  A candidate fires when its
+conclusion is new and all its premises are present, counting those
+derived earlier in the same round.  Each element is derived exactly
+once, and every derived element has a replayable derivation witness,
+rebuilt from the recorded justifications when it is looked up.
 
 The bounded variants count steps the way numbered deductions do:
 inserting a hypothesis or axiom costs a step, and a rule application
@@ -17,7 +20,7 @@ costs a step and may reference any earlier step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, UsageError
 from .language import (
@@ -46,7 +49,7 @@ from .rules import (
 
 
 def _instantiate_schema_rule(rule: SchemaRule, pool: FiniteSubset) -> tuple[tuple[Element, ...], ...]:
-    pool_set = frozenset(pool.members)
+    pool_set = pool.member_set
     instances = rule.instantiate(pool_set)
     width = rule.premise_count + 1
     for t in instances:
@@ -99,10 +102,36 @@ def _ground(
 
 @dataclass(frozen=True)
 class SaturationResult:
-    """Closure plus one replayable derivation per derived element."""
+    """Closure plus one replayable derivation per derived element.
+
+    `witnesses` iterates in derivation order and replays an element's
+    derivation each time it is looked up.
+    """
 
     closure: FiniteSubset
     witnesses: Mapping[Element, Derivation]
+
+
+class Witnesses(Mapping[Element, Derivation]):
+    """The derivations of one saturation, replayed on lookup from its
+    justification map, whose insertion order is the derivation order."""
+
+    def __init__(self, justification: dict[Element, tuple]):
+        self._justification = justification
+
+    def __getitem__(self, element: Element) -> Derivation:
+        if element not in self._justification:
+            raise KeyError(element)
+        return _replay(element, self._justification)
+
+    def __contains__(self, element: object) -> bool:
+        return element in self._justification
+
+    def __iter__(self) -> Iterator[Element]:
+        return iter(self._justification)
+
+    def __len__(self) -> int:
+        return len(self._justification)
 
 
 def saturate(
@@ -110,38 +139,34 @@ def saturate(
 ) -> SaturationResult:
     insertable, grounded = _ground(system, hypotheses, pool)
 
+    flat = [(rule_id, t) for rule_id, tuples in grounded for t in tuples]
+    users: dict[Element, list[int]] = {}
+    for position, (_, t) in enumerate(flat):
+        for p in t[:-1]:
+            users.setdefault(p, []).append(position)
+
     justification: dict[Element, tuple] = dict(insertable)
-    sequence: list[Element] = list(insertable)
-    derived = set(sequence)
-    frontier = set(sequence)
-
+    frontier: list[Element] = list(insertable)
     while frontier:
-        fresh: list[Element] = []
-        for rule_id, tuples in grounded:
-            for t in tuples:
-                conclusion = t[-1]
-                if conclusion in derived:
-                    continue
-                premises = t[:-1]
-                if all(p in derived for p in premises) and any(p in frontier for p in premises):
-                    derived.add(conclusion)
-                    justification[conclusion] = ("apply", rule_id, premises)
-                    sequence.append(conclusion)
-                    fresh.append(conclusion)
-        frontier = set(fresh)
+        candidates = sorted({i for e in frontier for i in users.get(e, ())})
+        frontier = []
+        for i in candidates:
+            rule_id, t = flat[i]
+            conclusion = t[-1]
+            if conclusion in justification:
+                continue
+            premises = t[:-1]
+            if all(p in justification for p in premises):
+                justification[conclusion] = ("apply", rule_id, premises)
+                frontier.append(conclusion)
 
-    position = {e: i for i, e in enumerate(sequence)}
-    witnesses = {
-        e: _replay(e, justification, position) for e in sequence
-    }
-    closure = FiniteSubset(system.language, tuple(sequence))
-    return SaturationResult(closure=closure, witnesses=witnesses)
+    closure = FiniteSubset(system.language, tuple(justification))
+    return SaturationResult(closure=closure, witnesses=Witnesses(justification))
 
 
-def _replay(
-    goal: Element, justification: dict[Element, tuple], position: dict[Element, int]
-) -> Derivation:
-    """Rebuild a numbered derivation of `goal` from the justification map."""
+def _replay(goal: Element, justification: dict[Element, tuple]) -> Derivation:
+    """Rebuild a numbered derivation of `goal` from the justification
+    map; its steps follow the map's insertion order."""
     support: set[Element] = set()
     stack = [goal]
     while stack:
@@ -152,7 +177,7 @@ def _replay(
         j = justification[e]
         if j[0] == "apply":
             stack.extend(j[2])
-    ordered = sorted(support, key=position.__getitem__)
+    ordered = [e for e in justification if e in support]
     step_no = {e: i for i, e in enumerate(ordered, start=1)}
     steps = []
     for e in ordered:
@@ -188,7 +213,7 @@ def check_derivation(
     for i, step in enumerate(derivation.steps, start=1):
         if isinstance(step, Insert):
             if step.source is None:
-                if step.element not in set(hypotheses.members):
+                if step.element not in hypotheses.member_set:
                     return CheckResult(False, f"step {i}: {step.element} is not a hypothesis")
             else:
                 if not system.has_rule(step.source):
@@ -199,7 +224,7 @@ def check_derivation(
                         False, f"step {i}: rule {step.source} is not an axiom set"
                     )
                 allowed = rule.axioms if pool is None else rule.axioms.intersect(pool)
-                if step.element not in set(allowed.members):
+                if step.element not in allowed.member_set:
                     return CheckResult(
                         False, f"step {i}: {step.element} is not an axiom of {step.source}"
                     )

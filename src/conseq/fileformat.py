@@ -157,8 +157,16 @@ def dumps_system(system: RuleSystem) -> str:
 
 
 def load_system(path: str | Path) -> RuleSystem:
+    """Load a system file; a file that cannot be read or is not UTF-8
+    text is a usage error naming the path."""
     p = Path(path)
-    return loads_system(p.read_text(encoding="utf-8"), name=p.stem)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read system file {str(p)!r}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"system file {str(p)!r} is not UTF-8 text: {exc.reason}") from exc
+    return loads_system(text, name=p.stem)
 
 
 def save_system(system: RuleSystem, path: str | Path) -> None:

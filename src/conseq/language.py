@@ -55,24 +55,30 @@ def _as_element(value: Element | str) -> Element:
 
 @dataclass(frozen=True)
 class ExplicitLanguage:
-    """A finite language, stored in sorted order."""
+    """A finite language, stored in sorted order.
+
+    `element_set` holds the same elements as a frozenset, built once,
+    so membership is a hash lookup.  It is not a dataclass field, so
+    equality, hashing and repr see only `elements`.
+    """
 
     elements: tuple[Element, ...]
 
     def __post_init__(self) -> None:
         if not self.elements:
             raise DomainError("an explicit language needs at least one element")
-        canon = tuple(sorted(set(self.elements)))
-        if len(canon) != len(self.elements):
+        element_set = frozenset(self.elements)
+        if len(element_set) != len(self.elements):
             raise DomainError("language elements must be distinct")
-        object.__setattr__(self, "elements", canon)
+        object.__setattr__(self, "elements", tuple(sorted(element_set)))
+        object.__setattr__(self, "element_set", element_set)
 
     @classmethod
     def of_tokens(cls, tokens: Iterable[str]) -> "ExplicitLanguage":
         return cls(tuple(Element(t) for t in tokens))
 
     def __contains__(self, element: Element) -> bool:
-        return element in set(self.elements)
+        return element in self.element_set
 
     def __iter__(self) -> Iterator[Element]:
         return iter(self.elements)
@@ -181,29 +187,34 @@ def require_same_language(a: Language, b: Language, context: str) -> None:
 # subsets
 
 
-def _canonical_members(
+def _member_set(
     language: Language, values: Iterable[Element | str], what: str
-) -> tuple[Element, ...]:
+) -> frozenset[Element]:
     out = []
     for v in values:
         e = _as_element(v)
         if e not in language:
             raise DomainError(f"{what} {e} is not in the language")
         out.append(e)
-    return tuple(sorted(set(out)))
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
 class FiniteSubset:
-    """A finite subset, stored sorted and duplicate-free."""
+    """A finite subset, stored sorted and duplicate-free.
+
+    `member_set` holds the same members as a frozenset, built once, for
+    membership and inclusion tests.  It is not a dataclass field, so
+    equality, hashing and repr see only `language` and `members`.
+    """
 
     language: Language
     members: tuple[Element, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "members", _canonical_members(self.language, self.members, "member")
-        )
+        member_set = _member_set(self.language, self.members, "member")
+        object.__setattr__(self, "members", tuple(sorted(member_set)))
+        object.__setattr__(self, "member_set", member_set)
 
     @classmethod
     def of(cls, language: Language, values: Iterable[Element | str]) -> "FiniteSubset":
@@ -218,7 +229,7 @@ class FiniteSubset:
     def contains(self, element: Element) -> bool:
         if element not in self.language:
             raise DomainError(f"element {element} is not in the language")
-        return element in set(self.members)
+        return element in self.member_set
 
     def __contains__(self, element: Element) -> bool:
         return self.contains(element)
@@ -231,10 +242,9 @@ class FiniteSubset:
 
     def is_subset_of(self, other: "Subset") -> bool:
         require_same_language(self.language, other.language, "is_subset_of")
-        mine = set(self.members)
         if isinstance(other, FiniteSubset):
-            return mine <= set(other.members)
-        return mine.isdisjoint(other.excluded)
+            return self.member_set <= other.member_set
+        return self.member_set.isdisjoint(other.excluded)
 
     __le__ = is_subset_of
 
@@ -245,7 +255,7 @@ class FiniteSubset:
         if isinstance(other, FiniteSubset):
             return FiniteSubset(self.language, self.members + other.members)
         return CofiniteSubset(
-            self.language, tuple(set(other.excluded) - set(self.members))
+            self.language, tuple(set(other.excluded) - self.member_set)
         )
 
     __or__ = union
@@ -253,9 +263,9 @@ class FiniteSubset:
     def intersect(self, other: "Subset") -> "FiniteSubset":
         require_same_language(self.language, other.language, "intersect")
         if isinstance(other, FiniteSubset):
-            kept = set(self.members) & set(other.members)
+            kept = self.member_set & other.member_set
         else:
-            kept = set(self.members) - set(other.excluded)
+            kept = self.member_set.difference(other.excluded)
         return FiniteSubset(self.language, tuple(kept))
 
     __and__ = intersect
@@ -279,7 +289,9 @@ class CofiniteSubset:
         if not isinstance(self.language, EnumeratedLanguage):
             raise UsageError("cofinite subsets require an enumerated language")
         object.__setattr__(
-            self, "excluded", _canonical_members(self.language, self.excluded, "excluded element")
+            self,
+            "excluded",
+            tuple(sorted(_member_set(self.language, self.excluded, "excluded element"))),
         )
 
     @classmethod
@@ -314,7 +326,7 @@ class CofiniteSubset:
         require_same_language(self.language, other.language, "union")
         if isinstance(other, FiniteSubset):
             return CofiniteSubset(
-                self.language, tuple(set(self.excluded) - set(other.members))
+                self.language, tuple(set(self.excluded) - other.member_set)
             )
         return CofiniteSubset(self.language, tuple(set(self.excluded) & set(other.excluded)))
 
@@ -324,7 +336,7 @@ class CofiniteSubset:
         require_same_language(self.language, other.language, "intersect")
         if isinstance(other, FiniteSubset):
             return FiniteSubset(
-                self.language, tuple(set(other.members) - set(self.excluded))
+                self.language, tuple(other.member_set.difference(self.excluded))
             )
         return CofiniteSubset(self.language, self.excluded + other.excluded)
 

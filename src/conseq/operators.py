@@ -76,16 +76,16 @@ class TableOperator(Operator):
         for key, value in table.items():
             require_same_language(language, key.language, "table key")
             require_same_language(language, value.language, "table value")
-            self._table[frozenset(key.members)] = value
+            self._table[key.member_set] = value
         for subset in all_subsets(language):
-            if frozenset(subset.members) not in self._table:
+            if subset.member_set not in self._table:
                 raise UsageError(f"table is not total: no row for {subset}")
 
     def apply(self, subset: Subset) -> FiniteSubset:
         if not isinstance(subset, FiniteSubset):
             raise UsageError("table-backed operators take finite subsets")
         require_same_language(self.language, subset.language, "apply")
-        return self._table[frozenset(subset.members)]
+        return self._table[subset.member_set]
 
 
 class RuleOperator(Operator):
@@ -102,7 +102,7 @@ class RuleOperator(Operator):
         if not isinstance(subset, FiniteSubset):
             raise UsageError("rule-backed operators take finite subsets")
         require_same_language(self.language, subset.language, "apply")
-        key = frozenset(subset.members)
+        key = subset.member_set
         if key not in self._cache:
             self._cache[key] = saturate(self.system, subset, self.pool).closure
         return self._cache[key]
@@ -131,7 +131,7 @@ class BoundedOperator(Operator):
         if not isinstance(subset, FiniteSubset):
             raise UsageError("step-bounded operators take finite subsets")
         require_same_language(self.language, subset.language, "apply")
-        key = frozenset(subset.members)
+        key = subset.member_set
         if key not in self._cache:
             self._cache[key] = bounded_consequences(self.system, subset, self.steps, self.pool)
         return self._cache[key]
@@ -252,7 +252,7 @@ class ClosureFamilyOperator(Operator):
         out: set[Element] = set(self.language.elements)
         for member in self.family:
             if subset.is_subset_of(member):
-                out &= set(member.members)
+                out &= member.member_set
         return FiniteSubset(self.language, tuple(out))
 
 
@@ -463,13 +463,13 @@ def check_axioms(op: Operator, language: ExplicitLanguage, *, bound: int = 6) ->
             raise DomainError("operator returned a non-finite subset over a finite language")
         require_same_language(language, r.language, "operator result")
         results.append(r)
-    outs = [frozenset(r.members) for r in results]
-    mask_of = {frozenset(s.members): i for i, s in enumerate(subsets)}
+    outs = [r.member_set for r in results]
+    mask_of = {s.member_set: i for i, s in enumerate(subsets)}
 
     failures: dict[str, AxiomCounterexample] = {}
 
     for i, s in enumerate(subsets):
-        if not set(s.members) <= outs[i]:
+        if not s.member_set <= outs[i]:
             failures["extensive"] = AxiomCounterexample("extensive", (s,))
             break
 
@@ -487,7 +487,7 @@ def check_axioms(op: Operator, language: ExplicitLanguage, *, bound: int = 6) ->
             break
 
     for i, s in enumerate(subsets):
-        again = outs[mask_of[frozenset(results[i].members)]]
+        again = outs[mask_of[results[i].member_set]]
         if again != outs[i]:
             failures["idempotent"] = AxiomCounterexample("idempotent", (s,))
             break

@@ -534,13 +534,21 @@ def search_pool(
 
     The pool is the subformula closure of the hypotheses, the goal and,
     for the variants that have one, the bridge axiom of index n.  The
-    standard variant ignores n.
+    standard variant ignores n.  A bridge axiom longer than `size_cap`
+    is refused with an error that names it and the cap it needs.
     """
     from .engine import saturate  # local import keeps module layering flat
 
     seeds = list(hypotheses) + [goal]
     if variant in ("missing-atom", "positive") and n is not None:
-        seeds.append(bridge_axiom(n))
+        bridge = bridge_axiom(n)
+        needed = _token_length(bridge)
+        if needed > size_cap:
+            raise UsageError(
+                f"the {variant} variant adds the bridge axiom {wff_to_text(bridge)} to the pool, "
+                f"which needs --size-cap {needed} or more, not {size_cap}"
+            )
+        seeds.append(bridge)
     pool = subformula_closure(seeds, size_cap, max_pool=max_pool)
     system = pd_system(variant, pool, n=None if variant == "standard" else n)
     hyp_subset = formula_subset(system, hypotheses)

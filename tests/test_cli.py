@@ -241,6 +241,47 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["saturate", "--system", "{path}", "--hyp", "a"],
+        ["csystems", "--system", "{path}"],
+        ["meet", "--systems", "{path}," + PAIRS, "--hyp", "a"],
+    ],
+    ids=["saturate", "csystems", "meet"],
+)
+def test_missing_system_file_exits_2(capsys, tmp_path, command):
+    path = str(tmp_path / "missing.system")
+    code, out, err = run(capsys, *(arg.replace("{path}", path) for arg in command))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: cannot read system file {path!r}: No such file or directory"]
+
+
+def test_bridge_axiom_longer_than_the_size_cap_is_named(capsys):
+    code, out, err = run(
+        capsys,
+        "pd",
+        "search",
+        "--variant",
+        "positive",
+        "--n",
+        "1",
+        "--hyp",
+        "(~P0 -> ~P1), P1",
+        "--goal",
+        "P0",
+        "--size-cap",
+        "18",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: the positive variant adds the bridge axiom ((~P0 -> ~P1) -> (P1 -> P0)) "
+        "to the pool, which needs --size-cap 22 or more, not 18"
+    ]
+
+
 def test_entrypoint_raises_system_exit(capsys):
     from conseq.cli import entrypoint
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conseq import engine
 from conseq.engine import (
     bounded_consequences,
     canonical_system,
@@ -201,6 +202,164 @@ def test_saturation_witnesses_always_verify(seed, mask):
         assert witness.final_element() == element
         outcome = check_derivation(system, hypotheses, witness)
         assert outcome, outcome.reason
+
+
+# ---------------------------------------------------------------------------
+# round-scan oracle: the definitional saturation loop with eager witnesses
+
+
+def _oracle_replay(goal, justification, position):
+    support = set()
+    stack = [goal]
+    while stack:
+        e = stack.pop()
+        if e in support:
+            continue
+        support.add(e)
+        j = justification[e]
+        if j[0] == "apply":
+            stack.extend(j[2])
+    ordered = sorted(support, key=position.__getitem__)
+    step_no = {e: i for i, e in enumerate(ordered, start=1)}
+    steps = []
+    for e in ordered:
+        j = justification[e]
+        if j[0] == "hyp":
+            steps.append(Insert(e))
+        elif j[0] == "axiom":
+            steps.append(Insert(e, j[1]))
+        else:
+            steps.append(Apply(j[1], tuple(step_no[p] for p in j[2]), e))
+    return Derivation(tuple(steps))
+
+
+def _round_scan_saturate(system, hypotheses, pool=None):
+    """Every round scans every grounded tuple in rule, then tuple order;
+    a tuple fires when its conclusion is new, all its premises are
+    present and one of them was derived in the previous round.  Every
+    witness is replayed eagerly.  Returns (closure, witnesses dict)."""
+    insertable, grounded = engine._ground(system, hypotheses, pool)
+    justification = dict(insertable)
+    sequence = list(insertable)
+    derived = set(sequence)
+    frontier = set(sequence)
+    while frontier:
+        fresh = []
+        for rule_id, tuples in grounded:
+            for t in tuples:
+                conclusion = t[-1]
+                if conclusion in derived:
+                    continue
+                premises = t[:-1]
+                if all(p in derived for p in premises) and any(p in frontier for p in premises):
+                    derived.add(conclusion)
+                    justification[conclusion] = ("apply", rule_id, premises)
+                    sequence.append(conclusion)
+                    fresh.append(conclusion)
+        frontier = set(fresh)
+    position = {e: i for i, e in enumerate(sequence)}
+    witnesses = {e: _oracle_replay(e, justification, position) for e in sequence}
+    return FiniteSubset(system.language, tuple(sequence)), witnesses
+
+
+def _assert_matches_oracle(system, hypotheses, pool=None):
+    result = saturate(system, hypotheses, pool)
+    closure, witnesses = _round_scan_saturate(system, hypotheses, pool)
+    assert result.closure == closure
+    assert list(result.witnesses) == list(witnesses)
+    for element, witness in witnesses.items():
+        assert result.witnesses[element].render() == witness.render()
+    return result
+
+
+@st.composite
+def horn_chains(draw):
+    """A chain e0 => e1 => ... => en plus alternative tuples of one to
+    three premises, one rule per arity, tuples and rules in drawn order."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    language = small_language(n + 1)
+    e = language.elements
+    by_arity = {2: [(e[i], e[i + 1]) for i in range(n)]}
+    for _ in range(draw(st.integers(0, 2 * n))):
+        # mostly premises just below the conclusion, as in a layered proof
+        conclusion = draw(st.integers(1, n))
+        low = draw(st.sampled_from([0, max(0, conclusion - 4)]))
+        premises = draw(st.lists(st.integers(low, n), min_size=1, max_size=3))
+        t = tuple(e[i] for i in premises) + (e[conclusion],)
+        by_arity.setdefault(len(t), []).append(t)
+    rules = []
+    for arity, tuples in sorted(by_arity.items()):
+        order = draw(st.permutations(range(len(tuples))))
+        rules.append(TupleRule(f"r{arity}", arity, tuple(tuples[i] for i in order)))
+    if draw(st.booleans()):
+        rules.reverse()
+    system = RuleSystem("chain", language, tuple(rules))
+    hyp = draw(st.sets(st.sampled_from(e), min_size=1, max_size=3))
+    return system, FiniteSubset(language, tuple(hyp))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=63),
+    st.integers(min_value=0, max_value=63),
+)
+def test_saturate_matches_round_scan_oracle_on_random_systems(seed, size, mask, extra):
+    language = small_language(size)
+    system = random_system(seeded(seed, "oracle"), language, max_rules=4, max_tuples=8)
+    hypotheses = FiniteSubset(
+        language, tuple(e for i, e in enumerate(language.elements) if mask >> i & 1)
+    )
+    _assert_matches_oracle(system, hypotheses)
+    pool = FiniteSubset(
+        language,
+        hypotheses.members + tuple(e for i, e in enumerate(language.elements) if extra >> i & 1),
+    )
+    _assert_matches_oracle(system, hypotheses, pool)
+
+
+@settings(deadline=None, max_examples=60)
+@given(horn_chains())
+def test_saturate_matches_round_scan_oracle_on_deep_horn_chains(chain):
+    system, hypotheses = chain
+    _assert_matches_oracle(system, hypotheses)
+
+
+def test_a_tuple_fires_in_the_round_its_earlier_premise_was_derived():
+    # round 1 fires a -> b, then (a, b) -> c sees b already and fires too,
+    # ahead of a -> d; a round-delayed firing would order d before c
+    a, b, c, d = _el("a", "b", "c", "d")
+    language = ExplicitLanguage((a, b, c, d))
+    system = RuleSystem(
+        "same-round",
+        language,
+        (
+            TupleRule("r1", 2, ((a, b),)),
+            TupleRule("r2", 3, ((a, b, c),)),
+            TupleRule("r3", 2, ((a, d),)),
+        ),
+    )
+    result = _assert_matches_oracle(system, FiniteSubset(language, (a,)))
+    assert list(result.witnesses) == [a, b, c, d]
+    assert result.witnesses[c].render() == (
+        "1. a  [hypothesis]\n2. b  [r1 from 1]\n3. c  [r2 from 1,2]"
+    )
+
+
+def test_witnesses_are_replayed_on_lookup_only(monkeypatch):
+    replayed = []
+    replay = engine._replay
+
+    def counted(goal, *args):
+        replayed.append(goal)
+        return replay(goal, *args)
+
+    monkeypatch.setattr(engine, "_replay", counted)
+    result = saturate(step_system(), FiniteSubset.of(LANG4, ["x1", "x2"]))
+    assert replayed == []
+    assert result.witnesses[B].final_element() == B
+    assert replayed == [B]
 
 
 # ---------------------------------------------------------------------------
