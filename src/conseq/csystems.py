@@ -17,16 +17,23 @@ from .language import ExplicitLanguage, FiniteSubset, all_subsets
 from .operators import Operator, _require_small_language
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class CSystemFamily:
-    """All closed sets of one operator over a finite language."""
+    """All closed sets of one operator over a finite language.
+
+    `member_set` holds the members as a frozenset, built once, for
+    membership tests.
+    """
 
     operator: Operator
     language: ExplicitLanguage
     members: tuple[FiniteSubset, ...] = field(default=())
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "member_set", frozenset(self.members))
+
     def __contains__(self, subset: FiniteSubset) -> bool:
-        return subset in set(self.members)
+        return subset in self.member_set
 
     def __iter__(self) -> Iterator[FiniteSubset]:
         return iter(self.members)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Union
 
 from .errors import DomainError, UsageError
@@ -20,29 +21,49 @@ from .errors import DomainError, UsageError
 # elements
 
 
-@dataclass(frozen=True, order=True)
+_WHITESPACE = re.compile(r"\s")  # matches exactly the characters str.isspace accepts
+
+
+@dataclass(frozen=True, order=True, slots=True)
 class Element:
     """A named point of a language.
 
     Names double as the on-disk token syntax, hence the restrictions:
     non-empty, no whitespace, no '#' (comment marker), no '=>' (rule
     arrow).  Ordering is lexicographic on the name.
+
+    The hash is computed once, at construction, and equals the
+    field-tuple hash `hash((name,))` that the dataclass would compute on
+    every call.
     """
 
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise DomainError("element name must be non-empty")
-        if any(ch.isspace() for ch in self.name):
+        if _WHITESPACE.search(self.name):
             raise DomainError(f"element name may not contain whitespace: {self.name!r}")
         if "#" in self.name:
             raise DomainError(f"element name may not contain '#': {self.name!r}")
         if "=>" in self.name:
             raise DomainError(f"element name may not contain '=>': {self.name!r}")
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # str hashes are salted per process, so an unpickled Element
+        # recomputes its hash instead of restoring the stored one.
+        return (Element, (self.name,))
 
     def __str__(self) -> str:
         return self.name
+
+
+_by_name = attrgetter("name")  # the same order as Element's, without its __lt__
 
 
 def _as_element(value: Element | str) -> Element:
@@ -70,7 +91,7 @@ class ExplicitLanguage:
         element_set = frozenset(self.elements)
         if len(element_set) != len(self.elements):
             raise DomainError("language elements must be distinct")
-        object.__setattr__(self, "elements", tuple(sorted(element_set)))
+        object.__setattr__(self, "elements", tuple(sorted(element_set, key=_by_name)))
         object.__setattr__(self, "element_set", element_set)
 
     @classmethod
@@ -213,7 +234,7 @@ class FiniteSubset:
 
     def __post_init__(self) -> None:
         member_set = _member_set(self.language, self.members, "member")
-        object.__setattr__(self, "members", tuple(sorted(member_set)))
+        object.__setattr__(self, "members", tuple(sorted(member_set, key=_by_name)))
         object.__setattr__(self, "member_set", member_set)
 
     @classmethod
@@ -244,7 +265,7 @@ class FiniteSubset:
         require_same_language(self.language, other.language, "is_subset_of")
         if isinstance(other, FiniteSubset):
             return self.member_set <= other.member_set
-        return self.member_set.isdisjoint(other.excluded)
+        return self.member_set.isdisjoint(other.excluded_set)
 
     __le__ = is_subset_of
 
@@ -254,9 +275,7 @@ class FiniteSubset:
         require_same_language(self.language, other.language, "union")
         if isinstance(other, FiniteSubset):
             return FiniteSubset(self.language, self.members + other.members)
-        return CofiniteSubset(
-            self.language, tuple(set(other.excluded) - self.member_set)
-        )
+        return CofiniteSubset(self.language, tuple(other.excluded_set - self.member_set))
 
     __or__ = union
 
@@ -265,7 +284,7 @@ class FiniteSubset:
         if isinstance(other, FiniteSubset):
             kept = self.member_set & other.member_set
         else:
-            kept = self.member_set.difference(other.excluded)
+            kept = self.member_set - other.excluded_set
         return FiniteSubset(self.language, tuple(kept))
 
     __and__ = intersect
@@ -280,6 +299,11 @@ class CofiniteSubset:
 
     Only meaningful over an enumerated language; over a finite language
     the complement is itself finite and FiniteSubset should be used.
+
+    `excluded_set` holds the excluded elements as a frozenset, built
+    once, like FiniteSubset's `member_set`.  It is not a dataclass
+    field, so equality, hashing and repr see only `language` and
+    `excluded`.
     """
 
     language: Language
@@ -288,11 +312,9 @@ class CofiniteSubset:
     def __post_init__(self) -> None:
         if not isinstance(self.language, EnumeratedLanguage):
             raise UsageError("cofinite subsets require an enumerated language")
-        object.__setattr__(
-            self,
-            "excluded",
-            tuple(sorted(_member_set(self.language, self.excluded, "excluded element"))),
-        )
+        excluded_set = _member_set(self.language, self.excluded, "excluded element")
+        object.__setattr__(self, "excluded", tuple(sorted(excluded_set, key=_by_name)))
+        object.__setattr__(self, "excluded_set", excluded_set)
 
     @classmethod
     def of(cls, language: Language, excluded: Iterable[Element | str]) -> "CofiniteSubset":
@@ -307,7 +329,7 @@ class CofiniteSubset:
     def contains(self, element: Element) -> bool:
         if element not in self.language:
             raise DomainError(f"element {element} is not in the language")
-        return element not in set(self.excluded)
+        return element not in self.excluded_set
 
     def __contains__(self, element: Element) -> bool:
         return self.contains(element)
@@ -316,7 +338,7 @@ class CofiniteSubset:
         require_same_language(self.language, other.language, "is_subset_of")
         if isinstance(other, FiniteSubset):
             return False  # a cofinite set is infinite, a finite one is not
-        return set(other.excluded) <= set(self.excluded)
+        return other.excluded_set <= self.excluded_set
 
     __le__ = is_subset_of
 
@@ -325,19 +347,15 @@ class CofiniteSubset:
     def union(self, other: "Subset") -> "CofiniteSubset":
         require_same_language(self.language, other.language, "union")
         if isinstance(other, FiniteSubset):
-            return CofiniteSubset(
-                self.language, tuple(set(self.excluded) - other.member_set)
-            )
-        return CofiniteSubset(self.language, tuple(set(self.excluded) & set(other.excluded)))
+            return CofiniteSubset(self.language, tuple(self.excluded_set - other.member_set))
+        return CofiniteSubset(self.language, tuple(self.excluded_set & other.excluded_set))
 
     __or__ = union
 
     def intersect(self, other: "Subset") -> "Subset":
         require_same_language(self.language, other.language, "intersect")
         if isinstance(other, FiniteSubset):
-            return FiniteSubset(
-                self.language, tuple(other.member_set.difference(self.excluded))
-            )
+            return FiniteSubset(self.language, tuple(other.member_set - self.excluded_set))
         return CofiniteSubset(self.language, self.excluded + other.excluded)
 
     __and__ = intersect

@@ -16,7 +16,7 @@ tokens may not contain whitespace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence, Union
 
@@ -31,24 +31,58 @@ if TYPE_CHECKING:
 # formulas
 
 
-@dataclass(frozen=True)
+# Each formula node computes its hash once, at construction, from its
+# children's stored hashes.  The value equals the field-tuple hash the
+# dataclass would compute on every call by walking the whole tree, so
+# set iteration order, and every output built from it, is unchanged.
+# Hashes of int tuples are not salted per process, so the stored hash of
+# a pickled formula stays valid where it is unpickled.
+
+
+@dataclass(frozen=True, slots=True)
 class Atom:
+    """The atom P<index>; its hash is stored and equals `hash((index,))`."""
+
     index: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.index < 0:
             raise DomainError("atom indices start at 0")
+        object.__setattr__(self, "_hash", hash((self.index,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg:
+    """The negation ~operand; its hash is stored and equals `hash((operand,))`."""
+
     operand: "Wff"
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.operand,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Impl:
+    """The implication (antecedent -> consequent); its hash is stored and
+    equals `hash((antecedent, consequent))`."""
+
     antecedent: "Wff"
     consequent: "Wff"
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.antecedent, self.consequent)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 Wff = Union[Atom, Neg, Impl]
@@ -86,8 +120,18 @@ def element_wff(e: Element) -> Wff:
     return _parse_cached(e.name)
 
 
+# Deepest accepted nesting of '~' and '(' in parsed text.  The parser,
+# printers and evaluators recurse once per level, so this keeps them
+# well under the interpreter's recursion limit.
+MAX_DEPTH = 200
+
+
 def parse(text: str) -> Wff:
-    """Parse a formula; failures carry the offending column."""
+    """Parse a formula; failures carry the offending column.
+
+    Nesting deeper than MAX_DEPTH is refused at the connective that
+    passes it.
+    """
     pos = 0
 
     def fail(message: str) -> "InputSyntaxError":
@@ -98,15 +142,17 @@ def parse(text: str) -> Wff:
         while pos < len(text) and text[pos].isspace():
             pos += 1
 
-    def parse_wff() -> Wff:
+    def parse_wff(depth: int) -> Wff:
         nonlocal pos
         skip_space()
         if pos >= len(text):
             raise fail("unexpected end of formula")
         ch = text[pos]
+        if ch in "~(" and depth == MAX_DEPTH:
+            raise fail(f"formula nested deeper than {MAX_DEPTH} levels")
         if ch == "~":
             pos += 1
-            return Neg(parse_wff())
+            return Neg(parse_wff(depth + 1))
         if ch == "P":
             pos += 1
             start = pos
@@ -117,12 +163,12 @@ def parse(text: str) -> Wff:
             return Atom(int(text[start:pos]))
         if ch == "(":
             pos += 1
-            left = parse_wff()
+            left = parse_wff(depth + 1)
             skip_space()
             if text[pos : pos + 2] != "->":
                 raise fail("expected '->'")
             pos += 2
-            right = parse_wff()
+            right = parse_wff(depth + 1)
             skip_space()
             if pos >= len(text) or text[pos] != ")":
                 raise fail("expected ')'")
@@ -130,7 +176,7 @@ def parse(text: str) -> Wff:
             return Impl(left, right)
         raise fail(f"unexpected character {ch!r}")
 
-    w = parse_wff()
+    w = parse_wff(0)
     skip_space()
     if pos != len(text):
         raise fail("trailing input after formula")
@@ -368,6 +414,12 @@ def subformula_closure(
     within `size_cap` is added, together with its subformulas, until
     nothing changes.  Growth past `max_pool` formulas aborts with an
     error rather than silently truncating.
+
+    Building and hashing a candidate instance costs O(1) whatever its
+    size: a formula node stores its hash at construction, equal to its
+    field-tuple hash.  A candidate's new subformulas are found by
+    descending only into nodes that are not yet in the pool or among
+    this round's new formulas.
     """
     pool: set[Wff] = set()
     for w in seeds:
@@ -384,8 +436,19 @@ def subformula_closure(
         fresh: set[Wff] = set()
 
         def offer(candidate: Wff) -> None:
-            if candidate not in pool:
-                fresh.update(subformulas(candidate))
+            # pool and fresh are both subformula-closed, so the walk stops
+            # at any node already in either of them.
+            stack = [candidate]
+            while stack:
+                v = stack.pop()
+                if v in pool or v in fresh:
+                    continue
+                fresh.add(v)
+                if isinstance(v, Neg):
+                    stack.append(v.operand)
+                elif isinstance(v, Impl):
+                    stack.append(v.antecedent)
+                    stack.append(v.consequent)
 
         for lx, x in items:
             if 2 * lx + shortest + 8 > size_cap:
@@ -412,7 +475,6 @@ def subformula_closure(
                     break
                 offer(Impl(Impl(Neg(x), Neg(y)), Impl(y, x)))
 
-        fresh -= pool
         if not fresh:
             break
         pool |= fresh

@@ -134,6 +134,31 @@ def test_pd_h(capsys):
     assert out.strip() == "((P0 -> P1) -> (P1 -> P0))"
 
 
+DEEP_NEG = "~" * 3000 + "P0"
+DEEP_IMPL = "(" * 3000 + "P0" + " -> P1)" * 3000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pd", "taut", DEEP_NEG),
+        ("pd", "taut", DEEP_IMPL),
+        ("pd", "h", DEEP_NEG),
+        ("pd", "search", "--goal", DEEP_NEG),
+        ("pd", "search", "--hyp", f"P1,{DEEP_IMPL}", "--goal", "P0"),
+    ],
+    ids=["taut-neg", "taut-impl", "h", "search-goal", "search-hyp"],
+)
+def test_deeply_nested_formulas_exit_2_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: column {conseq.propositional.MAX_DEPTH + 1}: "
+        f"formula nested deeper than {conseq.propositional.MAX_DEPTH} levels"
+    ]
+
+
 def test_pd_search_finds_a_derivation(capsys):
     code, out, _ = run(
         capsys,

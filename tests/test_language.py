@@ -1,6 +1,10 @@
 """Subset algebra checked against a plain-set oracle."""
 
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +45,44 @@ def test_element_names_are_validated():
         Element("no#hash")
     with pytest.raises(DomainError):
         Element("x=>y")
+
+
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+
+def test_element_names_refuse_every_whitespace_code_point():
+    for c in WHITESPACE:
+        with pytest.raises(DomainError, match="whitespace"):
+            Element("a" + c + "b")
+
+
+@settings(deadline=None)
+@given(
+    st.text(alphabet=st.characters(blacklist_characters=WHITESPACE + ["#"]), min_size=1).filter(
+        lambda name: "=>" not in name
+    )
+)
+def test_element_names_without_reserved_text_are_accepted_and_hash_once(name):
+    e = Element(name)
+    assert e.name == name
+    assert hash(e) == hash((name,))
+    assert e == Element(name) and hash(e) == hash(Element(name))
+    assert pickle.loads(pickle.dumps(e)) == e
+
+
+def test_unpickled_elements_hash_like_fresh_ones():
+    # str hashes are salted per process: an Element pickled under another
+    # hash seed must not bring its stored hash along.
+    dumped = subprocess.run(
+        [sys.executable, "-c", "import pickle, sys; from conseq.language import Element; "
+         "sys.stdout.buffer.write(pickle.dumps([Element('a'), Element('b')]))"],
+        env={**os.environ, "PYTHONHASHSEED": "123", "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True,
+        check=True,
+    ).stdout
+    loaded = pickle.loads(dumped)
+    assert [hash(e) for e in loaded] == [hash(Element("a")), hash(Element("b"))]
+    assert set(loaded) == {Element("a"), Element("b")}
 
 
 def test_explicit_language_sorts_and_rejects_duplicates():

@@ -1,6 +1,9 @@
 """Implicational formulas, their semantics, the axiom schemata, and
 non-derivability certificates."""
 
+import pickle
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from conseq.engine import min_derivation_size, saturate
 from conseq.errors import DomainError, InputSyntaxError, UsageError
 from conseq.propositional import (
+    MAX_DEPTH,
     MP,
     R1,
     R2,
@@ -90,6 +94,65 @@ def test_parse_reports_the_offending_column():
         with pytest.raises(InputSyntaxError) as info:
             parse(text)
         assert where in str(info.value), text
+
+
+def test_parse_refuses_nesting_past_max_depth():
+    for opener, closer in (("~", ""), ("(", " -> P1)")):
+        text = opener * MAX_DEPTH + "P0" + closer * MAX_DEPTH
+        assert wff_to_text(parse(text)) == text
+        too_deep = opener + text + closer
+        with pytest.raises(InputSyntaxError) as info:
+            parse(too_deep)
+        assert str(info.value) == (
+            f"column {MAX_DEPTH + 1}: formula nested deeper than {MAX_DEPTH} levels"
+        )
+
+
+# The formula classes as plain frozen dataclasses, whose generated
+# __hash__ walks the whole tree on every call; the stored hash must
+# equal theirs.
+
+
+@dataclass(frozen=True)
+class _PlainAtom:
+    index: int
+
+
+@dataclass(frozen=True)
+class _PlainNeg:
+    operand: object
+
+
+@dataclass(frozen=True)
+class _PlainImpl:
+    antecedent: object
+    consequent: object
+
+
+def _plain(w):
+    if isinstance(w, Atom):
+        return _PlainAtom(w.index)
+    if isinstance(w, Neg):
+        return _PlainNeg(_plain(w.operand))
+    return _PlainImpl(_plain(w.antecedent), _plain(w.consequent))
+
+
+@settings(deadline=None, max_examples=150)
+@given(wffs())
+def test_stored_hash_is_the_field_tuple_hash(w):
+    assert hash(w) == hash(_plain(w))
+    if isinstance(w, Atom):
+        assert hash(w) == hash((w.index,))
+    elif isinstance(w, Neg):
+        assert hash(w) == hash((w.operand,))
+    else:
+        assert hash(w) == hash((w.antecedent, w.consequent))
+    parsed = parse(wff_to_text(w))
+    assert parsed is not w
+    assert parsed == w
+    assert hash(parsed) == hash(w)
+    assert pickle.loads(pickle.dumps(w)) == w
+    assert hash(pickle.loads(pickle.dumps(w))) == hash(w)
 
 
 def test_atom_indices_are_non_negative():
@@ -245,6 +308,83 @@ def test_subformula_closure_guards():
         subformula_closure([bridge_axiom(1)], 10)
     with pytest.raises(UsageError, match="max_pool|grew past"):
         subformula_closure([P0, P1], 22, max_pool=50)
+
+
+def _definitional_closure(seeds, size_cap, *, max_pool):
+    """The closure as first written: each candidate not yet in the pool
+    contributes its full subformula set, and the pool is removed after."""
+
+    def length(w):
+        return len(wff_token(w))
+
+    pool = set()
+    for w in seeds:
+        if length(w) > size_cap:
+            raise UsageError(f"seed {wff_to_text(w)} is longer than the size cap {size_cap}")
+        pool |= subformulas(w)
+    while True:
+        ranked = sorted(((length(w), wff_token(w), w) for w in pool))
+        items = [(lw, w) for lw, _, w in ranked]
+        shortest = items[0][0] if items else 0
+        fresh = set()
+
+        def offer(candidate):
+            if candidate not in pool:
+                fresh.update(subformulas(candidate))
+
+        for lx, x in items:
+            if 2 * lx + shortest + 8 > size_cap:
+                break
+            for ly, y in items:
+                if 2 * lx + ly + 8 > size_cap:
+                    break
+                offer(Impl(x, Impl(y, x)))
+        for lx, x in items:
+            if 3 * lx + 4 * shortest + 24 > size_cap:
+                break
+            for ly, y in items:
+                if 3 * lx + 2 * ly + 2 * shortest + 24 > size_cap:
+                    break
+                for lz, z in items:
+                    if 3 * lx + 2 * ly + 2 * lz + 24 > size_cap:
+                        break
+                    offer(Impl(Impl(x, Impl(y, z)), Impl(Impl(x, y), Impl(x, z))))
+        for lx, x in items:
+            if 2 * lx + 2 * shortest + 14 > size_cap:
+                break
+            for ly, y in items:
+                if 2 * lx + 2 * ly + 14 > size_cap:
+                    break
+                offer(Impl(Impl(Neg(x), Neg(y)), Impl(y, x)))
+        fresh -= pool
+        if not fresh:
+            break
+        pool |= fresh
+        if len(pool) > max_pool:
+            raise UsageError(
+                f"pool grew past {max_pool} formulas under size cap {size_cap}; "
+                "lower the cap or raise max_pool"
+            )
+    return tuple(sorted(pool, key=wff_token))
+
+
+def _closure_or_error(closure, seeds, size_cap, max_pool):
+    try:
+        return closure(seeds, size_cap, max_pool=max_pool)
+    except UsageError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(wffs(max_depth=2), min_size=1, max_size=3),
+    st.integers(min_value=4, max_value=22),
+    st.integers(min_value=5, max_value=400),
+)
+def test_subformula_closure_matches_the_definitional_closure(seeds, size_cap, max_pool):
+    assert _closure_or_error(subformula_closure, seeds, size_cap, max_pool) == _closure_or_error(
+        _definitional_closure, seeds, size_cap, max_pool
+    )
 
 
 # ---------------------------------------------------------------------------
