@@ -19,7 +19,7 @@ from .engine import (
     saturate,
     union_systems,
 )
-from .errors import ConseqError
+from .errors import ConseqError, UsageError
 from .fileformat import load_system
 from .language import Element, FiniteSubset, Subset
 from .operators import RuleOperator, check_axioms, meet, sup_w
@@ -41,7 +41,10 @@ def _print_subset(subset: Subset) -> None:
 
 
 def _load_many(paths: str) -> list[RuleSystem]:
-    return [load_system(p.strip()) for p in paths.split(",") if p.strip()]
+    systems = [load_system(p.strip()) for p in paths.split(",") if p.strip()]
+    if not systems:
+        raise UsageError("--systems names no system file")
+    return systems
 
 
 def _parse_formulas(text: str) -> list[pd.Wff]:

@@ -111,13 +111,8 @@ def wff_element(w: Wff) -> Element:
     return Element(wff_token(w))
 
 
-@lru_cache(maxsize=None)
-def _parse_cached(text: str) -> Wff:
-    return parse(text)
-
-
 def element_wff(e: Element) -> Wff:
-    return _parse_cached(e.name)
+    return parse(e.name)
 
 
 # Deepest accepted nesting of '~' and '(' in parsed text.  The parser,
@@ -156,7 +151,7 @@ def parse(text: str) -> Wff:
         if ch == "P":
             pos += 1
             start = pos
-            while pos < len(text) and text[pos].isdigit():
+            while pos < len(text) and text[pos] in "0123456789":
                 pos += 1
             if start == pos:
                 raise fail("atom needs a decimal index after 'P'")
@@ -191,6 +186,15 @@ def atoms(w: Wff) -> frozenset[int]:
     return atoms(w.antecedent) | atoms(w.consequent)
 
 
+def _children(w: Wff) -> tuple[Wff, ...]:
+    """The immediate parts of a formula."""
+    if isinstance(w, Neg):
+        return (w.operand,)
+    if isinstance(w, Impl):
+        return (w.antecedent, w.consequent)
+    return ()
+
+
 def subformulas(w: Wff) -> frozenset[Wff]:
     out: set[Wff] = set()
     stack = [w]
@@ -199,11 +203,7 @@ def subformulas(w: Wff) -> frozenset[Wff]:
         if v in out:
             continue
         out.add(v)
-        if isinstance(v, Neg):
-            stack.append(v.operand)
-        elif isinstance(v, Impl):
-            stack.append(v.antecedent)
-            stack.append(v.consequent)
+        stack.extend(_children(v))
     return frozenset(out)
 
 
@@ -313,16 +313,6 @@ def bridge_axiom(n: int) -> Wff:
     return Impl(Impl(Neg(Atom(0)), Neg(Atom(n))), Impl(Atom(n), Atom(0)))
 
 
-def _detaches_atom0(w: Impl) -> bool:
-    """Is this implication a positive atom pointing straight at P0?
-    Detaching these is what the restricted detachment rule forbids."""
-    return (
-        isinstance(w.antecedent, Atom)
-        and w.antecedent.index >= 1
-        and w.consequent == Atom(0)
-    )
-
-
 @dataclass(frozen=True)
 class Schema:
     """A named axiom or detachment schema, possibly index-restricted."""
@@ -353,16 +343,12 @@ def axioms_without_atom0(m: int) -> Schema:
     return Schema("axioms-without-atom0", m)
 
 
-def _matches_axiom(kind: str, w: Wff) -> bool:
-    if kind == "r1":
-        return _is_r1(w)
-    if kind == "r2":
-        return _is_r2(w)
-    if kind == "r3":
-        return _is_r3(w)
-    if kind == "r3-positive":
-        return _is_r3(w) and is_tautology(h_transform(w))
-    raise UsageError(f"unknown axiom schema {kind}")
+_AXIOM_SHAPES = {
+    "r1": _is_r1,
+    "r2": _is_r2,
+    "r3": _is_r3,
+    "r3-positive": lambda w: _is_r3(w) and is_tautology(h_transform(w)),
+}
 
 
 def instantiate_schema(schema: Schema, pool: AbstractSet[Wff]) -> frozenset[tuple[Wff, ...]]:
@@ -371,18 +357,15 @@ def instantiate_schema(schema: Schema, pool: AbstractSet[Wff]) -> frozenset[tupl
     Axiom schemata yield 1-tuples, detachment schemata yield
     (implication, antecedent, consequent) triples.
     """
-    if schema.kind in ("r1", "r2", "r3", "r3-positive"):
-        return frozenset((w,) for w in pool if _matches_axiom(schema.kind, w))
+    if schema.kind in _AXIOM_SHAPES:
+        return frozenset((w,) for w in pool if _AXIOM_SHAPES[schema.kind](w))
     if schema.kind == "axioms-without-atom0":
-        kept = {
-            w
-            for w in pool
-            if (_is_r1(w) or _is_r2(w) or _is_r3(w)) and 0 not in atoms(w)
-        }
         bridge = bridge_axiom(schema.index)
-        if bridge in pool:
-            kept.add(bridge)
-        return frozenset((w,) for w in kept)
+        return frozenset(
+            (w,)
+            for w in pool
+            if w == bridge or ((_is_r1(w) or _is_r2(w) or _is_r3(w)) and 0 not in atoms(w))
+        )
     if schema.kind in ("mp", "mp-restricted"):
         triples = set()
         for w in pool:
@@ -390,7 +373,13 @@ def instantiate_schema(schema: Schema, pool: AbstractSet[Wff]) -> frozenset[tupl
                 continue
             if w.antecedent not in pool or w.consequent not in pool:
                 continue
-            if schema.kind == "mp-restricted" and _detaches_atom0(w) and w.antecedent.index != schema.index:
+            # restricted detachment drops P<i> -> P0 for every i >= 1 but its index
+            if (
+                schema.kind == "mp-restricted"
+                and isinstance(w.antecedent, Atom)
+                and w.consequent == Atom(0)
+                and w.antecedent.index not in (0, schema.index)
+            ):
                 continue
             triples.add((w, w.antecedent, w.consequent))
         return frozenset(triples)
@@ -444,11 +433,7 @@ def subformula_closure(
                 if v in pool or v in fresh:
                     continue
                 fresh.add(v)
-                if isinstance(v, Neg):
-                    stack.append(v.operand)
-                elif isinstance(v, Impl):
-                    stack.append(v.antecedent)
-                    stack.append(v.consequent)
+                stack.extend(_children(v))
 
         for lx, x in items:
             if 2 * lx + shortest + 8 > size_cap:
@@ -498,18 +483,22 @@ def pd_system(
 ) -> RuleSystem:
     """Build a deductive system over an explicit formula pool.
 
-    standard       all axiom instances, unrestricted detachment
-    restricted-mp  all axiom instances, detachment minus atom-to-P0
+    standard       axioms R1, R2, R3; unrestricted detachment
+    restricted-mp  axioms R1, R2, R3; detachment minus atom-to-P0
                    steps other than index n
-    missing-atom   axiom instances avoiding P0, plus the bridge axiom
-                   of index n; unrestricted detachment
-    positive       axiom instances whose negation-erased transform is a
-                   tautology, plus the bridge axiom of index n;
+    missing-atom   the instances of axioms_without_atom0(n): axioms
+                   avoiding P0, plus the bridge axiom of index n;
                    unrestricted detachment
+    positive       axioms R1, R2, R3_POSITIVE (R3 instances whose
+                   negation-erased transform is a tautology), plus the
+                   bridge axiom of index n; unrestricted detachment
 
-    The pool becomes the language, so it must be subformula-closed.
-    Axioms are instantiated here; detachment stays a schema rule and is
-    instantiated by the engine against the saturation pool.
+    The pool becomes the language, one element per formula (named by its
+    token) in a formula <-> element table built once.  The pool must be
+    subformula-closed; checking every member's immediate parts suffices,
+    by induction.  Axioms are instantiated here; detachment stays a
+    schema rule, which maps the engine's saturation pool through the
+    table, instantiates MP on the formulas and maps the triples back.
     """
     if variant not in VARIANTS:
         raise UsageError(f"unknown variant {variant}; expected one of {', '.join(VARIANTS)}")
@@ -518,41 +507,42 @@ def pd_system(
         raise UsageError(f"variant {variant} needs an index n >= 1")
     if not parametrized and n is not None:
         raise UsageError("variant standard takes no index")
-    pool_wffs = sorted(set(pool), key=wff_token)
-    if not pool_wffs:
+    element_of = {w: wff_element(w) for w in sorted(set(pool), key=wff_token)}
+    if not element_of:
         raise UsageError("the formula pool must be non-empty")
-    pool_set = frozenset(pool_wffs)
-    for w in pool_wffs:
-        if not subformulas(w) <= pool_set:
-            raise UsageError(
-                f"pool is not subformula-closed: parts of {wff_to_text(w)} are missing"
-            )
+    for w in element_of:
+        for part in _children(w):
+            if part not in element_of:
+                raise UsageError(
+                    f"pool is not subformula-closed: {wff_to_text(part)}, "
+                    f"part of {wff_to_text(w)}, is missing"
+                )
+    wff_of = {e: w for w, e in element_of.items()}
 
-    if variant in ("standard", "restricted-mp"):
-        axiom_wffs = {w for w in pool_set if _is_r1(w) or _is_r2(w) or _is_r3(w)}
-    elif variant == "missing-atom":
-        axiom_wffs = {w for (w,) in instantiate_schema(axioms_without_atom0(n), pool_set)}
-    else:  # positive
-        axiom_wffs = {
-            w
-            for w in pool_set
-            if _is_r1(w) or _is_r2(w) or (_is_r3(w) and is_tautology(h_transform(w)))
-        }
-        if bridge_axiom(n) in pool_set:
-            axiom_wffs.add(bridge_axiom(n))
+    if variant == "missing-atom":
+        axiom_schemata = (axioms_without_atom0(n),)
+    elif variant == "positive":
+        axiom_schemata = (R1, R2, R3_POSITIVE)
+    else:
+        axiom_schemata = (R1, R2, R3)
+    axiom_wffs = {
+        w for schema in axiom_schemata for (w,) in instantiate_schema(schema, element_of.keys())
+    }
+    if variant == "positive" and bridge_axiom(n) in element_of:
+        axiom_wffs.add(bridge_axiom(n))
 
     detachment = MP if variant != "restricted-mp" else mp_restricted(n)
 
     def instantiate(pool_elements: frozenset[Element]) -> frozenset[tuple[Element, ...]]:
-        wffs = {element_wff(e): e for e in pool_elements}
+        wffs = frozenset(wff_of[e] for e in pool_elements)
         return frozenset(
-            tuple(wffs[w] for w in triple)
-            for triple in instantiate_schema(detachment, frozenset(wffs))
+            tuple(element_of[w] for w in triple)
+            for triple in instantiate_schema(detachment, wffs)
         )
 
-    language = ExplicitLanguage(tuple(wff_element(w) for w in pool_wffs))
+    language = ExplicitLanguage(tuple(element_of.values()))
     axioms = UnaryRule(
-        "axioms", FiniteSubset(language, tuple(wff_element(w) for w in axiom_wffs))
+        "axioms", FiniteSubset(language, tuple(element_of[w] for w in axiom_wffs))
     )
     system_name = name or (variant if not parametrized else f"{variant}-{n}")
     return RuleSystem(system_name, language, (axioms, SchemaRule("mp", 2, instantiate)))
@@ -663,11 +653,12 @@ def certificate_non_derivable(
     Every variant's axioms are tautologies and detachment preserves
     truth, so anything derivable from hypotheses is entailed by them.
     One falsifying valuation of the hypotheses-to-goal implication
-    chain is therefore a certificate.  When the chain is a tautology
-    (the hypotheses really do entail the goal) that route is closed,
-    and we fall back to saturating a capped pool and reporting the
-    failed search.  A goal that is derivable within the caps is
-    refused.
+    chain is therefore a certificate.  The chain nests once per
+    hypothesis, so at most MAX_DEPTH hypotheses are taken.  When the
+    chain is a tautology (the hypotheses really do entail the goal)
+    that route is closed, and we fall back to saturating a capped pool
+    and reporting the failed search.  A goal that is derivable within
+    the caps is refused.
 
     `search`, when given, must be `search_pool` of this same query and
     caps; it is used in place of saturating the pool again.
@@ -676,6 +667,11 @@ def certificate_non_derivable(
         raise UsageError("the goal is already a hypothesis; nothing to certify")
     if variant not in VARIANTS:
         raise UsageError(f"unknown variant {variant}; expected one of {', '.join(VARIANTS)}")
+    if len(hypotheses) > MAX_DEPTH:
+        raise UsageError(
+            f"a non-derivability certificate takes at most {MAX_DEPTH} hypotheses, "
+            f"not {len(hypotheses)}"
+        )
 
     transform = goal
     for h in reversed(hypotheses):

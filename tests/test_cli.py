@@ -5,11 +5,16 @@ Exit code contract: 0 success / all checks pass, 1 a check failed
 2 malformed usage or unparseable input.
 """
 
+import io
 import json
+import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import conseq.cli
 import conseq.engine
@@ -159,6 +164,39 @@ def test_deeply_nested_formulas_exit_2_with_one_error_line(capsys, argv):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pd", "taut", "P\u00b2"),
+        ("pd", "taut", "P\u0661"),
+        ("pd", "h", "P\u00b2"),
+        ("pd", "search", "--hyp", "P\u00b2", "--goal", "P0"),
+        ("pd", "search", "--goal", "P\u0661"),
+    ],
+    ids=["taut-superscript", "taut-arabic-indic", "h", "search-hyp", "search-goal"],
+)
+def test_non_ascii_atom_index_exits_2_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: column 2: atom needs a decimal index after 'P'"]
+
+
+def test_certificate_hypothesis_count_is_capped(capsys):
+    cap = conseq.propositional.MAX_DEPTH
+    code, out, _ = run(capsys, "pd", "search", "--hyp", ",".join(["P1"] * cap), "--goal", "P2")
+    assert code == 1
+    assert out.startswith("not derivable: ")
+    assert out.rstrip().endswith("is falsified by {P1=true, P2=false}")
+    for count in (cap + 1, 1500):
+        code, out, err = run(capsys, "pd", "search", "--hyp", ",".join(["P1"] * count), "--goal", "P2")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: a non-derivability certificate takes at most {cap} hypotheses, not {count}"
+        ]
+
+
 def test_pd_search_finds_a_derivation(capsys):
     code, out, _ = run(
         capsys,
@@ -283,6 +321,15 @@ def test_missing_system_file_exits_2(capsys, tmp_path, command):
     assert err.splitlines() == [f"error: cannot read system file {path!r}: No such file or directory"]
 
 
+@pytest.mark.parametrize("command", ["meet", "sup"])
+@pytest.mark.parametrize("systems", ["", ",", " , "])
+def test_empty_systems_list_exits_2(capsys, command, systems):
+    code, out, err = run(capsys, command, f"--systems={systems}", "--hyp", "a")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: --systems names no system file"]
+
+
 def test_bridge_axiom_longer_than_the_size_cap_is_named(capsys):
     code, out, err = run(
         capsys,
@@ -334,3 +381,91 @@ def test_golden_stdout_and_exit_code(capsys, monkeypatch, case):
     monkeypatch.chdir(ROOT)
     code, out, _ = run(capsys, *case["argv"])
     assert (code, out) == (case["exit"], case["stdout"])
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any input ends in exit code 0, 1 or 2, with no exception
+
+
+def exit_code(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+formula_texts = st.one_of(
+    st.recursive(
+        st.sampled_from(["P0", "P1", "P2", "P12", "P", "P\u00b2", "Q", ""]),
+        lambda inner: st.one_of(
+            inner.map(lambda t: "~" + t),
+            st.tuples(inner, inner).map(lambda p: f"({p[0]} -> {p[1]})"),
+            st.tuples(inner, inner).map(lambda p: f"({p[0]} {p[1]}"),
+        ),
+        max_leaves=6,
+    ),
+    st.text(alphabet="P0123~()->, \t\u00b2\u0661", max_size=40),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(["taut", "h"]), formula_texts)
+@example("taut", "P\u00b2")
+@example("h", "~" * 3000 + "P0")
+def test_fuzz_pd_formula_commands(command, text):
+    assert exit_code(["pd", command, text]) in (0, 1, 2)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.sampled_from(conseq.propositional.VARIANTS),
+    st.sampled_from([None, "0", "1", "2"]),
+    st.lists(formula_texts, max_size=4).map(",".join),
+    formula_texts,
+)
+@example("standard", None, "P\u00b2", "P0")
+@example("standard", None, ",".join(["P1"] * 1500), "P2")
+def test_fuzz_pd_search(variant, n, hyps, goal):
+    argv = ["pd", "search", "--variant", variant, f"--hyp={hyps}", f"--goal={goal}"]
+    argv += ["--size-cap", "12", "--pool-cap", "60"] + (["--n", n] if n is not None else [])
+    assert exit_code(argv) in (0, 1, 2)
+
+
+element_names = st.sampled_from(["a", "b", "c", "x1", "f0", "f1", "enumerated", "=>", ":", "\u00e9"])
+system_lines = st.one_of(
+    st.lists(element_names, max_size=5).map(lambda t: "language: " + " ".join(t)),
+    st.just("language: enumerated f"),
+    st.tuples(st.sampled_from(["r", "s"]), st.lists(element_names, max_size=3)).map(
+        lambda p: f"axioms {p[0]}: " + " ".join(p[1])
+    ),
+    st.tuples(
+        st.sampled_from(["r", "s"]),
+        st.lists(element_names, max_size=3),
+        st.lists(element_names, max_size=2),
+    ).map(lambda p: f"rule {p[0]}: {' '.join(p[1])} => {' '.join(p[2])}"),
+    st.text(alphabet="abcx1f0 :=>#\t", max_size=30),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.sampled_from(["saturate", "csystems", "check-axioms", "bounded", "meet", "sup"]),
+    st.lists(system_lines, max_size=6),
+    st.lists(element_names, max_size=3).map(",".join),
+    st.integers(min_value=-1, max_value=4),
+    st.lists(st.sampled_from(["{path}", "", " ", STEPS]), max_size=3).map(",".join),
+)
+@example("csystems", ["language: enumerated f"], "", 0, "")
+@example("check-axioms", ["language: enumerated f", "rule r: f0 => f1"], "", 0, "")
+@example("meet", ["language: a"], "a", 0, ",")
+def test_fuzz_system_commands(command, lines, hyp, steps, systems):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.system"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if command in ("meet", "sup"):
+            argv = [command, f"--systems={systems.replace('{path}', str(path))}"]
+        else:
+            argv = [command, "--system", str(path)]
+        if command not in ("csystems", "check-axioms"):
+            argv.append(f"--hyp={hyp}")
+        if command == "bounded":
+            argv += ["--steps", str(steps)]
+        assert exit_code(argv) in (0, 1, 2)

@@ -2,12 +2,15 @@
 non-derivability certificates."""
 
 import pickle
+import re
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conseq.propositional
 from conseq.engine import min_derivation_size, saturate
 from conseq.errors import DomainError, InputSyntaxError, UsageError
 from conseq.propositional import (
@@ -17,6 +20,7 @@ from conseq.propositional import (
     R2,
     R3,
     R3_POSITIVE,
+    VARIANTS,
     Atom,
     BoundedEvidence,
     Certified,
@@ -106,6 +110,21 @@ def test_parse_refuses_nesting_past_max_depth():
         assert str(info.value) == (
             f"column {MAX_DEPTH + 1}: formula nested deeper than {MAX_DEPTH} levels"
         )
+
+
+@pytest.mark.parametrize("text", ["P\u00b2", "P\u0661", "(P\u0663 -> P0)", "~P\u00b9"])
+def test_atom_indices_take_ascii_digits_only(text):
+    # superscripts and Arabic-Indic digits are digits to str.isdigit
+    with pytest.raises(InputSyntaxError) as info:
+        parse(text)
+    column = text.index("P") + 2
+    assert str(info.value) == f"column {column}: atom needs a decimal index after 'P'"
+
+
+def test_non_ascii_digit_after_an_index_is_trailing_input():
+    with pytest.raises(InputSyntaxError, match="column 3: trailing input after formula"):
+        parse("P1\u00b2")
+    assert parse("P0123456789") == Atom(123456789)
 
 
 # The formula classes as plain frozen dataclasses, whose generated
@@ -480,6 +499,171 @@ def test_bridge_derivation_needs_five_steps():
         )
 
 
+# pd_system as first written: per-variant axiom filters held inline,
+# detachment instantiated by parsing each element's name back into its
+# formula, and closure checked against every formula's full subformula
+# set.  These oracles state each part from its definition.
+
+
+def _r1_shape(w):
+    # X -> (Y -> X)
+    return isinstance(w, Impl) and isinstance(w.consequent, Impl) and w.consequent.consequent == w.antecedent
+
+
+def _r2_shape(w):
+    # (X -> (Y -> Z)) -> ((X -> Y) -> (X -> Z))
+    if not (isinstance(w, Impl) and isinstance(w.antecedent, Impl)):
+        return False
+    if not isinstance(w.antecedent.consequent, Impl):
+        return False
+    x, y, z = w.antecedent.antecedent, w.antecedent.consequent.antecedent, w.antecedent.consequent.consequent
+    return w.consequent == Impl(Impl(x, y), Impl(x, z))
+
+
+def _r3_shape(w):
+    # (~X -> ~Y) -> (Y -> X)
+    if not (isinstance(w, Impl) and isinstance(w.antecedent, Impl)):
+        return False
+    nx, ny = w.antecedent.antecedent, w.antecedent.consequent
+    return isinstance(nx, Neg) and isinstance(ny, Neg) and w.consequent == Impl(ny.operand, nx.operand)
+
+
+def _inline_axioms(variant, pool_set, n):
+    if variant in ("standard", "restricted-mp"):
+        return {w for w in pool_set if _r1_shape(w) or _r2_shape(w) or _r3_shape(w)}
+    if variant == "missing-atom":
+        kept = {
+            w
+            for w in pool_set
+            if (_r1_shape(w) or _r2_shape(w) or _r3_shape(w)) and 0 not in atoms(w)
+        }
+    else:  # positive
+        kept = {
+            w
+            for w in pool_set
+            if _r1_shape(w) or _r2_shape(w) or (_r3_shape(w) and is_tautology(h_transform(w)))
+        }
+    if bridge_axiom(n) in pool_set:
+        kept.add(bridge_axiom(n))
+    return kept
+
+
+def _parsed_detachment(variant, n, pool_elements):
+    wffs = {parse(e.name): e for e in pool_elements}
+    triples = set()
+    for w, e in wffs.items():
+        if not (isinstance(w, Impl) and w.antecedent in wffs and w.consequent in wffs):
+            continue
+        atom_to_p0 = isinstance(w.antecedent, Atom) and w.antecedent.index >= 1 and w.consequent == P0
+        if variant == "restricted-mp" and atom_to_p0 and w.antecedent.index != n:
+            continue
+        triples.add((e, wffs[w.antecedent], wffs[w.consequent]))
+    return frozenset(triples)
+
+
+def _is_subformula_closed(pool):
+    pool_set = set(pool)
+    return all(subformulas(w) <= pool_set for w in pool_set)
+
+
+def _immediate_parts(w):
+    if isinstance(w, Neg):
+        return (w.operand,)
+    if isinstance(w, Impl):
+        return (w.antecedent, w.consequent)
+    return ()
+
+
+small_wffs = st.recursive(
+    st.builds(Atom, st.integers(min_value=0, max_value=2)),
+    lambda inner: st.one_of(st.builds(Neg, inner), st.builds(Impl, inner, inner)),
+    max_leaves=4,
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(small_wffs, min_size=1, max_size=3),
+    st.integers(min_value=4, max_value=22),
+    st.sampled_from(VARIANTS),
+    st.integers(min_value=1, max_value=3),
+    st.booleans(),
+    st.data(),
+)
+def test_pd_system_matches_its_definitional_oracles(seeds, size_cap, variant, n, with_bridge, data):
+    if with_bridge:
+        seeds, size_cap = seeds + [bridge_axiom(n)], 22
+    try:
+        pool = subformula_closure(seeds, size_cap, max_pool=400)
+    except UsageError:
+        return
+    system = pd_system(variant, pool, n=None if variant == "standard" else n)
+    assert {e.name for e in system.rule("axioms").axioms} == {
+        wff_token(w) for w in _inline_axioms(variant, frozenset(pool), n)
+    }
+    detachment = system.rule("mp")
+    elements = system.language.elements
+    for pool_elements in (frozenset(elements), frozenset(data.draw(st.sets(st.sampled_from(elements))))):
+        assert detachment.instantiate(pool_elements) == _parsed_detachment(variant, n, pool_elements)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(small_wffs, min_size=1, max_size=3),
+    st.integers(min_value=4, max_value=16),
+    st.sampled_from(VARIANTS),
+    st.data(),
+)
+def test_pd_system_refuses_exactly_the_pools_missing_a_part(seeds, size_cap, variant, data):
+    try:
+        pool = subformula_closure(seeds, size_cap, max_pool=400)
+    except UsageError:
+        return
+    victim = data.draw(st.sampled_from(pool))
+    damaged = [w for w in pool if w != victim]
+    if not damaged:
+        return
+    try:
+        pd_system(variant, damaged, n=None if variant == "standard" else 1)
+    except UsageError as exc:
+        assert not _is_subformula_closed(damaged)
+        named = re.fullmatch(r"pool is not subformula-closed: (.+), part of (.+), is missing", str(exc))
+        part, whole = parse(named.group(1)), parse(named.group(2))
+        assert whole in damaged
+        assert part not in damaged
+        assert part in _immediate_parts(whole)
+    else:
+        assert _is_subformula_closed(damaged)
+
+
+def test_pd_system_names_the_missing_part():
+    with pytest.raises(UsageError) as info:
+        pd_system("standard", [P1, Impl(P0, P1)])
+    assert str(info.value) == "pool is not subformula-closed: P0, part of (P0 -> P1), is missing"
+
+
+def test_pd_system_neither_parses_nor_collects_subformulas(monkeypatch):
+    hyps = [Impl(P2, P0), P2, Impl(Neg(P0), Neg(P1)), P1]
+    pool = subformula_closure(hyps + [bridge_axiom(1)], 22)
+    calls = Counter()
+    for name in ("parse", "subformulas"):
+
+        def counting(*args, _name=name, _original=getattr(conseq.propositional, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(conseq.propositional, name, counting)
+    for variant, n in (("standard", None), ("restricted-mp", 2), ("missing-atom", 1), ("positive", 1)):
+        system = pd_system(variant, pool, n=n)
+        closure = saturate(system, formula_subset(system, hyps), pool_subset(system)).closure
+        assert wff_element(P0) in closure
+    assert calls == Counter()
+    # the counters do count
+    conseq.propositional.parse("P0")
+    conseq.propositional.subformulas(P0)
+    assert calls == Counter({"parse": 1, "subformulas": 1})
+
+
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -531,3 +715,13 @@ def test_certificate_refusals():
         certificate_non_derivable("standard", [Impl(P1, P0), P1], P0)
     with pytest.raises(UsageError, match="unknown variant"):
         certificate_non_derivable("clever", [P1], P0)
+
+
+def test_certificate_takes_at_most_max_depth_hypotheses():
+    # the hypotheses-to-goal chain nests once per hypothesis
+    assert isinstance(certificate_non_derivable("standard", [P1] * MAX_DEPTH, P2), Certified)
+    with pytest.raises(UsageError) as info:
+        certificate_non_derivable("standard", [P1] * (MAX_DEPTH + 1), P2)
+    assert str(info.value) == (
+        f"a non-derivability certificate takes at most {MAX_DEPTH} hypotheses, not {MAX_DEPTH + 1}"
+    )
