@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import UsageError
-from .language import ExplicitLanguage, FiniteSubset, all_subsets
-from .operators import Operator, _require_small_language
+from .language import ExplicitLanguage, FiniteSubset
+from .operators import Operator, closed_family
 
 
 @dataclass(eq=False, frozen=True)
@@ -43,24 +43,10 @@ class CSystemFamily:
 
 
 def closed_systems(op: Operator, language: ExplicitLanguage, *, bound: int = 6) -> CSystemFamily:
-    """Collect the image of P(language); verify every image is a fixed
-    point and the whole language is among them."""
-    _require_small_language(language, bound)
-    members: dict[FiniteSubset, None] = {}
-    for subset in all_subsets(language):
-        closed = op.apply(subset)
-        if closed not in members:
-            if op.apply(closed) != closed:
-                raise UsageError(
-                    f"{closed} is an image but not a fixed point; "
-                    "the operator is not idempotent"
-                )
-            members[closed] = None
-    top = FiniteSubset(language, language.elements)
-    if top not in members:
-        raise UsageError("the whole language is not closed; not a consequence operator")
-    ordered = sorted(members, key=lambda s: (len(s.members), s.members))
-    return CSystemFamily(operator=op, language=language, members=tuple(ordered))
+    """The closed sets of `op` over a finite language, as
+    `operators.closed_family` collects, checks and orders them."""
+    members = closed_family(op, language, bound=bound)
+    return CSystemFamily(operator=op, language=language, members=members)
 
 
 def _require_closed(op: Operator, subset: FiniteSubset, side: str) -> None:

@@ -28,6 +28,7 @@ from .language import (
     ExplicitLanguage,
     FiniteSubset,
     all_subsets,
+    bit_indices,
     require_same_language,
 )
 from .rules import (
@@ -65,6 +66,11 @@ def _instantiate_schema_rule(rule: SchemaRule, pool: FiniteSubset) -> tuple[tupl
     return tuple(sorted(instances, key=lambda t: tuple(e.name for e in t)))
 
 
+def require_in_pool(hypotheses: FiniteSubset, pool: FiniteSubset | None) -> None:
+    if pool is not None and not hypotheses.is_subset_of(pool):
+        raise UsageError("the pool must contain every hypothesis")
+
+
 def _ground(
     system: RuleSystem, hypotheses: FiniteSubset, pool: FiniteSubset | None
 ) -> tuple[dict[Element, tuple], list[tuple[str, tuple[tuple[Element, ...], ...]]]]:
@@ -73,8 +79,7 @@ def _ground(
     require_same_language(system.language, hypotheses.language, "saturate")
     if pool is not None:
         require_same_language(system.language, pool.language, "saturate pool")
-        if not hypotheses.is_subset_of(pool):
-            raise UsageError("the pool must contain every hypothesis")
+        require_in_pool(hypotheses, pool)
     if system.has_schema_rules() and pool is None:
         raise UsageError(
             f"system {system.name} has schema rules; saturation needs an explicit pool"
@@ -94,6 +99,110 @@ def _ground(
         else:
             grounded.append((rule.rule_id, _instantiate_schema_rule(rule, pool)))
     return insertable, grounded
+
+
+class MaskSystem:
+    """A system grounded once onto bit masks.
+
+    Every element the grounding can reach gets one bit.  Over an
+    explicit language that bit is the element's position in the
+    language, so a subset's `mask` is already in this numbering and the
+    widest mask has one bit per element.  Over an enumerated language
+    the elements are numbered densely, in grounding order, so a mask is
+    as wide as the grounding, never as wide as an enumeration index.
+    `elements` lists the numbered elements by bit and `bits` is its
+    inverse.
+
+    The insertable elements (hypotheses and axioms) form one mask, and
+    every grounded tuple becomes one arc (premise mask, conclusion bit),
+    in system order.  `close` is forward chaining over these Horn
+    clauses (Dowling & Gallier 1984), the method `saturate` uses element
+    by element: an index from each premise bit to the arcs that use it
+    means an arc is looked at only when one of its premises arrives.
+    """
+
+    def __init__(
+        self, system: RuleSystem, hypotheses: FiniteSubset, pool: FiniteSubset | None = None
+    ):
+        insertable, grounded = _ground(system, hypotheses, pool)
+        self.language = system.language
+        if isinstance(self.language, ExplicitLanguage):
+            self.elements: Sequence[Element] = self.language.elements
+            self.bits: Mapping[Element, int] = self.language.positions
+            bit_of = self.language.positions.__getitem__
+        else:
+            elements: list[Element] = []
+            bits: dict[Element, int] = {}
+
+            def bit_of(e: Element) -> int:
+                i = bits.get(e)
+                if i is None:
+                    i = bits[e] = len(elements)
+                    elements.append(e)
+                return i
+
+            self.elements, self.bits = elements, bits
+        self.insertable = 0
+        for i in map(bit_of, insertable):
+            self.insertable |= 1 << i
+        self.arcs: list[tuple[int, int]] = []
+        self._users: dict[int, list[tuple[int, int]]] = {}
+        for _, tuples in grounded:
+            for t in tuples:
+                positions = list(map(bit_of, t))
+                conclusion = 1 << positions.pop()
+                premises = 0
+                for i in positions:
+                    premises |= 1 << i
+                arc = (premises, conclusion)
+                self.arcs.append(arc)
+                for i in positions:
+                    self._users.setdefault(i, []).append(arc)
+
+    def encode(self, subset: FiniteSubset) -> int:
+        """The mask of the numbered members of `subset`; the others take
+        part in no arc."""
+        if isinstance(self.language, ExplicitLanguage):
+            return subset.mask
+        mask = 0
+        for e in subset.members:
+            i = self.bits.get(e)
+            if i is not None:
+                mask |= 1 << i
+        return mask
+
+    def decode(self, mask: int) -> FiniteSubset:
+        """The subset whose members are the elements of the bits of `mask`."""
+        if isinstance(self.language, ExplicitLanguage):
+            return FiniteSubset._of_mask(self.language, mask)
+        return FiniteSubset(self.language, tuple(self.elements[i] for i in bit_indices(mask)))
+
+    def image(self, subset: FiniteSubset) -> FiniteSubset:
+        """Everything derivable from `subset`.  Its members without a bit
+        take part in no arc, so they join the closure of the others."""
+        closed = self.decode(self.close(self.encode(subset)))
+        if isinstance(self.language, ExplicitLanguage):
+            return closed
+        return closed.union(subset)
+
+    def close(self, mask: int = 0, fresh: int | None = None) -> int:
+        """The least superset of `mask` and the insertable elements that
+        holds every arc's conclusion once it holds the arc's premises.
+
+        When `mask` is closed apart from the bits of `fresh`, passing
+        them visits only the arcs those bits can enable.
+        """
+        have = mask | self.insertable
+        todo = have if fresh is None else fresh
+        users = self._users
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            for premises, conclusion in users.get(low.bit_length() - 1, ()):
+                if not have & conclusion and have & premises == premises:
+                    have |= conclusion
+                    todo |= conclusion
+        return have
 
 
 # ---------------------------------------------------------------------------
@@ -272,61 +381,41 @@ def check_derivation(
 # step-bounded deduction
 
 
-def _step_grounding(
-    system: RuleSystem, hypotheses: FiniteSubset, pool: FiniteSubset | None
-) -> tuple[set[Element], list[tuple[frozenset[Element], Element]], set[Element]]:
-    insertable, grounded = _ground(system, hypotheses, pool)
-    arcs = [
-        (frozenset(t[:-1]), t[-1]) for _, tuples in grounded for t in tuples
-    ]
-    universe = set(insertable) | {c for _, c in arcs}
-    return set(insertable), arcs, universe
-
-
-def _min_size(
-    insertable: set[Element],
-    arcs: list[tuple[frozenset[Element], Element]],
-    goal: Element,
-    cap: int,
-) -> int | None:
-    """Length of the shortest numbered deduction of `goal`, up to `cap`.
+def _min_steps(insertable: int, arcs: list[tuple[int, int]], goal: int, cap: int) -> int | None:
+    """Length of the shortest numbered deduction of the `goal` bit, up
+    to `cap`, over a `MaskSystem`'s insertable mask and arcs.
 
     A shortest deduction never repeats an element and never takes a
     step that does not feed the goal, so its steps are a set of
     goal-relevant elements built one derivable element at a time;
-    breadth-first search over those sets is exact.
+    breadth-first search over those sets, held as masks, is exact.
     """
-    relevant = {goal}
+    relevant = goal
     grew = True
     while grew:
         grew = False
         for premises, conclusion in arcs:
-            if conclusion in relevant and not premises <= relevant:
+            if conclusion & relevant and premises & ~relevant:
                 relevant |= premises
                 grew = True
-    insertable = {e for e in insertable if e in relevant}
-    arcs = [(p, c) for p, c in arcs if c in relevant]
+    insertable &= relevant
+    arcs = [(p, c) for p, c in arcs if c & relevant]
 
-    def successors(have: frozenset[Element]) -> set[Element]:
-        out = {e for e in insertable if e not in have}
-        for premises, conclusion in arcs:
-            if conclusion not in have and premises <= have:
-                out.add(conclusion)
-        return out
-
-    frontier: set[frozenset[Element]] = {frozenset()}
-    visited: set[frozenset[Element]] = set(frontier)
+    frontier = {0}
+    visited = {0}
     for size in range(cap):
-        next_frontier: set[frozenset[Element]] = set()
+        next_frontier: set[int] = set()
         for have in frontier:
-            grown = successors(have)
-            if goal in grown:
+            grown = insertable
+            for premises, conclusion in arcs:
+                if have & premises == premises:
+                    grown |= conclusion
+            grown &= ~have
+            if grown & goal:
                 return size + 1
             if size + 1 < cap:
-                for e in grown:
-                    if e == goal:
-                        continue
-                    bigger = have | {e}
+                for i in bit_indices(grown):
+                    bigger = have | 1 << i
                     if bigger not in visited:
                         visited.add(bigger)
                         next_frontier.add(bigger)
@@ -348,8 +437,11 @@ def min_derivation_size(
         raise UsageError("the step cap must be at least 1")
     if goal not in system.language:
         raise DomainError(f"goal {goal} is not in the language")
-    insertable, arcs, _ = _step_grounding(system, hypotheses, pool)
-    return _min_size(insertable, arcs, goal, cap)
+    grounded = MaskSystem(system, hypotheses, pool)
+    goal_bit = grounded.bits.get(goal)
+    if goal_bit is None:  # neither insertable nor in any tuple
+        return None
+    return _min_steps(grounded.insertable, grounded.arcs, 1 << goal_bit, cap)
 
 
 def bounded_consequences(
@@ -358,18 +450,32 @@ def bounded_consequences(
     steps: int,
     pool: FiniteSubset | None = None,
 ) -> FiniteSubset:
-    """Everything derivable by some deduction of at most `steps` steps."""
+    """Everything derivable by some deduction of at most `steps` steps.
+
+    The system is grounded onto bit masks (`MaskSystem`).  An insertable
+    element takes one step and is accepted outright; an element outside
+    the closure has no deduction and is rejected outright.  Each other
+    element of the closure gets its own exact search (`_min_steps`),
+    confined to the elements relevant to it: one search over all sets
+    of derivable elements would grow with every hypothesis.  Once
+    `steps` reaches the size of the universe (insertable elements and
+    tuple conclusions) the bound no longer binds, since a shortest
+    deduction never repeats an element, and the result is the
+    saturation closure.
+    """
     if steps < 1:
         raise UsageError("the step bound must be at least 1")
-    insertable, arcs, universe = _step_grounding(system, hypotheses, pool)
-    if steps >= len(universe):
-        # a shortest deduction never repeats an element, so the bound
-        # is no longer binding and plain saturation gives the same set
+    grounded = MaskSystem(system, hypotheses, pool)
+    universe = grounded.insertable
+    for _, conclusion in grounded.arcs:
+        universe |= conclusion
+    if steps >= universe.bit_count():
         return saturate(system, hypotheses, pool).closure
-    reachable = [
-        e for e in sorted(universe) if _min_size(insertable, arcs, e, steps) is not None
-    ]
-    return FiniteSubset(system.language, tuple(reachable))
+    reachable = grounded.insertable
+    for i in bit_indices(grounded.close() & ~reachable):
+        if _min_steps(grounded.insertable, grounded.arcs, 1 << i, steps) is not None:
+            reachable |= 1 << i
+    return grounded.decode(reachable)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Union
 
@@ -78,9 +80,10 @@ def _as_element(value: Element | str) -> Element:
 class ExplicitLanguage:
     """A finite language, stored in sorted order.
 
-    `element_set` holds the same elements as a frozenset, built once,
-    so membership is a hash lookup.  It is not a dataclass field, so
-    equality, hashing and repr see only `elements`.
+    `positions` maps each element to its index in that order, built
+    once, so membership is a hash lookup and bit masks have their bit
+    numbering.  It is not a dataclass field, so equality, hashing and
+    repr see only `elements`.
     """
 
     elements: tuple[Element, ...]
@@ -88,18 +91,19 @@ class ExplicitLanguage:
     def __post_init__(self) -> None:
         if not self.elements:
             raise DomainError("an explicit language needs at least one element")
-        element_set = frozenset(self.elements)
-        if len(element_set) != len(self.elements):
+        elements = tuple(sorted(self.elements, key=_by_name))
+        positions = {e: i for i, e in enumerate(elements)}
+        if len(positions) != len(elements):
             raise DomainError("language elements must be distinct")
-        object.__setattr__(self, "elements", tuple(sorted(element_set, key=_by_name)))
-        object.__setattr__(self, "element_set", element_set)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "positions", positions)
 
     @classmethod
     def of_tokens(cls, tokens: Iterable[str]) -> "ExplicitLanguage":
         return cls(tuple(Element(t) for t in tokens))
 
     def __contains__(self, element: Element) -> bool:
-        return element in self.element_set
+        return element in self.positions
 
     def __iter__(self) -> Iterator[Element]:
         return iter(self.elements)
@@ -220,13 +224,25 @@ def _member_set(
     return frozenset(out)
 
 
+def bit_indices(mask: int) -> Iterator[int]:
+    """The positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class FiniteSubset:
     """A finite subset, stored sorted and duplicate-free.
 
-    `member_set` holds the same members as a frozenset, built once, for
-    membership and inclusion tests.  It is not a dataclass field, so
-    equality, hashing and repr see only `language` and `members`.
+    `member_set` holds the same members as a frozenset, for membership
+    and inclusion tests.  Over an explicit language `mask` holds them
+    as an int: member e is bit `language.positions[e]`.  An enumerated
+    language has no mask, since an enumeration index is unbounded and
+    one bit per index could need any amount of memory.  Both are
+    computed at most once and are not dataclass fields, so equality,
+    hashing and repr see only `language` and `members`.
     """
 
     language: Language
@@ -244,6 +260,30 @@ class FiniteSubset:
     @classmethod
     def empty(cls, language: Language) -> "FiniteSubset":
         return cls(language, ())
+
+    @classmethod
+    def _of_mask(cls, language: ExplicitLanguage, mask: int) -> "FiniteSubset":
+        """The subset whose members are the set bits of `mask`, which the
+        caller vouches are all in the language: nothing is validated,
+        and nothing is sorted either, since bit order is name order."""
+        # bin() lists the bits highest first after '0b'; reversed, bit i is digit i
+        members = tuple(compress(language.elements, map(int, bin(mask)[:1:-1])))
+        subset = object.__new__(cls)
+        subset.__dict__.update(language=language, members=members, mask=mask)
+        return subset
+
+    @cached_property
+    def member_set(self) -> frozenset[Element]:
+        return frozenset(self.members)
+
+    @cached_property
+    def mask(self) -> int:
+        if not isinstance(self.language, ExplicitLanguage):
+            raise UsageError("bit masks need an explicit finite language")
+        mask = 0
+        for i in map(self.language.positions.__getitem__, self.members):
+            mask |= 1 << i
+        return mask
 
     # -- queries ------------------------------------------------------
 
@@ -384,9 +424,4 @@ def all_subsets(language: ExplicitLanguage) -> Iterator[FiniteSubset]:
     """Every subset of a finite language, in binary-counting order."""
     if not isinstance(language, ExplicitLanguage):
         raise UsageError("cannot enumerate the subsets of an enumerated language")
-    n = len(language.elements)
-    for mask in range(1 << n):
-        members = tuple(
-            language.elements[i] for i in range(n) if mask & (1 << i)
-        )
-        yield FiniteSubset(language, members)
+    return (FiniteSubset._of_mask(language, mask) for mask in range(1 << len(language.elements)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .engine import bounded_consequences, saturate
+from .engine import MaskSystem, bounded_consequences, require_in_pool
 from .errors import DomainError, UsageError
 from .language import (
     CofiniteSubset,
@@ -26,6 +26,7 @@ from .language import (
     Language,
     Subset,
     all_subsets,
+    bit_indices,
     full_subset,
     require_same_language,
 )
@@ -35,11 +36,26 @@ from .rules import RuleSystem, TupleRule, UnaryRule
 # operator variants
 
 
+def _family_order(mask: int) -> tuple[int, tuple[int, ...]]:
+    """Sort key for families of subsets: by size, then member by member.
+
+    Bit order is name order in an explicit language, so this is the
+    order of (len(s.members), s.members) without comparing elements.
+    """
+    return mask.bit_count(), tuple(bit_indices(mask))
+
+
 class Operator:
     """Total map on the subsets of one language."""
 
     def apply(self, subset: Subset) -> Subset:
         raise NotImplementedError
+
+    def _image_masks(self, language: ExplicitLanguage) -> list[int] | None:
+        """The image mask of every input mask over `language`, from a mask
+        kernel; None for an operator without one, which exhaustive checks
+        then ask through `apply`, subset by subset."""
+        return None
 
     def __call__(self, subset: Subset) -> Subset:
         return self.apply(subset)
@@ -66,46 +82,84 @@ class Unit(Operator):
 
 
 class TableOperator(Operator):
-    """An operator given by an explicit total table over P(language)."""
+    """An operator given by an explicit total table over P(language),
+    held as the image mask of every input mask."""
 
     def __init__(self, language: ExplicitLanguage, table: Mapping[FiniteSubset, FiniteSubset]):
         if not isinstance(language, ExplicitLanguage):
             raise UsageError("table-backed operators need an explicit finite language")
-        self.language = language
-        self._table: dict[frozenset[Element], FiniteSubset] = {}
+        images: list[int | None] = [None] * (1 << len(language.elements))
         for key, value in table.items():
             require_same_language(language, key.language, "table key")
             require_same_language(language, value.language, "table value")
-            self._table[key.member_set] = value
-        for subset in all_subsets(language):
-            if subset.member_set not in self._table:
-                raise UsageError(f"table is not total: no row for {subset}")
+            images[key.mask] = value.mask
+        if None in images:
+            missing = FiniteSubset._of_mask(language, images.index(None))
+            raise UsageError(f"table is not total: no row for {missing}")
+        self.language = language
+        self._images = images
+
+    @classmethod
+    def _of_masks(cls, language: ExplicitLanguage, images: list[int]) -> "TableOperator":
+        op = cls.__new__(cls)
+        op.language = language
+        op._images = images
+        return op
 
     def apply(self, subset: Subset) -> FiniteSubset:
         if not isinstance(subset, FiniteSubset):
             raise UsageError("table-backed operators take finite subsets")
         require_same_language(self.language, subset.language, "apply")
-        return self._table[subset.member_set]
+        return FiniteSubset._of_mask(self.language, self._images[subset.mask])
+
+    def _image_masks(self, language: ExplicitLanguage) -> list[int]:
+        require_same_language(self.language, language, "apply")
+        return self._images
 
 
 class RuleOperator(Operator):
     """The consequence operator generated by a rule system: X maps to
-    everything derivable from X."""
+    everything derivable from X.
+
+    On first use the system is grounded once into bit masks, an axiom
+    mask and one (premise mask, conclusion bit) arc per tuple
+    (`engine.MaskSystem`), and every image is forward chaining on ints;
+    over an enumerated language only the grounded elements have bits.
+    The image table over P(language) is filled in binary-counting
+    order from the image of X minus its lowest element e: when that
+    image holds e it is X's image too, and otherwise only the arcs that
+    e enables are visited.  Witnesses come from `saturate` alone.
+    """
 
     def __init__(self, system: RuleSystem, pool: FiniteSubset | None = None):
         self.system = system
         self.pool = pool
         self.language = system.language
-        self._cache: dict[frozenset[Element], FiniteSubset] = {}
+        self._grounded: MaskSystem | None = None
+
+    def _masks(self) -> MaskSystem:
+        if self._grounded is None:
+            self._grounded = MaskSystem(self.system, FiniteSubset.empty(self.language), self.pool)
+        return self._grounded
 
     def apply(self, subset: Subset) -> FiniteSubset:
         if not isinstance(subset, FiniteSubset):
             raise UsageError("rule-backed operators take finite subsets")
         require_same_language(self.language, subset.language, "apply")
-        key = subset.member_set
-        if key not in self._cache:
-            self._cache[key] = saturate(self.system, subset, self.pool).closure
-        return self._cache[key]
+        grounded = self._masks()
+        require_in_pool(subset, self.pool)
+        return grounded.image(subset)
+
+    def _image_masks(self, language: ExplicitLanguage) -> list[int]:
+        require_same_language(self.language, language, "apply")
+        grounded = self._masks()
+        require_in_pool(full_subset(self.language), self.pool)
+        images = [grounded.close()]
+        for x in range(1, 1 << len(self.language.elements)):
+            low = x & -x
+            below = images[x ^ low]
+            images.append(below if below & low else grounded.close(below | low, low))
+        return images
 
     def __repr__(self) -> str:
         return f"RuleOperator({self.system.name})"
@@ -113,6 +167,12 @@ class RuleOperator(Operator):
 
 class BoundedOperator(Operator):
     """Derivability within a fixed number of deduction steps.
+
+    Each image is one `engine.bounded_consequences` call, an exact
+    search per element, remembered per input (by mask over an explicit
+    language, by member set over an enumerated one).  There is no mask
+    kernel, so exhaustive checks ask for images subset by subset
+    through `apply`.
 
     Generally fails idempotence: a chain too long for the bound can be
     finished by a second pass.
@@ -125,13 +185,14 @@ class BoundedOperator(Operator):
         self.steps = steps
         self.pool = pool
         self.language = system.language
-        self._cache: dict[frozenset[Element], FiniteSubset] = {}
+        self._cache: dict[int | frozenset[Element], FiniteSubset] = {}
 
     def apply(self, subset: Subset) -> FiniteSubset:
         if not isinstance(subset, FiniteSubset):
             raise UsageError("step-bounded operators take finite subsets")
         require_same_language(self.language, subset.language, "apply")
-        key = subset.member_set
+        explicit = isinstance(self.language, ExplicitLanguage)
+        key = subset.mask if explicit else subset.member_set
         if key not in self._cache:
             self._cache[key] = bounded_consequences(self.system, subset, self.steps, self.pool)
         return self._cache[key]
@@ -243,17 +304,25 @@ class ClosureFamilyOperator(Operator):
         if top not in members:
             raise UsageError("a closure family must contain the whole language")
         self.language = language
-        self.family = tuple(sorted(members, key=lambda s: (len(s.members), s.members)))
+        self.family = tuple(sorted(members, key=lambda s: _family_order(s.mask)))
+        self._top = top.mask
+
+    def _image(self, mask: int) -> int:
+        out = self._top
+        for member in self.family:
+            if not mask & ~member.mask:
+                out &= member.mask
+        return out
 
     def apply(self, subset: Subset) -> FiniteSubset:
         if not isinstance(subset, FiniteSubset):
             raise UsageError("closure-family operators take finite subsets")
         require_same_language(self.language, subset.language, "apply")
-        out: set[Element] = set(self.language.elements)
-        for member in self.family:
-            if subset.is_subset_of(member):
-                out &= member.member_set
-        return FiniteSubset(self.language, tuple(out))
+        return FiniteSubset._of_mask(self.language, self._image(subset.mask))
+
+    def _image_masks(self, language: ExplicitLanguage) -> list[int]:
+        require_same_language(self.language, language, "apply")
+        return [self._image(x) for x in range(1 << len(self.language.elements))]
 
 
 class SupremumOperator(ClosureFamilyOperator):
@@ -324,10 +393,35 @@ def sup_w(
     if not operands:
         raise UsageError("sup needs at least one operand")
     _require_small_language(language, bound)
-    family = [s for s in all_subsets(language) if all(op.apply(s) == s for op in operands)]
-    if FiniteSubset(language, language.elements) not in family:
+    tables = [_image_table(op, language) for op in operands]
+    top = len(tables[0]) - 1  # every bit set
+    family = [x for x in range(top + 1) if all(t[x] == x for t in tables)]
+    if family[-1:] != [top]:
         raise UsageError("constituents do not all fix the whole language")
-    return SupremumOperator(language, family)
+    return SupremumOperator(language, [FiniteSubset._of_mask(language, x) for x in family])
+
+
+def closed_family(
+    op: Operator, language: ExplicitLanguage, *, bound: int = 6
+) -> tuple[FiniteSubset, ...]:
+    """The image of P(language) under `op`, ordered by size, then
+    member by member.  Every image must be a fixed point and the whole
+    language must be among them."""
+    _require_small_language(language, bound)
+    images = _image_table(op, language)
+    closed: dict[int, None] = {}
+    for image in images:
+        if image not in closed:
+            if images[image] != image:
+                raise UsageError(
+                    f"{FiniteSubset._of_mask(language, image)} is an image but not a fixed point; "
+                    "the operator is not idempotent"
+                )
+            closed[image] = None
+    top = len(images) - 1  # every bit set
+    if top not in closed:
+        raise UsageError("the whole language is not closed; not a consequence operator")
+    return tuple(FiniteSubset._of_mask(language, m) for m in sorted(closed, key=_family_order))
 
 
 def from_closure_family(
@@ -338,7 +432,7 @@ def from_closure_family(
 
 def tabulate(op: Operator, language: ExplicitLanguage) -> TableOperator:
     """Freeze an operator into an explicit table over P(language)."""
-    return TableOperator(language, {s: op.apply(s) for s in all_subsets(language)})
+    return TableOperator._of_masks(language, _image_table(op, language))
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +534,30 @@ def _require_small_language(language: ExplicitLanguage, bound: int) -> None:
         )
 
 
+def _image_table(op: Operator, language: ExplicitLanguage) -> list[int]:
+    """The image of every subset of `language` under `op`, as masks
+    indexed by the input's mask; exhaustive checks see results only
+    through this table.
+
+    An operator with a mask kernel (`_image_masks`) fills the table on
+    ints.  Any other is asked through `apply`, one subset at a time, and
+    must answer with a finite subset of the same language.
+    """
+    subsets = all_subsets(language)  # refuses an enumerated language
+    # any object with `apply` is accepted; only an Operator has a kernel
+    images = op._image_masks(language) if isinstance(op, Operator) else None
+    if images is not None:
+        return images
+    images = []
+    for s in subsets:
+        r = op.apply(s)
+        if not isinstance(r, FiniteSubset):
+            raise DomainError("operator returned a non-finite subset over a finite language")
+        require_same_language(language, r.language, "operator result")
+        images.append(r.mask)
+    return images
+
+
 def check_axioms(op: Operator, language: ExplicitLanguage, *, bound: int = 6) -> AxiomReport:
     """Decide the four closure axioms exhaustively over P(language).
 
@@ -447,55 +565,60 @@ def check_axioms(op: Operator, language: ExplicitLanguage, *, bound: int = 6) ->
     finite F inside X.  Over a finite language X is one of those F, so
     the union always contains op(X), and equality holds exactly when
     op(F) lies inside op(X) for every F inside X: the monotone
-    condition at X.  One submask scan therefore decides both axioms,
-    and finite character fails at the first X where monotonicity does.
+    condition at X.  One scan therefore decides both axioms, and finite
+    character fails at the first X where monotonicity does.
+
+    That scan tests only covering pairs (X-e, X), n 2^(n-1) of them,
+    not all 3^n pairs of a subset and a superset, and its
+    counterexample is the one a full scan (X in binary-counting order,
+    each X's subsets F in descending order) would report.  Every proper
+    subset of the first failing X is a smaller number, so all its pairs
+    pass.  A failing F inside X therefore makes X-e fail for every e in
+    X-F, since op(F) lies inside op(X-e); when F is not X-e itself,
+    X-e is a larger number than F and the descending scan reaches it
+    first.  So the full scan's first failing X is the first X with a
+    failing covering pair, and its first failing F is X-e for the
+    lowest such e, which is the pair this scan tries first.
+
     The returned counterexample, if any, belongs to the first failing
     axiom in the order extensive, monotone, idempotent, finite
     character.
     """
     _require_small_language(language, bound)
-    subsets = list(all_subsets(language))
-    n = len(language.elements)
-    results: list[FiniteSubset] = []
-    for s in subsets:
-        r = op.apply(s)
-        if not isinstance(r, FiniteSubset):
-            raise DomainError("operator returned a non-finite subset over a finite language")
-        require_same_language(language, r.language, "operator result")
-        results.append(r)
-    outs = [r.member_set for r in results]
-    mask_of = {s.member_set: i for i, s in enumerate(subsets)}
+    images = _image_table(op, language)
+    size = len(images)
+    failures: dict[str, tuple[int, ...]] = {}
 
-    failures: dict[str, AxiomCounterexample] = {}
-
-    for i, s in enumerate(subsets):
-        if not s.member_set <= outs[i]:
-            failures["extensive"] = AxiomCounterexample("extensive", (s,))
+    for x in range(size):
+        if x & ~images[x]:
+            failures["extensive"] = (x,)
             break
 
-    for hi in range(1 << n):
-        lo = hi
-        while True:  # every submask of hi, hi itself included
-            if not outs[lo] <= outs[hi]:
-                failures["monotone"] = AxiomCounterexample("monotone", (subsets[lo], subsets[hi]))
-                failures["finite_character"] = AxiomCounterexample("finite_character", (subsets[hi],))
+    for hi in range(size):
+        image = images[hi]
+        rest = hi
+        while rest:
+            low = rest & -rest
+            if images[hi ^ low] & ~image:
+                failures["monotone"] = (hi ^ low, hi)
+                failures["finite_character"] = (hi,)
                 break
-            if lo == 0:
-                break
-            lo = (lo - 1) & hi
+            rest ^= low
         if "monotone" in failures:
             break
 
-    for i, s in enumerate(subsets):
-        again = outs[mask_of[results[i].member_set]]
-        if again != outs[i]:
-            failures["idempotent"] = AxiomCounterexample("idempotent", (s,))
+    for x in range(size):
+        if images[images[x]] != images[x]:
+            failures["idempotent"] = (x,)
             break
 
     first = None
     for axiom in ("extensive", "monotone", "idempotent", "finite_character"):
         if axiom in failures:
-            first = failures[axiom]
+            masks = failures[axiom]
+            first = AxiomCounterexample(
+                axiom, tuple(FiniteSubset._of_mask(language, m) for m in masks)
+            )
             break
     return AxiomReport(
         extensive="extensive" not in failures,
@@ -533,13 +656,13 @@ def leq(
 ) -> bool:
     """Pointwise order: first(X) inside second(X) for every X."""
     _require_small_language(language, bound)
-    return all(
-        first.apply(s).is_subset_of(second.apply(s)) for s in all_subsets(language)
-    )
+    pairs = zip(_image_table(first, language), _image_table(second, language))
+    return not any(a & ~b for a, b in pairs)
 
 
 def equal_ops(
     first: Operator, second: Operator, language: ExplicitLanguage, *, bound: int = 6
 ) -> bool:
+    """Pointwise equality: first(X) equals second(X) for every X."""
     _require_small_language(language, bound)
-    return all(first.apply(s) == second.apply(s) for s in all_subsets(language))
+    return _image_table(first, language) == _image_table(second, language)

@@ -587,10 +587,15 @@ def search_pool(
     The pool is the subformula closure of the hypotheses, the goal and,
     for the variants that have one, the bridge axiom of index n.  The
     standard variant ignores n.  A bridge axiom longer than `size_cap`
-    is refused with an error that names it and the cap it needs.
+    is refused with an error that names it and the cap it needs.  A
+    `size_cap` or `max_pool` below 1 is refused with an error that
+    names its command-line flag.
     """
     from .engine import saturate  # local import keeps module layering flat
 
+    for flag, cap in (("--size-cap", size_cap), ("--pool-cap", max_pool)):
+        if cap < 1:
+            raise UsageError(f"{flag} must be at least 1, not {cap}")
     seeds = list(hypotheses) + [goal]
     if variant in ("missing-atom", "positive") and n is not None:
         bridge = bridge_axiom(n)

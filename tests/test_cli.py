@@ -7,6 +7,10 @@ Exit code contract: 0 success / all checks pass, 1 a check failed
 
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -39,6 +43,53 @@ def test_saturate(capsys):
     code, out, _ = run(capsys, "saturate", "--system", STEPS, "--hyp", "x1,x2")
     assert code == 0
     assert out.splitlines() == ["a", "b", "x1", "x2"]
+
+
+def test_enumerated_language_with_huge_indices_stays_small(tmp_path):
+    # Bits of a mask are never enumeration indices: 1 << 99999999999
+    # would need 12.5 GB.  The address-space cap turns such a regression
+    # into a quick MemoryError instead of a machine-wide memory grab.
+    system = tmp_path / "huge.system"
+    system.write_text(
+        "language: enumerated f\n"
+        "rule r: f99999999999 => f3\n"
+        "rule s: f3 => f7\n"
+        "rule t: f3 f5 => f123456789012345\n"
+    )
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    def conseq(*argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "conseq", *argv],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            preexec_fn=cap_memory,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        return done.returncode, done.stdout.splitlines()
+
+    def run_on(command, *argv):
+        return conseq(command, "--system", str(system), *argv)
+
+    assert run_on("bounded", "--hyp", "f99999999999", "--steps", "1") == (0, ["f99999999999"])
+    assert run_on("bounded", "--hyp", "f99999999999,f5", "--steps", "3") == (
+        0,
+        ["f3", "f5", "f7", "f99999999999"],
+    )
+    goal = ["--hyp", "f99999999999,f5", "--goal", "f123456789012345"]
+    code, out = run_on("derive", *goal, "--max-steps", "5")
+    assert (code, out[0]) == (0, "minimal steps: 4")
+    assert run_on("derive", *goal, "--max-steps", "3") == (
+        1,
+        ["f123456789012345 is not derivable within 3 steps"],
+    )
+    # f42 is in no rule and passes through
+    assert conseq(
+        "meet", "--systems", f"{system},{system}", "--hyp", "f42,f99999999999"
+    ) == (0, ["f3", "f42", "f7", "f99999999999"])
 
 
 def test_bounded(capsys):
@@ -352,6 +403,16 @@ def test_bridge_axiom_longer_than_the_size_cap_is_named(capsys):
         "error: the positive variant adds the bridge axiom ((~P0 -> ~P1) -> (P1 -> P0)) "
         "to the pool, which needs --size-cap 22 or more, not 18"
     ]
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--pool-cap", "-1"), ("--pool-cap", "0"), ("--size-cap", "0"), ("--size-cap", "-5")]
+)
+def test_pd_search_refuses_caps_below_one(capsys, flag, value):
+    code, out, err = run(capsys, "pd", "search", "--goal", "P0", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {flag} must be at least 1, not {value}"]
 
 
 def test_entrypoint_raises_system_exit(capsys):

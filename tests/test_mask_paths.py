@@ -1,0 +1,365 @@
+"""The bit-mask paths of exhaustive operator work and step-bounded
+deduction, against the FiniteSubset loops they replaced.
+
+Each oracle below is the definitional loop: it builds every subset with
+the validating constructor, asks the operator through `apply`, and
+compares member sets.  Reports, counterexample subsets, family order,
+bounded sets and minimal sizes must come out equal, on lawful operators
+(rule systems, closure families) and lawless ones (pointwise unions,
+step-bounded operators, random tables).
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conseq import engine
+from conseq.csystems import closed_systems
+from conseq.engine import bounded_consequences, min_derivation_size, saturate
+from conseq.errors import UsageError
+from conseq.fileformat import loads_system
+from conseq.language import Element, FiniteSubset
+from conseq.operators import (
+    AxiomCounterexample,
+    AxiomReport,
+    BoundedOperator,
+    PointwiseUnion,
+    RuleOperator,
+    TableOperator,
+    check_axioms,
+    equal_ops,
+    from_closure_family,
+    leq,
+    sup_w,
+)
+from conseq.sampling import random_closure_family, random_system, seeded, small_language
+
+AXIOMS = ("extensive", "monotone", "idempotent", "finite_character")
+
+
+# ---------------------------------------------------------------------------
+# oracles
+
+
+def _subsets(language):
+    """Every subset in binary-counting order: bit i is element i."""
+    elements = language.elements
+    return [
+        FiniteSubset(language, tuple(e for i, e in enumerate(elements) if m >> i & 1))
+        for m in range(1 << len(elements))
+    ]
+
+
+def _family_sorted(family):
+    return tuple(sorted(family, key=lambda s: (len(s.members), s.members)))
+
+
+def oracle_check_axioms(op, language):
+    """Every subset-superset pair scanned, supersets in binary-counting
+    order and each superset's submasks in descending order."""
+    subsets = _subsets(language)
+    results = [op.apply(s) for s in subsets]
+    outs = [r.member_set for r in results]
+    index = {s.member_set: i for i, s in enumerate(subsets)}
+    failures = {}
+    for i, s in enumerate(subsets):
+        if not s.member_set <= outs[i]:
+            failures["extensive"] = AxiomCounterexample("extensive", (s,))
+            break
+    for hi in range(len(subsets)):
+        lo = hi
+        while True:
+            if not outs[lo] <= outs[hi]:
+                failures["monotone"] = AxiomCounterexample("monotone", (subsets[lo], subsets[hi]))
+                failures["finite_character"] = AxiomCounterexample("finite_character", (subsets[hi],))
+                break
+            if lo == 0:
+                break
+            lo = (lo - 1) & hi
+        if "monotone" in failures:
+            break
+    for i, s in enumerate(subsets):
+        if outs[index[results[i].member_set]] != outs[i]:
+            failures["idempotent"] = AxiomCounterexample("idempotent", (s,))
+            break
+    first = next((failures[a] for a in AXIOMS if a in failures), None)
+    return AxiomReport(*(a not in failures for a in AXIOMS), counterexample=first)
+
+
+def oracle_closed_systems(op, language):
+    members = {}
+    for subset in _subsets(language):
+        closed = op.apply(subset)
+        if closed not in members:
+            if op.apply(closed) != closed:
+                raise UsageError(
+                    f"{closed} is an image but not a fixed point; the operator is not idempotent"
+                )
+            members[closed] = None
+    if FiniteSubset(language, language.elements) not in members:
+        raise UsageError("the whole language is not closed; not a consequence operator")
+    return _family_sorted(members)
+
+
+def _images(op, language):
+    """Every image, asked for before any is compared: an operator that
+    refuses some input is refused even where an earlier input decides."""
+    return [op.apply(s) for s in _subsets(language)]
+
+
+def oracle_sup_family(operands, language):
+    tables = [_images(op, language) for op in operands]
+    family = [s for i, s in enumerate(_subsets(language)) if all(t[i] == s for t in tables)]
+    if FiniteSubset(language, language.elements) not in family:
+        raise UsageError("constituents do not all fix the whole language")
+    return _family_sorted(family)
+
+
+def oracle_close_in_family(family, subset):
+    out = set(subset.language.elements)
+    for member in family:
+        if subset.member_set <= member.member_set:
+            out &= member.member_set
+    return FiniteSubset(subset.language, tuple(out))
+
+
+def oracle_leq(first, second, language):
+    pairs = zip(_images(first, language), _images(second, language))
+    return all(a.is_subset_of(b) for a, b in pairs)
+
+
+def oracle_equal(first, second, language):
+    return _images(first, language) == _images(second, language)
+
+
+def oracle_min_size(insertable, arcs, goal, cap):
+    """Breadth-first search over sets of goal-relevant elements, held as
+    frozensets, one derivable element added per step."""
+    relevant = {goal}
+    grew = True
+    while grew:
+        grew = False
+        for premises, conclusion in arcs:
+            if conclusion in relevant and not premises <= relevant:
+                relevant |= premises
+                grew = True
+    insertable = {e for e in insertable if e in relevant}
+    arcs = [(p, c) for p, c in arcs if c in relevant]
+
+    def successors(have):
+        out = {e for e in insertable if e not in have}
+        for premises, conclusion in arcs:
+            if conclusion not in have and premises <= have:
+                out.add(conclusion)
+        return out
+
+    frontier = {frozenset()}
+    visited = set(frontier)
+    for size in range(cap):
+        next_frontier = set()
+        for have in frontier:
+            grown = successors(have)
+            if goal in grown:
+                return size + 1
+            if size + 1 < cap:
+                for e in grown:
+                    bigger = have | {e}
+                    if bigger not in visited:
+                        visited.add(bigger)
+                        next_frontier.add(bigger)
+        frontier = next_frontier
+        if not frontier:
+            break
+    return None
+
+
+def _step_grounding(system, hypotheses, pool=None):
+    insertable, grounded = engine._ground(system, hypotheses, pool)
+    arcs = [(frozenset(t[:-1]), t[-1]) for _, tuples in grounded for t in tuples]
+    universe = set(insertable) | {c for _, c in arcs}
+    return set(insertable), arcs, universe
+
+
+def oracle_bounded(system, hypotheses, steps, pool=None):
+    """One minimal-size search per element of the universe."""
+    insertable, arcs, universe = _step_grounding(system, hypotheses, pool)
+    kept = [e for e in universe if oracle_min_size(insertable, arcs, e, steps) is not None]
+    return FiniteSubset(system.language, tuple(kept))
+
+
+def _outcome(fn, *args):
+    """A value, or the error it raised, so that refusals compare too."""
+    try:
+        return ("value", fn(*args))
+    except UsageError as exc:
+        return ("error", str(exc))
+
+
+# ---------------------------------------------------------------------------
+# random operators, lawful and lawless
+
+
+KINDS = ("rules", "rules-pool", "union", "bounded", "table", "grow", "family")
+
+
+def random_operator(kind, seed, language):
+    rng = seeded(seed, kind)
+    subsets = _subsets(language)
+    if kind == "rules":
+        return RuleOperator(random_system(rng, language))
+    if kind == "rules-pool":
+        # a pool short of the whole language refuses the inputs it misses
+        pool = rng.choice([subsets[-1], rng.choice(subsets)])
+        return RuleOperator(random_system(rng, language), pool)
+    if kind == "union":
+        left, right = (RuleOperator(random_system(rng, language)) for _ in range(2))
+        return PointwiseUnion(left, right)
+    if kind == "bounded":
+        return BoundedOperator(random_system(rng, language), rng.randint(1, 3))
+    if kind == "table":
+        return TableOperator(language, {s: rng.choice(subsets) for s in subsets})
+    if kind == "grow":  # extensive, otherwise arbitrary
+        return TableOperator(language, {s: s.union(rng.choice(subsets)) for s in subsets})
+    if rng.random() < 0.5:
+        return from_closure_family(random_closure_family(rng, language), language)
+    # not intersection-closed: the operator glues by intersection anyway
+    return from_closure_family(rng.sample(subsets, rng.randint(0, min(4, len(subsets)))) + [subsets[-1]], language)
+
+
+operators = st.tuples(
+    st.sampled_from(KINDS), st.integers(min_value=0, max_value=10_000), st.integers(1, 6)
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(operators)
+def test_check_axioms_matches_the_full_submask_scan(drawn):
+    kind, seed, n = drawn
+    language = small_language(n)
+    op = random_operator(kind, seed, language)
+    got = _outcome(check_axioms, op, language)
+    assert got == _outcome(oracle_check_axioms, op, language)
+
+
+@settings(deadline=None, max_examples=150)
+@given(operators)
+def test_closed_systems_match_the_image_scan(drawn):
+    kind, seed, n = drawn
+    language = small_language(n)
+    op = random_operator(kind, seed, language)
+    got = _outcome(lambda: closed_systems(op, language).members)
+    assert got == _outcome(oracle_closed_systems, op, language)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(operators, min_size=1, max_size=3), st.integers(1, 6))
+def test_sup_w_matches_the_shared_fixed_points(drawn, n):
+    language = small_language(n)
+    ops = [random_operator(kind, seed, language) for kind, seed, _ in drawn]
+    got = _outcome(lambda: sup_w(ops, language).closed_sets)
+    assert got == _outcome(oracle_sup_family, ops, language)
+    if got[0] == "value":
+        sup = sup_w(ops, language)
+        for s in _subsets(language):
+            assert sup.apply(s) == oracle_close_in_family(got[1], s)
+
+
+@settings(deadline=None, max_examples=150)
+@given(operators, operators)
+def test_leq_and_equal_ops_match_the_pointwise_loops(first, second):
+    n = min(first[2], second[2])
+    language = small_language(n)
+    a = random_operator(first[0], first[1], language)
+    b = random_operator(second[0], second[1], language)
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert _outcome(leq, x, y, language) == _outcome(oracle_leq, x, y, language)
+        assert _outcome(equal_ops, x, y, language) == _outcome(oracle_equal, x, y, language)
+
+
+# ---------------------------------------------------------------------------
+# step-bounded deduction
+
+
+def _random_hypotheses(rng, language):
+    elements = list(language.elements)
+    return FiniteSubset(language, tuple(rng.sample(elements, rng.randint(0, len(elements)))))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(1, 6), st.integers(1, 4))
+def test_bounded_consequences_and_min_sizes_match_the_per_element_search(seed, n, steps):
+    language = small_language(n)
+    rng = seeded(seed, "bounded-oracle")
+    system = random_system(rng, language)
+    hypotheses = _random_hypotheses(rng, language)
+    assert bounded_consequences(system, hypotheses, steps) == oracle_bounded(system, hypotheses, steps)
+    insertable, arcs, _ = _step_grounding(system, hypotheses)
+    for goal in language.elements:
+        assert min_derivation_size(system, hypotheses, goal, steps) == oracle_min_size(
+            insertable, arcs, goal, steps
+        )
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(1, 6))
+def test_bounded_consequences_grow_with_steps_up_to_saturation(seed, n):
+    language = small_language(n)
+    rng = seeded(seed, "bounded-growth")
+    system = random_system(rng, language, max_rules=4, max_tuples=5)
+    hypotheses = _random_hypotheses(rng, language)
+    closure = saturate(system, hypotheses).closure
+    universe = len(_step_grounding(system, hypotheses)[2])
+    previous = FiniteSubset.empty(language)
+    for steps in range(1, universe + 2):
+        got = bounded_consequences(system, hypotheses, steps)
+        assert previous.is_subset_of(got) and got.is_subset_of(closure)
+        if steps >= universe:
+            assert got == closure
+        previous = got
+
+
+# Indices past 2**63: a bit per enumeration index would make Python
+# refuse the shift outright, so a mask numbered that way fails fast.
+HUGE_INDICES = (2**64 + 3, 2**64 + 40, 10**30)
+
+
+def _prefix_system(rng):
+    """A random system over `language: enumerated f` whose elements mix
+    one-digit, two-digit and huge indices, so enumeration order is not
+    name order and no mask may use an index as its bit."""
+    indices = rng.sample([*range(40), *HUGE_INDICES], 8)
+    lines = ["language: enumerated f"]
+    if rng.random() < 0.7:
+        lines.append("axioms ax: " + " ".join(f"f{i}" for i in rng.sample(indices, 2)))
+    for r in range(rng.randint(1, 3)):
+        arity = rng.randint(2, 3)
+        for _ in range(rng.randint(1, 4)):
+            *premises, conclusion = (rng.choice(indices) for _ in range(arity))
+            lines.append(f"rule r{r}: " + " ".join(f"f{i}" for i in premises) + f" => f{conclusion}")
+    return loads_system("\n".join(lines) + "\n"), indices
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(1, 4))
+def test_mask_paths_over_an_enumerated_language(seed, steps):
+    rng = seeded(seed, "prefix")
+    system, indices = _prefix_system(rng)
+    language = system.language
+    picked = rng.sample(indices, rng.randint(0, 4))
+    if rng.random() < 0.5:
+        picked.append(40)  # in no rule: grounded only as a hypothesis
+    hypotheses = FiniteSubset(language, tuple(Element(f"f{i}") for i in picked))
+    closure = saturate(system, hypotheses).closure
+    assert RuleOperator(system).apply(hypotheses) == closure
+    assert RuleOperator(system, closure).apply(hypotheses) == closure
+    bounded = oracle_bounded(system, hypotheses, steps)
+    assert bounded_consequences(system, hypotheses, steps) == bounded
+    assert BoundedOperator(system, steps).apply(hypotheses) == bounded
+    with pytest.raises(UsageError, match="explicit finite language"):
+        hypotheses.mask
+    insertable, arcs, _ = _step_grounding(system, hypotheses)
+    for i in indices:
+        goal = Element(f"f{i}")
+        assert min_derivation_size(system, hypotheses, goal, steps) == oracle_min_size(
+            insertable, arcs, goal, steps
+        )
