@@ -15,6 +15,7 @@ from . import propositional as pd
 from .csystems import closed_systems
 from .engine import (
     bounded_consequences,
+    check_step_cap,
     min_derivation_size,
     saturate,
     union_systems,
@@ -75,6 +76,8 @@ def _cmd_saturate(args: argparse.Namespace) -> int:
 
 
 def _cmd_derive(args: argparse.Namespace) -> int:
+    if args.max_steps is not None:
+        check_step_cap(args.max_steps)
     system = load_system(args.system)
     hypotheses = _parse_hypotheses(system, args.hyp)
     goal = Element(args.goal)
@@ -141,6 +144,8 @@ def _cmd_pd_h(args: argparse.Namespace) -> int:
 
 
 def _cmd_pd_search(args: argparse.Namespace) -> int:
+    if args.max_steps is not None:
+        check_step_cap(args.max_steps)
     hypotheses = _parse_formulas(args.hyp) if args.hyp else []
     goal = pd.parse(args.goal)
     search = pd.search_pool(

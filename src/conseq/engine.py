@@ -425,6 +425,12 @@ def _min_steps(insertable: int, arcs: list[tuple[int, int]], goal: int, cap: int
     return None
 
 
+def check_step_cap(cap: int) -> None:
+    """Refuse a derivation step cap below 1."""
+    if cap < 1:
+        raise UsageError("the step cap must be at least 1")
+
+
 def min_derivation_size(
     system: RuleSystem,
     hypotheses: FiniteSubset,
@@ -433,8 +439,7 @@ def min_derivation_size(
     pool: FiniteSubset | None = None,
 ) -> int | None:
     """Exact minimal derivation length for `goal`, or None beyond `cap`."""
-    if cap < 1:
-        raise UsageError("the step cap must be at least 1")
+    check_step_cap(cap)
     if goal not in system.language:
         raise DomainError(f"goal {goal} is not in the language")
     grounded = MaskSystem(system, hypotheses, pool)

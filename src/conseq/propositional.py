@@ -4,7 +4,9 @@ Formulas are built from indexed atoms with negation and implication.
 The deductive systems here pair a set of axiom instances (drawn from
 the three standard schemata, possibly filtered) with detachment, and
 everything runs over an explicit finite formula pool so that the
-generic saturation engine applies unchanged.
+generic saturation engine applies unchanged.  Each schema is written
+once, as a shape that recognizes its instances, fills them and bounds
+their printed size; the pool closure fills shapes in semi-naive rounds.
 
 Formula syntax: atoms are ``P`` plus a decimal index, negation is
 ``~``, implication is infix ``->`` and every implication is
@@ -18,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence, Union
+from operator import itemgetter
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DomainError, InputSyntaxError, UsageError
 from .language import Element, ExplicitLanguage, FiniteSubset
@@ -88,15 +91,6 @@ class Impl:
 Wff = Union[Atom, Neg, Impl]
 
 
-def wff_to_text(w: Wff) -> str:
-    """Canonical spaced rendering; parse(wff_to_text(w)) == w."""
-    if isinstance(w, Atom):
-        return f"P{w.index}"
-    if isinstance(w, Neg):
-        return f"~{wff_to_text(w.operand)}"
-    return f"({wff_to_text(w.antecedent)} -> {wff_to_text(w.consequent)})"
-
-
 @lru_cache(maxsize=None)
 def wff_token(w: Wff) -> str:
     """Whitespace-free rendering, usable as a language element name."""
@@ -105,6 +99,12 @@ def wff_token(w: Wff) -> str:
     if isinstance(w, Neg):
         return f"~{wff_token(w.operand)}"
     return f"({wff_token(w.antecedent)}->{wff_token(w.consequent)})"
+
+
+def wff_to_text(w: Wff) -> str:
+    """Canonical spaced rendering, parse(wff_to_text(w)) == w: the token
+    with every '->' spaced, as tokens hold '->' only as the arrow."""
+    return wff_token(w).replace("->", " -> ")
 
 
 def wff_element(w: Wff) -> Element:
@@ -273,44 +273,44 @@ def h_transform(w: Wff) -> Wff:
 # schemata
 
 
-def _is_r1(w: Wff) -> bool:
-    # X -> (Y -> X)
-    return (
-        isinstance(w, Impl)
-        and isinstance(w.consequent, Impl)
-        and w.consequent.consequent == w.antecedent
-    )
+# Each axiom schema is written once, as a shape: a formula whose atoms P0,
+# P1 and P2 stand for the metavariables X, Y and Z.  `_match` recognizes its
+# instances, `_fill` builds them and `subformula_closure` bounds their size.
+_SHAPES = {
+    "r1": parse("(P0 -> (P1 -> P0))"),
+    "r2": parse("((P0 -> (P1 -> P2)) -> ((P0 -> P1) -> (P0 -> P2)))"),
+    "r3": parse("((~P0 -> ~P1) -> (P1 -> P0))"),
+}
 
 
-def _is_r2(w: Wff) -> bool:
-    # (X -> (Y -> Z)) -> ((X -> Y) -> (X -> Z))
-    if not (isinstance(w, Impl) and isinstance(w.antecedent, Impl) and isinstance(w.consequent, Impl)):
+def _match(shape: Wff, w: Wff, binding: dict[int, Wff]) -> bool:
+    """Whether `w` is an instance of `shape` agreeing with `binding`, which maps metavariable
+    indices to formulas and is extended in place; a node of another type is rejected at once."""
+    if isinstance(shape, Atom):
+        bound = binding.setdefault(shape.index, w)
+        return bound is w or bound == w
+    if type(w) is not type(shape):
         return False
-    left, right = w.antecedent, w.consequent
-    if not isinstance(left.consequent, Impl):
-        return False
-    x, y, z = left.antecedent, left.consequent.antecedent, left.consequent.consequent
-    return right == Impl(Impl(x, y), Impl(x, z))
+    if isinstance(shape, Neg):
+        return _match(shape.operand, w.operand, binding)
+    return _match(shape.antecedent, w.antecedent, binding) and _match(shape.consequent, w.consequent, binding)
 
 
-def _is_r3(w: Wff) -> bool:
-    # (~X -> ~Y) -> (Y -> X)
-    return (
-        isinstance(w, Impl)
-        and isinstance(w.antecedent, Impl)
-        and isinstance(w.antecedent.antecedent, Neg)
-        and isinstance(w.antecedent.consequent, Neg)
-        and w.consequent
-        == Impl(w.antecedent.consequent.operand, w.antecedent.antecedent.operand)
-    )
+def _fill(shape: Wff, binding: Sequence[Wff]) -> Wff:
+    """The instance of `shape` that puts binding[i] for metavariable i."""
+    if isinstance(shape, Atom):
+        return binding[shape.index]
+    if isinstance(shape, Neg):
+        return Neg(_fill(shape.operand, binding))
+    return Impl(_fill(shape.antecedent, binding), _fill(shape.consequent, binding))
 
 
 def bridge_axiom(n: int) -> Wff:
     """The one axiom instance that reintroduces atom 0 from atom n:
-    (~P0 -> ~Pn) -> (Pn -> P0)."""
+    R3 with X = P0 and Y = Pn, (~P0 -> ~Pn) -> (Pn -> P0)."""
     if n < 1:
         raise UsageError("bridge axioms are indexed from 1")
-    return Impl(Impl(Neg(Atom(0)), Neg(Atom(n))), Impl(Atom(n), Atom(0)))
+    return _fill(_SHAPES["r3"], (Atom(0), Atom(n)))
 
 
 @dataclass(frozen=True)
@@ -343,28 +343,23 @@ def axioms_without_atom0(m: int) -> Schema:
     return Schema("axioms-without-atom0", m)
 
 
-_AXIOM_SHAPES = {
-    "r1": _is_r1,
-    "r2": _is_r2,
-    "r3": _is_r3,
-    "r3-positive": lambda w: _is_r3(w) and is_tautology(h_transform(w)),
-}
-
-
 def instantiate_schema(schema: Schema, pool: AbstractSet[Wff]) -> frozenset[tuple[Wff, ...]]:
     """All instances of a schema whose coordinates lie in the pool.
 
     Axiom schemata yield 1-tuples, detachment schemata yield
     (implication, antecedent, consequent) triples.
     """
-    if schema.kind in _AXIOM_SHAPES:
-        return frozenset((w,) for w in pool if _AXIOM_SHAPES[schema.kind](w))
+    if schema.kind in _SHAPES:
+        return frozenset((w,) for w in pool if _match(_SHAPES[schema.kind], w, {}))
+    if schema.kind == "r3-positive":
+        return frozenset((w,) for w in pool if _match(_SHAPES["r3"], w, {}) and is_tautology(h_transform(w)))
     if schema.kind == "axioms-without-atom0":
         bridge = bridge_axiom(schema.index)
         return frozenset(
             (w,)
             for w in pool
-            if w == bridge or ((_is_r1(w) or _is_r2(w) or _is_r3(w)) and 0 not in atoms(w))
+            if w == bridge
+            or (any(_match(shape, w, {}) for shape in _SHAPES.values()) and 0 not in atoms(w))
         )
     if schema.kind in ("mp", "mp-restricted"):
         triples = set()
@@ -390,8 +385,19 @@ def instantiate_schema(schema: Schema, pool: AbstractSet[Wff]) -> frozenset[tupl
 # pools
 
 
-def _token_length(w: Wff) -> int:
-    return len(wff_token(w))
+def _bindings(
+    counts: list[int], lists: list[list[tuple[int, Wff]]], room: int, binding: tuple[Wff, ...] = ()
+) -> Iterator[tuple[Wff, ...]]:
+    """Each extension of `binding` by a formula of lists[i] per further metavariable i (occurring
+    counts[i] times) within `room` more characters; lists hold (length, formula), shortest first."""
+    i = len(binding)
+    for length, w in lists[i]:
+        if counts[i] * length > room:
+            break
+        if i + 1 < len(lists):
+            yield from _bindings(counts, lists, room - counts[i] * length, binding + (w,))
+        else:
+            yield binding + (w,)
 
 
 def subformula_closure(
@@ -404,24 +410,28 @@ def subformula_closure(
     nothing changes.  Growth past `max_pool` formulas aborts with an
     error rather than silently truncating.
 
-    Building and hashing a candidate instance costs O(1) whatever its
-    size: a formula node stores its hash at construction, equal to its
-    field-tuple hash.  A candidate's new subformulas are found by
-    descending only into nodes that are not yet in the pool or among
-    this round's new formulas.
+    Instances are filled from the schema shapes.  An instance prints in
+    its shape's own symbols plus, per metavariable, the occurrences
+    times the printed size of the bound formula, so bindings run
+    shortest first and stop at the cap.  Rounds are semi-naive: a round
+    binds some metavariable to a formula new since the last one (an
+    all-old binding was offered then) and ranks only the new formulas.
+    A candidate is built and hashed in O(1) (nodes store their hash),
+    and only its nodes outside the pool and this round are visited.
     """
     pool: set[Wff] = set()
     for w in seeds:
-        if _token_length(w) > size_cap:
+        if len(wff_token(w)) > size_cap:
             raise UsageError(
                 f"seed {wff_to_text(w)} is longer than the size cap {size_cap}"
             )
         pool |= subformulas(w)
 
+    old: list[tuple[int, Wff]] = []  # the pool outside `new` as (printed length, formula), shortest first
+    new = pool
     while True:
-        ranked = sorted(((_token_length(w), wff_token(w), w) for w in pool))
-        items = [(length, w) for length, _, w in ranked]
-        shortest = items[0][0] if items else 0
+        ranked_new = sorted(((len(wff_token(w)), w) for w in new), key=itemgetter(0))
+        ranked = sorted(old + ranked_new, key=itemgetter(0))  # merges the two sorted runs
         fresh: set[Wff] = set()
 
         def offer(candidate: Wff) -> None:
@@ -435,30 +445,13 @@ def subformula_closure(
                 fresh.add(v)
                 stack.extend(_children(v))
 
-        for lx, x in items:
-            if 2 * lx + shortest + 8 > size_cap:
-                break
-            for ly, y in items:
-                if 2 * lx + ly + 8 > size_cap:
-                    break
-                offer(Impl(x, Impl(y, x)))
-        for lx, x in items:
-            if 3 * lx + 4 * shortest + 24 > size_cap:
-                break
-            for ly, y in items:
-                if 3 * lx + 2 * ly + 2 * shortest + 24 > size_cap:
-                    break
-                for lz, z in items:
-                    if 3 * lx + 2 * ly + 2 * lz + 24 > size_cap:
-                        break
-                    offer(Impl(Impl(x, Impl(y, z)), Impl(Impl(x, y), Impl(x, z))))
-        for lx, x in items:
-            if 2 * lx + 2 * shortest + 14 > size_cap:
-                break
-            for ly, y in items:
-                if 2 * lx + 2 * ly + 14 > size_cap:
-                    break
-                offer(Impl(Impl(Neg(x), Neg(y)), Impl(y, x)))
+        for shape in _SHAPES.values():
+            token = wff_token(shape)  # its metavariables P0, P1, P2 print in 2 characters
+            counts = [token.count(f"P{i}") for i in range(max(atoms(shape)) + 1)]
+            for j in range(len(counts)):  # j: the first metavariable bound to a new formula
+                lists = [old] * j + [ranked_new] + [ranked] * (len(counts) - 1 - j)
+                for binding in _bindings(counts, lists, size_cap - len(token) + 2 * sum(counts)):
+                    offer(_fill(shape, binding))
 
         if not fresh:
             break
@@ -468,6 +461,7 @@ def subformula_closure(
                 f"pool grew past {max_pool} formulas under size cap {size_cap}; "
                 "lower the cap or raise max_pool"
             )
+        old, new = ranked, fresh
     return tuple(sorted(pool, key=wff_token))
 
 
@@ -476,6 +470,14 @@ def subformula_closure(
 
 
 VARIANTS = ("standard", "restricted-mp", "missing-atom", "positive")
+
+
+def _check_variant(variant: str, n: int | None) -> None:
+    """Refuse an unknown variant, and a parametrized one without an index n >= 1."""
+    if variant not in VARIANTS:
+        raise UsageError(f"unknown variant {variant}; expected one of {', '.join(VARIANTS)}")
+    if variant != "standard" and (n is None or n < 1):
+        raise UsageError(f"variant {variant} needs an index n >= 1")
 
 
 def pd_system(
@@ -500,12 +502,8 @@ def pd_system(
     schema rule, which maps the engine's saturation pool through the
     table, instantiates MP on the formulas and maps the triples back.
     """
-    if variant not in VARIANTS:
-        raise UsageError(f"unknown variant {variant}; expected one of {', '.join(VARIANTS)}")
-    parametrized = variant != "standard"
-    if parametrized and (n is None or n < 1):
-        raise UsageError(f"variant {variant} needs an index n >= 1")
-    if not parametrized and n is not None:
+    _check_variant(variant, n)
+    if variant == "standard" and n is not None:
         raise UsageError("variant standard takes no index")
     element_of = {w: wff_element(w) for w in sorted(set(pool), key=wff_token)}
     if not element_of:
@@ -544,7 +542,7 @@ def pd_system(
     axioms = UnaryRule(
         "axioms", FiniteSubset(language, tuple(element_of[w] for w in axiom_wffs))
     )
-    system_name = name or (variant if not parametrized else f"{variant}-{n}")
+    system_name = name or (variant if n is None else f"{variant}-{n}")
     return RuleSystem(system_name, language, (axioms, SchemaRule("mp", 2, instantiate)))
 
 
@@ -589,17 +587,19 @@ def search_pool(
     standard variant ignores n.  A bridge axiom longer than `size_cap`
     is refused with an error that names it and the cap it needs.  A
     `size_cap` or `max_pool` below 1 is refused with an error that
-    names its command-line flag.
+    names its command-line flag, and an unknown variant or a missing or
+    non-positive n with `pd_system`'s error, before any pool is built.
     """
     from .engine import saturate  # local import keeps module layering flat
 
     for flag, cap in (("--size-cap", size_cap), ("--pool-cap", max_pool)):
         if cap < 1:
             raise UsageError(f"{flag} must be at least 1, not {cap}")
+    _check_variant(variant, n)
     seeds = list(hypotheses) + [goal]
-    if variant in ("missing-atom", "positive") and n is not None:
+    if variant in ("missing-atom", "positive"):
         bridge = bridge_axiom(n)
-        needed = _token_length(bridge)
+        needed = len(wff_token(bridge))
         if needed > size_cap:
             raise UsageError(
                 f"the {variant} variant adds the bridge axiom {wff_to_text(bridge)} to the pool, "
@@ -662,16 +662,15 @@ def certificate_non_derivable(
     hypothesis, so at most MAX_DEPTH hypotheses are taken.  When the
     chain is a tautology (the hypotheses really do entail the goal)
     that route is closed, and we fall back to saturating a capped pool
-    and reporting the failed search.  A goal that is derivable within
-    the caps is refused.
+    and reporting the failed search.  A goal derivable within the caps,
+    an unknown variant and a parametrized one without n >= 1 are refused.
 
     `search`, when given, must be `search_pool` of this same query and
     caps; it is used in place of saturating the pool again.
     """
     if goal in set(hypotheses):
         raise UsageError("the goal is already a hypothesis; nothing to certify")
-    if variant not in VARIANTS:
-        raise UsageError(f"unknown variant {variant}; expected one of {', '.join(VARIANTS)}")
+    _check_variant(variant, n)
     if len(hypotheses) > MAX_DEPTH:
         raise UsageError(
             f"a non-derivability certificate takes at most {MAX_DEPTH} hypotheses, "

@@ -415,6 +415,42 @@ def test_pd_search_refuses_caps_below_one(capsys, flag, value):
     assert err.splitlines() == [f"error: {flag} must be at least 1, not {value}"]
 
 
+@pytest.mark.parametrize("cap", ["0", "-2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derive", "--system", PAIRS, "--hyp", "a", "--goal", "d"],
+        ["derive", "--system", PAIRS, "--hyp", "a,c", "--goal", "d"],
+        ["pd", "search", "--hyp", "P1", "--goal", "P0"],
+        ["pd", "search", "--hyp", "(P1 -> P0), P1", "--goal", "P0", "--size-cap", "8"],
+    ],
+    ids=["derive-underivable", "derive-derivable", "pd-search-certified", "pd-search-derivable"],
+)
+def test_step_cap_below_one_is_refused_before_saturating(capsys, monkeypatch, argv, cap):
+    def refuse(*args, **kwargs):
+        raise AssertionError("saturated despite a step cap below 1")
+
+    monkeypatch.setattr(conseq.cli, "saturate", refuse)
+    monkeypatch.setattr(conseq.engine, "saturate", refuse)
+    code, out, err = run(capsys, *argv, "--max-steps", cap)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: the step cap must be at least 1"]
+
+
+@pytest.mark.parametrize("n", [None, "0", "-1"])
+@pytest.mark.parametrize("variant", ["restricted-mp", "missing-atom", "positive"])
+def test_pd_search_refuses_a_missing_index_before_building_the_pool(capsys, monkeypatch, variant, n):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a pool without a valid index")
+
+    monkeypatch.setattr(conseq.propositional, "subformula_closure", refuse)
+    monkeypatch.setattr(conseq.propositional, "bridge_axiom", refuse)
+    argv = ["pd", "search", "--variant", variant, "--hyp", "P1", "--goal", "P0"]
+    code, out, err = run(capsys, *argv, *(["--n", n] if n is not None else []))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: variant {variant} needs an index n >= 1"]
+
+
 def test_entrypoint_raises_system_exit(capsys):
     from conseq.cli import entrypoint
 

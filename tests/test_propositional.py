@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conseq.propositional
@@ -400,6 +400,12 @@ def _closure_or_error(closure, seeds, size_cap, max_pool):
     st.integers(min_value=4, max_value=22),
     st.integers(min_value=5, max_value=400),
 )
+# pools of 7, 52 and 120 formulas: the third round adds nothing
+@example([Impl(Neg(P0), Neg(P1)), P1, P0, bridge_axiom(1)], 22, 400)
+# eleven rounds, ending at 1966 formulas
+@example([Impl(P0, P0)], 34, 2000)
+# pools of 1, 6, 35, 135 and 282 formulas, then 389 crosses max_pool
+@example([P0], 30, 300)
 def test_subformula_closure_matches_the_definitional_closure(seeds, size_cap, max_pool):
     assert _closure_or_error(subformula_closure, seeds, size_cap, max_pool) == _closure_or_error(
         _definitional_closure, seeds, size_cap, max_pool
