@@ -2,15 +2,15 @@
 
 Saturation computes everything derivable from a hypothesis set: start
 from the hypotheses and all axioms, then keep applying rule tuples
-whose premises are already present.  Evaluation runs in rounds.  The
-grounded tuples are numbered in rule order, then tuple order, and an
-index maps each premise to the numbers of the tuples that use it; a
-round's candidates are the tuples that use an element derived in the
-previous round, visited in number order.  A candidate fires when its
-conclusion is new and all its premises are present, counting those
-derived earlier in the same round.  Each element is derived exactly
-once, and every derived element has a replayable derivation witness,
-rebuilt from the recorded justifications when it is looked up.
+whose premises are already present.  It runs in rounds over one
+`MaskSystem`, whose arcs (one per grounded tuple) are numbered in rule
+order, then tuple order: a round's candidates are the arcs that use an
+element derived in the previous round, visited in number order.  A
+candidate fires when its conclusion is new and all its premises are
+present, counting those derived earlier in the same round.  Each
+element is derived exactly once, and every derived element has a
+replayable derivation witness, rebuilt from the recorded
+justifications when it is looked up.
 
 The bounded variants count steps the way numbered deductions do:
 inserting a hypothesis or axiom costs a step, and a rule application
@@ -113,12 +113,13 @@ class MaskSystem:
     `elements` lists the numbered elements by bit and `bits` is its
     inverse.
 
-    The insertable elements (hypotheses and axioms) form one mask, and
-    every grounded tuple becomes one arc (premise mask, conclusion bit),
-    in system order.  `close` is forward chaining over these Horn
-    clauses (Dowling & Gallier 1984), the method `saturate` uses element
-    by element: an index from each premise bit to the arcs that use it
-    means an arc is looked at only when one of its premises arrives.
+    The insertable elements (hypotheses and axioms) form one mask;
+    `inserted` keeps their justifications in insertion order.  Every
+    grounded tuple becomes one arc (premise mask, conclusion bit), in
+    system order, and `sources` keeps its rule id and tuple.  One index
+    maps each premise bit to the numbers of the arcs that use it, read
+    by two forward-chaining loops over these Horn clauses (Dowling &
+    Gallier 1984): `close` in any order, `saturate` in witness order.
     """
 
     def __init__(
@@ -142,22 +143,23 @@ class MaskSystem:
                 return i
 
             self.elements, self.bits = elements, bits
+        self.inserted = insertable
         self.insertable = 0
         for i in map(bit_of, insertable):
             self.insertable |= 1 << i
         self.arcs: list[tuple[int, int]] = []
-        self._users: dict[int, list[tuple[int, int]]] = {}
-        for _, tuples in grounded:
+        self.sources: list[tuple[str, tuple[Element, ...]]] = []
+        self._users: dict[int, list[int]] = {}
+        for rule_id, tuples in grounded:
             for t in tuples:
                 positions = list(map(bit_of, t))
                 conclusion = 1 << positions.pop()
                 premises = 0
                 for i in positions:
                     premises |= 1 << i
-                arc = (premises, conclusion)
-                self.arcs.append(arc)
-                for i in positions:
-                    self._users.setdefault(i, []).append(arc)
+                    self._users.setdefault(i, []).append(len(self.arcs))
+                self.arcs.append((premises, conclusion))
+                self.sources.append((rule_id, t))
 
     def encode(self, subset: FiniteSubset) -> int:
         """The mask of the numbered members of `subset`; the others take
@@ -194,11 +196,12 @@ class MaskSystem:
         """
         have = mask | self.insertable
         todo = have if fresh is None else fresh
-        users = self._users
+        arcs, users = self.arcs, self._users
         while todo:
             low = todo & -todo
             todo ^= low
-            for premises, conclusion in users.get(low.bit_length() - 1, ()):
+            for a in users.get(low.bit_length() - 1, ()):
+                premises, conclusion = arcs[a]
                 if not have & conclusion and have & premises == premises:
                     have |= conclusion
                     todo |= conclusion
@@ -246,31 +249,24 @@ class Witnesses(Mapping[Element, Derivation]):
 def saturate(
     system: RuleSystem, hypotheses: FiniteSubset, pool: FiniteSubset | None = None
 ) -> SaturationResult:
-    insertable, grounded = _ground(system, hypotheses, pool)
-
-    flat = [(rule_id, t) for rule_id, tuples in grounded for t in tuples]
-    users: dict[Element, list[int]] = {}
-    for position, (_, t) in enumerate(flat):
-        for p in t[:-1]:
-            users.setdefault(p, []).append(position)
-
-    justification: dict[Element, tuple] = dict(insertable)
-    frontier: list[Element] = list(insertable)
-    while frontier:
-        candidates = sorted({i for e in frontier for i in users.get(e, ())})
-        frontier = []
-        for i in candidates:
-            rule_id, t = flat[i]
-            conclusion = t[-1]
-            if conclusion in justification:
-                continue
-            premises = t[:-1]
-            if all(p in justification for p in premises):
-                justification[conclusion] = ("apply", rule_id, premises)
-                frontier.append(conclusion)
-
-    closure = FiniteSubset(system.language, tuple(justification))
-    return SaturationResult(closure=closure, witnesses=Witnesses(justification))
+    """Everything derivable from `hypotheses`, and a witness for each
+    element of it, by the rounds the module docstring describes."""
+    grounded = MaskSystem(system, hypotheses, pool)
+    arcs, sources, users = grounded.arcs, grounded.sources, grounded._users
+    justification = dict(grounded.inserted)
+    have = grounded.insertable
+    fresh = list(bit_indices(have))
+    while fresh:
+        candidates = sorted({a for i in fresh for a in users.get(i, ())})
+        fresh = []
+        for a in candidates:
+            premises, conclusion = arcs[a]
+            if not have & conclusion and have & premises == premises:
+                have |= conclusion
+                fresh.append(conclusion.bit_length() - 1)
+                rule_id, t = sources[a]
+                justification[t[-1]] = ("apply", rule_id, t[:-1])
+    return SaturationResult(closure=grounded.decode(have), witnesses=Witnesses(justification))
 
 
 def _replay(goal: Element, justification: dict[Element, tuple]) -> Derivation:
@@ -317,7 +313,7 @@ def check_derivation(
     without a pool is treated as a caller error.
     """
     require_same_language(system.language, hypotheses.language, "check_derivation")
-    instantiated: dict[str, frozenset[tuple[Element, ...]]] = {}
+    relations: dict[str, set[tuple[Element, frozenset[Element]]]] = {}
 
     for i, step in enumerate(derivation.steps, start=1):
         if isinstance(step, Insert):
@@ -350,25 +346,24 @@ def check_derivation(
             )
         referenced = tuple(step_element(derivation.steps[k - 1]) for k in step.premise_steps)
 
-        if isinstance(rule, TupleRule):
-            candidates = rule.tuples
-            width = rule.arity
-        else:
-            if pool is None:
+        if rule.rule_id not in relations:
+            if isinstance(rule, TupleRule):
+                tuples = rule.tuples
+            elif pool is None:
                 raise UsageError(
                     f"rule {rule.rule_id} is a schema; checking needs an explicit pool"
                 )
-            if rule.rule_id not in instantiated:
-                instantiated[rule.rule_id] = frozenset(_instantiate_schema_rule(rule, pool))
-            candidates = instantiated[rule.rule_id]
-            width = rule.premise_count + 1
+            else:
+                tuples = _instantiate_schema_rule(rule, pool)
+            relations[rule.rule_id] = {(t[-1], frozenset(t[:-1])) for t in tuples}
+        width = rule.arity if isinstance(rule, TupleRule) else rule.premise_count + 1
 
         if len(referenced) != width - 1:
             return CheckResult(
                 False, f"step {i}: {step.rule_id} takes {width - 1} premises"
             )
-        wanted = set(referenced)
-        if not any(t[-1] == step.conclusion and set(t[:-1]) == wanted for t in candidates):
+        wanted = frozenset(referenced)
+        if (step.conclusion, wanted) not in relations[rule.rule_id]:
             return CheckResult(
                 False,
                 f"step {i}: {step.rule_id} has no tuple concluding {step.conclusion} "

@@ -480,6 +480,38 @@ def test_golden_stdout_and_exit_code(capsys, monkeypatch, case):
     assert (code, out) == (case["exit"], case["stdout"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derive", "--system", "systems/step-limited.system", "--hyp", "x1,x2", "--goal", "b"],
+        ["pd", "search", "--variant", "missing-atom", "--n", "1",
+         "--hyp", "(~P0 -> ~P1), P1", "--goal", "P0"],
+        ["example", "3.3.2"],
+    ],
+    ids=["derive", "pd-search", "example"],
+)
+def test_reports_do_not_depend_on_the_hash_seed(argv):
+    # element hashes are salted per process: no witness order may come
+    # from iterating a set
+    def stdout(hash_seed):
+        done = subprocess.run(
+            [sys.executable, "-m", "conseq", *argv],
+            cwd=ROOT,
+            env={
+                **os.environ,
+                "PYTHONPATH": os.pathsep.join(sys.path),
+                "PYTHONHASHSEED": hash_seed,
+            },
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    assert stdout("0") == stdout("1")
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: any input ends in exit code 0, 1 or 2, with no exception
 

@@ -34,6 +34,8 @@ from conseq.operators import (
 )
 from conseq.sampling import random_closure_family, random_system, seeded, small_language
 
+from test_rules_engine import _round_scan_saturate
+
 AXIOMS = ("extensive", "monotone", "idempotent", "finite_character")
 
 
@@ -349,7 +351,13 @@ def test_mask_paths_over_an_enumerated_language(seed, steps):
     if rng.random() < 0.5:
         picked.append(40)  # in no rule: grounded only as a hypothesis
     hypotheses = FiniteSubset(language, tuple(Element(f"f{i}") for i in picked))
-    closure = saturate(system, hypotheses).closure
+    result = saturate(system, hypotheses)
+    closure = result.closure
+    oracle_closure, oracle_witnesses = _round_scan_saturate(system, hypotheses)
+    assert (closure, [(e, w.render()) for e, w in result.witnesses.items()]) == (
+        oracle_closure,
+        [(e, w.render()) for e, w in oracle_witnesses.items()],
+    )
     assert RuleOperator(system).apply(hypotheses) == closure
     assert RuleOperator(system, closure).apply(hypotheses) == closure
     bounded = oracle_bounded(system, hypotheses, steps)
