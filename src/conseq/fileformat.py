@@ -11,13 +11,21 @@ Format, one declaration per line, ``#`` starts a comment:
 Rule lines with the same id accumulate tuples in file order and must
 agree on the number of premises.  Loading then saving a saved file
 reproduces it byte for byte.
+
+Tokens resolve through one name table, a dict from token to element
+local to each load.  Over an explicit language it starts as the
+language's own elements, so a token in the language costs one lookup;
+over an enumerated language it starts empty.  A token missing from the
+table is built and checked as an `Element` and for membership, and
+kept only if both pass, so each distinct token is validated at most
+once; a refused token is reported with its line.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import InputSyntaxError, UsageError
+from .errors import DomainError, InputSyntaxError, UsageError
 from .language import Element, EnumeratedLanguage, ExplicitLanguage, FiniteSubset
 from .rules import Rule, RuleSystem, SchemaRule, TupleRule, UnaryRule
 
@@ -27,21 +35,24 @@ def _strip_comment(line: str) -> str:
     return line if cut < 0 else line[:cut]
 
 
-def _element(token: str, language, where: str) -> Element:
+def _learn(names: dict[str, Element], token: str, language, where: str) -> Element:
+    """A token missing from the name table: build and check it as an
+    `Element`, then for membership in the language, and only then add it."""
     try:
         e = Element(token)
-    except Exception as exc:
+    except DomainError as exc:
         raise InputSyntaxError(str(exc), where=where) from exc
     if e not in language:
         raise InputSyntaxError(f"unknown element {token!r}", where=where)
+    names[token] = e
     return e
 
 
 def loads_system(text: str, *, name: str = "system") -> RuleSystem:
     language = None
-    unary: list[tuple[str, list[Element]]] = []
-    tuple_rules: dict[str, list[tuple[Element, ...]]] = {}
-    order: list[tuple[str, str]] = []  # (kind, id) in first-seen order
+    names: dict[str, Element] = {}  # token -> element, every entry already validated
+    # rule id -> (kind, members or tuples), in first-seen order
+    declared: dict[str, tuple[str, list]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         where = f"line {lineno}"
@@ -69,6 +80,7 @@ def loads_system(text: str, *, name: str = "system") -> RuleSystem:
                     language = ExplicitLanguage(tuple(Element(t) for t in tokens))
                 except Exception as exc:
                     raise InputSyntaxError(str(exc), where=where) from exc
+                names = {e.name: e for e in language.elements}
             continue
 
         if language is None:
@@ -80,11 +92,10 @@ def loads_system(text: str, *, name: str = "system") -> RuleSystem:
         kind, rule_id = parts
 
         if kind == "axioms":
-            if any(rid == rule_id for _, rid in order):
+            if rule_id in declared:
                 raise InputSyntaxError(f"rule id {rule_id!r} declared twice", where=where)
-            members = [_element(t, language, where) for t in rest.split()]
-            unary.append((rule_id, members))
-            order.append(("axioms", rule_id))
+            members = [names.get(t) or _learn(names, t, language, where) for t in rest.split()]
+            declared[rule_id] = ("axioms", members)
             continue
 
         premises_part, sep, conclusion_part = rest.partition("=>")
@@ -96,33 +107,34 @@ def loads_system(text: str, *, name: str = "system") -> RuleSystem:
             raise InputSyntaxError("a rule needs at least one premise", where=where)
         if len(conclusion_tokens) != 1:
             raise InputSyntaxError("a rule line needs exactly one conclusion", where=where)
-        premises = tuple(_element(t, language, where) for t in premise_tokens)
-        conclusion = _element(conclusion_tokens[0], language, where)
-        if rule_id in tuple_rules:
-            expected = len(tuple_rules[rule_id][0]) - 1
-            if len(premises) != expected:
-                raise InputSyntaxError(
-                    f"rule {rule_id!r} has {expected} premises elsewhere, {len(premises)} here",
-                    where=where,
-                )
-        else:
-            if any(rid == rule_id for _, rid in order):
-                raise InputSyntaxError(f"rule id {rule_id!r} declared twice", where=where)
-            tuple_rules[rule_id] = []
-            order.append(("rule", rule_id))
-        tuple_rules[rule_id].append(premises + (conclusion,))
+        row = tuple([
+            names.get(t) or _learn(names, t, language, where)
+            for t in premise_tokens + conclusion_tokens
+        ])
+        seen = declared.get(rule_id)
+        if seen is None:
+            declared[rule_id] = ("rule", [row])
+            continue
+        seen_kind, tuples = seen
+        if seen_kind != "rule":
+            raise InputSyntaxError(f"rule id {rule_id!r} declared twice", where=where)
+        expected = len(tuples[0]) - 1
+        if len(premise_tokens) != expected:
+            raise InputSyntaxError(
+                f"rule {rule_id!r} has {expected} premises elsewhere, {len(premise_tokens)} here",
+                where=where,
+            )
+        tuples.append(row)
 
     if language is None:
         raise InputSyntaxError("missing language declaration", where="end of input")
 
     rules: list[Rule] = []
-    for kind, rule_id in order:
+    for rule_id, (kind, items) in declared.items():
         if kind == "axioms":
-            members = next(m for rid, m in unary if rid == rule_id)
-            rules.append(UnaryRule(rule_id, FiniteSubset(language, tuple(members))))
+            rules.append(UnaryRule(rule_id, FiniteSubset(language, tuple(items))))
         else:
-            tuples = tuple_rules[rule_id]
-            rules.append(TupleRule(rule_id, len(tuples[0]), tuple(tuples)))
+            rules.append(TupleRule(rule_id, len(items[0]), tuple(items)))
     return RuleSystem(name, language, tuple(rules))
 
 

@@ -106,6 +106,10 @@ class RuleSystem:
 
     The empty system is legal (it generates the identity operator), as
     are empty relations.
+
+    `by_id` maps each rule id to its rule, built once, so `rule` and
+    `has_rule` are hash lookups.  It is not a dataclass field, so
+    equality, hashing and repr see only `name`, `language` and `rules`.
     """
 
     name: str
@@ -113,9 +117,11 @@ class RuleSystem:
     rules: tuple[Rule, ...] = ()
 
     def __post_init__(self) -> None:
-        ids = [r.rule_id for r in self.rules]
-        if len(ids) != len(set(ids)):
+        by_id = {r.rule_id: r for r in self.rules}
+        if len(by_id) != len(self.rules):
+            ids = [r.rule_id for r in self.rules]
             raise UsageError(f"system {self.name}: rule ids must be unique: {ids}")
+        object.__setattr__(self, "by_id", by_id)
         for rule in self.rules:
             if isinstance(rule, UnaryRule):
                 if rule.axioms.language != self.language:
@@ -132,13 +138,13 @@ class RuleSystem:
                             )
 
     def rule(self, rule_id: str) -> Rule:
-        for r in self.rules:
-            if r.rule_id == rule_id:
-                return r
-        raise UsageError(f"system {self.name}: no rule named {rule_id}")
+        try:
+            return self.by_id[rule_id]
+        except KeyError:
+            raise UsageError(f"system {self.name}: no rule named {rule_id}") from None
 
     def has_rule(self, rule_id: str) -> bool:
-        return any(r.rule_id == rule_id for r in self.rules)
+        return rule_id in self.by_id
 
     def has_schema_rules(self) -> bool:
         return any(isinstance(r, SchemaRule) for r in self.rules)

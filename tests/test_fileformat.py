@@ -12,10 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conseq.errors import InputSyntaxError, UsageError
+from conseq.errors import ConseqError, InputSyntaxError, UsageError
 from conseq.fileformat import dumps_system, load_system, loads_system, save_system
 from conseq.language import Element, EnumeratedLanguage, ExplicitLanguage, FiniteSubset
-from conseq.rules import RuleSystem, SchemaRule, TupleRule, UnaryRule, rules_extensionally_equal
+from conseq.rules import (
+    Rule,
+    RuleSystem,
+    SchemaRule,
+    TupleRule,
+    UnaryRule,
+    rules_extensionally_equal,
+)
 from conseq.sampling import random_system, seeded, small_language
 
 DATA = Path(__file__).parent / "data"
@@ -143,3 +150,244 @@ def test_empty_axiom_line_round_trips():
     assert dumped == "language: p q\naxioms none:\n"
     again = loads_system(dumped)
     assert again.rule("none").axioms.members == ()
+
+
+# ---------------------------------------------------------------------------
+# the per-token loader, kept as the oracle for the name-table loader: it
+# builds, validates and membership-checks a new Element for every token
+# occurrence and finds rule ids by scanning lists
+
+
+def _per_token_element(token: str, language, where: str) -> Element:
+    try:
+        e = Element(token)
+    except Exception as exc:
+        raise InputSyntaxError(str(exc), where=where) from exc
+    if e not in language:
+        raise InputSyntaxError(f"unknown element {token!r}", where=where)
+    return e
+
+
+def _per_token_loads(text: str, *, name: str = "system") -> RuleSystem:
+    language = None
+    unary: list[tuple[str, list[Element]]] = []
+    tuple_rules: dict[str, list[tuple[Element, ...]]] = {}
+    order: list[tuple[str, str]] = []  # (kind, id) in first-seen order
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        where = f"line {lineno}"
+        cut = raw.find("#")
+        line = (raw if cut < 0 else raw[:cut]).strip()
+        if not line:
+            continue
+        head, sep, rest = line.partition(":")
+        if not sep:
+            raise InputSyntaxError("expected 'language:', 'axioms <id>:' or 'rule <id>:'", where=where)
+        head = head.strip()
+        rest = rest.strip()
+
+        if head == "language":
+            if language is not None:
+                raise InputSyntaxError("language declared twice", where=where)
+            tokens = rest.split()
+            if not tokens:
+                raise InputSyntaxError("empty language declaration", where=where)
+            if tokens[0] == "enumerated":
+                if len(tokens) != 2:
+                    raise InputSyntaxError("expected 'language: enumerated <prefix>'", where=where)
+                language = EnumeratedLanguage.prefixed(tokens[1])
+            else:
+                try:
+                    language = ExplicitLanguage(tuple(Element(t) for t in tokens))
+                except Exception as exc:
+                    raise InputSyntaxError(str(exc), where=where) from exc
+            continue
+
+        if language is None:
+            raise InputSyntaxError("the language line must come first", where=where)
+
+        parts = head.split()
+        if len(parts) != 2 or parts[0] not in ("axioms", "rule"):
+            raise InputSyntaxError(f"unrecognized declaration {head!r}", where=where)
+        kind, rule_id = parts
+
+        if kind == "axioms":
+            if any(rid == rule_id for _, rid in order):
+                raise InputSyntaxError(f"rule id {rule_id!r} declared twice", where=where)
+            members = [_per_token_element(t, language, where) for t in rest.split()]
+            unary.append((rule_id, members))
+            order.append(("axioms", rule_id))
+            continue
+
+        premises_part, sep, conclusion_part = rest.partition("=>")
+        if not sep:
+            raise InputSyntaxError("rule lines need '<premises> => <conclusion>'", where=where)
+        premise_tokens = premises_part.split()
+        conclusion_tokens = conclusion_part.split()
+        if not premise_tokens:
+            raise InputSyntaxError("a rule needs at least one premise", where=where)
+        if len(conclusion_tokens) != 1:
+            raise InputSyntaxError("a rule line needs exactly one conclusion", where=where)
+        premises = tuple(_per_token_element(t, language, where) for t in premise_tokens)
+        conclusion = _per_token_element(conclusion_tokens[0], language, where)
+        if rule_id in tuple_rules:
+            expected = len(tuple_rules[rule_id][0]) - 1
+            if len(premises) != expected:
+                raise InputSyntaxError(
+                    f"rule {rule_id!r} has {expected} premises elsewhere, {len(premises)} here",
+                    where=where,
+                )
+        else:
+            if any(rid == rule_id for _, rid in order):
+                raise InputSyntaxError(f"rule id {rule_id!r} declared twice", where=where)
+            tuple_rules[rule_id] = []
+            order.append(("rule", rule_id))
+        tuple_rules[rule_id].append(premises + (conclusion,))
+
+    if language is None:
+        raise InputSyntaxError("missing language declaration", where="end of input")
+
+    rules: list[Rule] = []
+    for kind, rule_id in order:
+        if kind == "axioms":
+            members = next(m for rid, m in unary if rid == rule_id)
+            rules.append(UnaryRule(rule_id, FiniteSubset(language, tuple(members))))
+        else:
+            tuples = tuple_rules[rule_id]
+            rules.append(TupleRule(rule_id, len(tuples[0]), tuple(tuples)))
+    return RuleSystem(name, language, tuple(rules))
+
+
+def _outcome(load, text):
+    try:
+        return load(text)
+    except ConseqError as exc:
+        return type(exc).__name__, str(exc)
+
+
+# Tokens in and out of both language kinds, names the Element checks
+# refuse ('=>' inside, a lone '=>'), non-ASCII names, and near misses
+# of the enumerated prefix (leading zero, bare prefix).
+_TOKENS = ("a", "b", "c", "zz", "f0", "f1", "f7", "f10", "f01", "f", "é", "fé", "x=>y", "=>")
+_NAMES = ("a", "b", "c", "é", "f0", "f1", "fé")  # valid explicit element names
+_IDS = ("r", "s", "t", "u", "ü", "R1")
+_ODD_LINES = ("frob x: a", "rule: a => b", "rule r s: a => b", "no colon", "language: a b")
+
+
+@st.composite
+def _system_texts(draw):
+    """Mostly well-formed texts over one language, each line broken
+    with a small chance, so that both loaders reach whole systems as
+    well as every refusal."""
+
+    def chance(k):  # about 1 in k; shrinks towards False, the well-formed side
+        return draw(st.integers(0, k - 1)) == k - 1
+
+    def tokens(low, high):
+        pool = st.sampled_from(_TOKENS if chance(20) else valid)
+        return draw(st.lists(pool, min_size=low, max_size=high))
+
+    lines = []
+    if chance(3):
+        valid = ("f0", "f1", "f7", "f10", "f123")
+        lines.append("language: enumerated" + ("" if chance(30) else " f"))
+    elif chance(30):
+        valid = _TOKENS
+        lines.append("language: " + " ".join(draw(st.lists(st.sampled_from(_TOKENS), max_size=4))))
+    elif not chance(30):
+        valid = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=5, unique=True))
+        lines.append("language: " + " ".join(draw(st.permutations(valid))))
+    else:
+        valid = _NAMES
+    premise_counts = {rule_id: draw(st.integers(1, 3)) for rule_id in _IDS}
+    axiom_ids = iter(("ax1", "ax2", "ax3", "ax4", "ax5", "ax6", "ax7", "ax8"))
+    for _ in range(draw(st.integers(0, 8))):
+        rule_id = draw(st.sampled_from(_IDS))
+        if chance(15):
+            lines.append(draw(st.sampled_from(_ODD_LINES + ("", "# a comment"))))
+        elif chance(3):
+            axiom_id = rule_id if chance(10) else next(axiom_ids)
+            lines.append(f"axioms {axiom_id}: " + " ".join(tokens(0, 3)))
+        else:
+            count = draw(st.integers(0, 3)) if chance(10) else premise_counts[rule_id]
+            premises = tokens(count, count)
+            conclusions = tokens(0, 2) if chance(20) else tokens(1, 1)
+            arrow = draw(st.sampled_from((" ", "=>"))) if chance(20) else " => "
+            lines.append(f"rule {rule_id}: " + " ".join(premises) + arrow + " ".join(conclusions))
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None, max_examples=400)
+@given(_system_texts())
+def test_name_table_loader_matches_the_per_token_loader(text):
+    assert _outcome(loads_system, text) == _outcome(_per_token_loads, text)
+
+
+def test_name_table_loader_matches_the_per_token_loader_on_misses():
+    for text, message in [
+        ("language: enumerated f\nrule r: f0 => f01\n", "unknown element 'f01'"),
+        ("language: enumerated f\nrule r: f0 => f1\naxioms s: f1 fé\n", "unknown element 'fé'"),
+        ("language: a b\naxioms s: a x=>y\n", "may not contain '=>'"),
+        ("language: a é\nrule ü: a => é\nrule ü: a é => a\n", "1 premises elsewhere, 2 here"),
+    ]:
+        kind, shown = _outcome(loads_system, text)
+        assert kind == "InputSyntaxError" and message in shown, text
+        assert (kind, shown) == _outcome(_per_token_loads, text)
+
+
+def test_each_distinct_token_is_validated_once(monkeypatch):
+    built = []
+    post_init = Element.__post_init__
+
+    def counted(self):
+        built.append(self.name)
+        post_init(self)
+
+    monkeypatch.setattr(Element, "__post_init__", counted)
+    loads_system("language: b a\nrule r: a => b\nrule r: b => a\naxioms s: a b a\n")
+    assert built == ["b", "a"]  # the language line only
+    built.clear()
+    loads_system("language: enumerated f\nrule r: f0 => f1\nrule r: f1 => f0\naxioms s: f1 f1\n")
+    assert built == ["f", "f0", "f1"]  # the prefix, then each token's first occurrence
+
+
+# ---------------------------------------------------------------------------
+# canonical texts: what dumps_system writes, drawn directly
+
+_explicit_names = st.sets(st.from_regex(r"[a-zé][a-z0-9é]{0,3}", fullmatch=True), min_size=1, max_size=6)
+_enumerated_names = st.sets(st.integers(0, 30).map(lambda i: f"f{i}"), min_size=1, max_size=6)
+_rule_ids = st.lists(
+    st.from_regex(r"[A-Za-zß][A-Za-z0-9_ß]{0,3}", fullmatch=True), unique=True, max_size=5
+)
+
+
+@st.composite
+def _canonical_texts(draw):
+    if draw(st.booleans()):
+        names = sorted(draw(_explicit_names))
+        lines = ["language: " + " ".join(names)]
+    else:
+        names = sorted(draw(_enumerated_names))
+        lines = ["language: enumerated f"]
+    for rule_id in draw(_rule_ids):
+        if draw(st.booleans()):
+            members = sorted(draw(st.sets(st.sampled_from(names), max_size=4)))
+            lines.append(f"axioms {rule_id}:" + "".join(f" {m}" for m in members))
+        else:
+            arity = draw(st.integers(2, 3))
+            rows = draw(
+                st.lists(
+                    st.lists(st.sampled_from(names), min_size=arity, max_size=arity).map(tuple),
+                    min_size=1,
+                    max_size=4,
+                    unique=True,
+                )
+            )
+            lines.extend(f"rule {rule_id}: {' '.join(row[:-1])} => {row[-1]}" for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None, max_examples=200)
+@given(_canonical_texts())
+def test_canonical_texts_round_trip_byte_for_byte(text):
+    assert dumps_system(loads_system(text)) == text

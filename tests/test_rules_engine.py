@@ -119,6 +119,19 @@ def test_system_validates_rule_ids_and_elements():
     )
 
 
+def test_rule_lookup_by_id_leaves_equality_hashing_and_repr_alone():
+    first, second = UnaryRule("ax", FiniteSubset.of(LANG4, ["a"])), TupleRule("r", 2, ((A, B),))
+    system = RuleSystem("s", LANG4, (first, second))
+    assert system.rule("ax") is first and system.rule("r") is second
+    assert system.has_rule("r") and not system.has_rule("q")
+    with pytest.raises(UsageError, match="system s: no rule named q"):
+        system.rule("q")
+    twin = RuleSystem("s", LANG4, (first, second))
+    assert system == twin and hash(system) == hash(twin)
+    assert "by_id" not in repr(system)
+    assert system != RuleSystem("s", LANG4, (second, first))
+
+
 def test_rules_extensionally_equal_ignores_ids_and_order():
     assert rules_extensionally_equal(
         TupleRule("p", 2, ((A, B), (X1, A))), TupleRule("q", 2, ((X1, A), (A, B)))
