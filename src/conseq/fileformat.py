@@ -71,16 +71,16 @@ def loads_system(text: str, *, name: str = "system") -> RuleSystem:
             tokens = rest.split()
             if not tokens:
                 raise InputSyntaxError("empty language declaration", where=where)
-            if tokens[0] == "enumerated":
-                if len(tokens) != 2:
-                    raise InputSyntaxError("expected 'language: enumerated <prefix>'", where=where)
-                language = EnumeratedLanguage.prefixed(tokens[1])
-            else:
-                try:
+            if tokens[0] == "enumerated" and len(tokens) != 2:
+                raise InputSyntaxError("expected 'language: enumerated <prefix>'", where=where)
+            try:
+                if tokens[0] == "enumerated":
+                    language = EnumeratedLanguage.prefixed(tokens[1])
+                else:
                     language = ExplicitLanguage(tuple(Element(t) for t in tokens))
-                except Exception as exc:
-                    raise InputSyntaxError(str(exc), where=where) from exc
-                names = {e.name: e for e in language.elements}
+                    names = {e.name: e for e in language.elements}
+            except DomainError as exc:
+                raise InputSyntaxError(str(exc), where=where) from exc
             continue
 
         if language is None:
@@ -141,6 +141,10 @@ def loads_system(text: str, *, name: str = "system") -> RuleSystem:
 def dumps_system(system: RuleSystem) -> str:
     lines: list[str] = []
     if isinstance(system.language, ExplicitLanguage):
+        if system.language.elements[0].name == "enumerated":
+            raise UsageError(
+                f"{system.language!r} has no line form: its first element 'enumerated' reads as the keyword"
+            )
         lines.append("language: " + " ".join(e.name for e in system.language.elements))
     elif isinstance(system.language, EnumeratedLanguage):
         prefix = system.language.prefix

@@ -19,8 +19,7 @@ tokens may not contain whitespace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DomainError, InputSyntaxError, UsageError
@@ -34,25 +33,28 @@ if TYPE_CHECKING:
 # formulas
 
 
-# Each formula node computes its hash once, at construction, from its
-# children's stored hashes.  The value equals the field-tuple hash the
-# dataclass would compute on every call by walking the whole tree, so
-# set iteration order, and every output built from it, is unchanged.
-# Hashes of int tuples are not salted per process, so the stored hash of
-# a pickled formula stays valid where it is unpickled.
+# Each formula node stores its hash and its printed token, both computed
+# once at construction from its children's stored ones.  The hash equals
+# the field-tuple hash the dataclass would compute on every call by walking
+# the whole tree, so set iteration order, and every output built from it,
+# is unchanged; hashes of int tuples are not salted per process, so a
+# pickled formula's stored hash stays valid where it is unpickled.  The
+# token is the whitespace-free rendering, the formula's element name.
 
 
 @dataclass(frozen=True, slots=True)
 class Atom:
-    """The atom P<index>; its hash is stored and equals `hash((index,))`."""
+    """The atom P<index>; stores its hash, `hash((index,))`, and its token."""
 
     index: int
     _hash: int = field(init=False, repr=False, compare=False)
+    _token: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.index < 0:
             raise DomainError("atom indices start at 0")
         object.__setattr__(self, "_hash", hash((self.index,)))
+        object.__setattr__(self, "_token", f"P{self.index}")
 
     def __hash__(self) -> int:
         return self._hash
@@ -60,13 +62,15 @@ class Atom:
 
 @dataclass(frozen=True, slots=True)
 class Neg:
-    """The negation ~operand; its hash is stored and equals `hash((operand,))`."""
+    """The negation ~operand; stores its hash, `hash((operand,))`, and its token."""
 
     operand: "Wff"
     _hash: int = field(init=False, repr=False, compare=False)
+    _token: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.operand,)))
+        object.__setattr__(self, "_token", f"~{self.operand._token}")
 
     def __hash__(self) -> int:
         return self._hash
@@ -74,15 +78,17 @@ class Neg:
 
 @dataclass(frozen=True, slots=True)
 class Impl:
-    """The implication (antecedent -> consequent); its hash is stored and
-    equals `hash((antecedent, consequent))`."""
+    """The implication (antecedent -> consequent); stores its hash,
+    `hash((antecedent, consequent))`, and its token."""
 
     antecedent: "Wff"
     consequent: "Wff"
     _hash: int = field(init=False, repr=False, compare=False)
+    _token: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.antecedent, self.consequent)))
+        object.__setattr__(self, "_token", f"({self.antecedent._token}->{self.consequent._token})")
 
     def __hash__(self) -> int:
         return self._hash
@@ -91,33 +97,29 @@ class Impl:
 Wff = Union[Atom, Neg, Impl]
 
 
-@lru_cache(maxsize=None)
 def wff_token(w: Wff) -> str:
-    """Whitespace-free rendering, usable as a language element name."""
-    if isinstance(w, Atom):
-        return f"P{w.index}"
-    if isinstance(w, Neg):
-        return f"~{wff_token(w.operand)}"
-    return f"({wff_token(w.antecedent)}->{wff_token(w.consequent)})"
+    """Whitespace-free rendering, stored at construction; usable as a
+    language element name."""
+    return w._token
 
 
 def wff_to_text(w: Wff) -> str:
     """Canonical spaced rendering, parse(wff_to_text(w)) == w: the token
     with every '->' spaced, as tokens hold '->' only as the arrow."""
-    return wff_token(w).replace("->", " -> ")
+    return w._token.replace("->", " -> ")
 
 
 def wff_element(w: Wff) -> Element:
-    return Element(wff_token(w))
+    return Element(w._token)
 
 
 def element_wff(e: Element) -> Wff:
     return parse(e.name)
 
 
-# Deepest accepted nesting of '~' and '(' in parsed text.  The parser,
-# printers and evaluators recurse once per level, so this keeps them
-# well under the interpreter's recursion limit.
+# Deepest accepted nesting of '~' and '(' in parsed text.  The parser and
+# evaluators recurse once per level, so this keeps them well under the
+# interpreter's recursion limit.
 MAX_DEPTH = 200
 
 
@@ -416,12 +418,14 @@ def subformula_closure(
     shortest first and stop at the cap.  Rounds are semi-naive: a round
     binds some metavariable to a formula new since the last one (an
     all-old binding was offered then) and ranks only the new formulas.
-    A candidate is built and hashed in O(1) (nodes store their hash),
-    and only its nodes outside the pool and this round are visited.
+    Each node stores its hash and token, set at construction from its
+    children's, so a candidate is hashed and ranked without a walk or a
+    second printing; only its nodes outside the pool and this round are
+    visited.
     """
     pool: set[Wff] = set()
     for w in seeds:
-        if len(wff_token(w)) > size_cap:
+        if len(w._token) > size_cap:
             raise UsageError(
                 f"seed {wff_to_text(w)} is longer than the size cap {size_cap}"
             )
@@ -430,7 +434,7 @@ def subformula_closure(
     old: list[tuple[int, Wff]] = []  # the pool outside `new` as (printed length, formula), shortest first
     new = pool
     while True:
-        ranked_new = sorted(((len(wff_token(w)), w) for w in new), key=itemgetter(0))
+        ranked_new = sorted(((len(w._token), w) for w in new), key=itemgetter(0))
         ranked = sorted(old + ranked_new, key=itemgetter(0))  # merges the two sorted runs
         fresh: set[Wff] = set()
 
@@ -446,7 +450,7 @@ def subformula_closure(
                 stack.extend(_children(v))
 
         for shape in _SHAPES.values():
-            token = wff_token(shape)  # its metavariables P0, P1, P2 print in 2 characters
+            token = shape._token  # its metavariables P0, P1, P2 print in 2 characters
             counts = [token.count(f"P{i}") for i in range(max(atoms(shape)) + 1)]
             for j in range(len(counts)):  # j: the first metavariable bound to a new formula
                 lists = [old] * j + [ranked_new] + [ranked] * (len(counts) - 1 - j)
@@ -462,7 +466,7 @@ def subformula_closure(
                 "lower the cap or raise max_pool"
             )
         old, new = ranked, fresh
-    return tuple(sorted(pool, key=wff_token))
+    return tuple(sorted(pool, key=attrgetter("_token")))
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +509,7 @@ def pd_system(
     _check_variant(variant, n)
     if variant == "standard" and n is not None:
         raise UsageError("variant standard takes no index")
-    element_of = {w: wff_element(w) for w in sorted(set(pool), key=wff_token)}
+    element_of = {w: wff_element(w) for w in sorted(set(pool), key=attrgetter("_token"))}
     if not element_of:
         raise UsageError("the formula pool must be non-empty")
     for w in element_of:

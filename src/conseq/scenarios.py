@@ -37,7 +37,6 @@ from .operators import (
     BoundedOperator,
     Identity,
     RuleOperator,
-    TableOperator,
     check_axioms,
     cup_join,
     equal_ops,
@@ -47,9 +46,10 @@ from .operators import (
     prefix_adjoin_family,
     sup_w,
     superset_trigger_system,
+    tabulate,
 )
 from .rules import RuleSystem, TupleRule
-from .sampling import random_operator_table, random_system, seeded, small_language
+from .sampling import random_closure_family, random_system, seeded, small_language
 
 # ---------------------------------------------------------------------------
 # reports
@@ -539,23 +539,13 @@ def _scenario_adjoin_family(seed: int, trials: int) -> list[Assertion]:
     ]
 
 
-def _as_table_operator(language: ExplicitLanguage, table: dict) -> TableOperator:
-    return TableOperator(
-        language,
-        {
-            FiniteSubset(language, tuple(k)): FiniteSubset(language, tuple(v))
-            for k, v in table.items()
-        },
-    )
-
-
 def _scenario_canonical_permutations(seed: int, trials: int) -> list[Assertion]:
     language = small_language(4)
     rng = seeded(seed, "canonical")
     mismatches = 0
     op = None
     for _ in range(trials):
-        op = _as_table_operator(language, random_operator_table(rng, language))
+        op = tabulate(from_closure_family(random_closure_family(rng, language), language), language)
         system = canonical_system(op, language)
         if not equal_ops(RuleOperator(system), op, language):
             mismatches += 1
@@ -617,7 +607,7 @@ def _scenario_closed_set_lattice(seed: int, trials: int) -> list[Assertion]:
     meet_mismatches = 0
     recovery_failures = 0
     for _ in range(trials):
-        op = _as_table_operator(language, random_operator_table(rng, language))
+        op = tabulate(from_closure_family(random_closure_family(rng, language), language), language)
         family = closed_systems(op, language)
         members = list(family)
         member_sets = {frozenset(m.members) for m in members}

@@ -487,8 +487,10 @@ def test_golden_stdout_and_exit_code(capsys, monkeypatch, case):
         ["pd", "search", "--variant", "missing-atom", "--n", "1",
          "--hyp", "(~P0 -> ~P1), P1", "--goal", "P0"],
         ["example", "3.3.2"],
+        ["example", "3.5", "--seed", "3"],
+        ["example", "csystem-lattice", "--seed", "3"],
     ],
-    ids=["derive", "pd-search", "example"],
+    ids=["derive", "pd-search", "example", "example-3.5", "example-csystem-lattice"],
 )
 def test_reports_do_not_depend_on_the_hash_seed(argv):
     # element hashes are salted per process: no witness order may come

@@ -102,6 +102,7 @@ def test_parse_errors_name_the_line():
         ("language:\n", "empty language", "line 1"),
         ("language: enumerated\n", "enumerated <prefix>", "line 1"),
         ("language: enumerated f g\n", "enumerated <prefix>", "line 1"),
+        ("language: enumerated x=>y\n", "may not contain '=>'", "line 1"),
         ("language: a b\nrule r: a => z\n", "unknown element 'z'", "line 2"),
         ("language: a b\naxioms x: a\naxioms x: b\n", "declared twice", "line 3"),
         ("language: a b\nrule r: a => b\naxioms r: a\n", "declared twice", "line 3"),
@@ -141,6 +142,12 @@ def test_unsaveable_systems_are_refused():
     )
     with pytest.raises(UsageError, match="prefix-labelled"):
         dumps_system(RuleSystem("u", unlabeled, ()))
+
+    for names in (["enumerated", "x"], ["enumerated", "x", "y"]):
+        keyword_first = ExplicitLanguage.of_tokens(names)
+        with pytest.raises(UsageError, match="'enumerated' reads as the keyword") as info:
+            dumps_system(RuleSystem("k", keyword_first, ()))
+        assert repr(keyword_first) in str(info.value)
 
 
 def test_empty_axiom_line_round_trips():

@@ -174,6 +174,42 @@ def test_stored_hash_is_the_field_tuple_hash(w):
     assert hash(pickle.loads(pickle.dumps(w))) == hash(w)
 
 
+def _printed(w):
+    """The recursive printer, kept as the oracle for the stored token."""
+    if isinstance(w, Atom):
+        return f"P{w.index}"
+    if isinstance(w, Neg):
+        return f"~{_printed(w.operand)}"
+    return f"({_printed(w.antecedent)}->{_printed(w.consequent)})"
+
+
+@st.composite
+def _deep_texts(draw):
+    """Formula text nested exactly MAX_DEPTH deep: each level wraps the one
+    inside in '~' or in an implication with an atom on one side."""
+    text = f"P{draw(st.integers(0, 12))}"
+    for _ in range(MAX_DEPTH):
+        atom = f"P{draw(st.integers(0, 12))}"
+        text = draw(st.sampled_from((f"~{text}", f"({atom} -> {text})", f"({text} -> {atom})")))
+    return text
+
+
+@settings(deadline=None, max_examples=150)
+@given(wffs())
+def test_stored_token_is_the_printed_token(w):
+    assert wff_token(w) == _printed(w)
+    assert wff_token(pickle.loads(pickle.dumps(w))) == _printed(w)
+    assert repr(w) == repr(_plain(w)).replace("_Plain", "")
+
+
+@settings(deadline=None, max_examples=30)
+@given(_deep_texts())
+def test_stored_token_is_the_printed_token_at_max_depth(text):
+    w = parse(text)
+    assert wff_token(w) == _printed(w) == text.replace(" ", "")
+    assert wff_to_text(w) == text
+
+
 def test_atom_indices_are_non_negative():
     with pytest.raises(DomainError):
         Atom(-1)
@@ -334,7 +370,7 @@ def _definitional_closure(seeds, size_cap, *, max_pool):
     contributes its full subformula set, and the pool is removed after."""
 
     def length(w):
-        return len(wff_token(w))
+        return len(_printed(w))
 
     pool = set()
     for w in seeds:
@@ -342,7 +378,7 @@ def _definitional_closure(seeds, size_cap, *, max_pool):
             raise UsageError(f"seed {wff_to_text(w)} is longer than the size cap {size_cap}")
         pool |= subformulas(w)
     while True:
-        ranked = sorted(((length(w), wff_token(w), w) for w in pool))
+        ranked = sorted(((length(w), _printed(w), w) for w in pool))
         items = [(lw, w) for lw, _, w in ranked]
         shortest = items[0][0] if items else 0
         fresh = set()
@@ -384,7 +420,7 @@ def _definitional_closure(seeds, size_cap, *, max_pool):
                 f"pool grew past {max_pool} formulas under size cap {size_cap}; "
                 "lower the cap or raise max_pool"
             )
-    return tuple(sorted(pool, key=wff_token))
+    return tuple(sorted(pool, key=_printed))
 
 
 def _closure_or_error(closure, seeds, size_cap, max_pool):
@@ -605,7 +641,7 @@ def test_pd_system_matches_its_definitional_oracles(seeds, size_cap, variant, n,
         return
     system = pd_system(variant, pool, n=None if variant == "standard" else n)
     assert {e.name for e in system.rule("axioms").axioms} == {
-        wff_token(w) for w in _inline_axioms(variant, frozenset(pool), n)
+        _printed(w) for w in _inline_axioms(variant, frozenset(pool), n)
     }
     detachment = system.rule("mp")
     elements = system.language.elements
