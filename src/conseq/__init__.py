@@ -30,7 +30,6 @@ from .rules import (
     Insert,
     Rule,
     RuleSystem,
-    SchemaRule,
     TupleRule,
     UnaryRule,
     rules_extensionally_equal,
@@ -96,7 +95,6 @@ __all__ = [
     "Insert",
     "Rule",
     "RuleSystem",
-    "SchemaRule",
     "TupleRule",
     "UnaryRule",
     "rules_extensionally_equal",

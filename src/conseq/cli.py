@@ -155,7 +155,7 @@ def _cmd_pd_search(args: argparse.Namespace) -> int:
     if goal_element in search.result.closure:
         if args.max_steps is not None:
             size = min_derivation_size(
-                search.system, search.hypotheses, goal_element, cap=args.max_steps, pool=search.pool
+                search.system, search.hypotheses, goal_element, cap=args.max_steps
             )
             if size is None:
                 print(f"derivable, but not within {args.max_steps} steps")

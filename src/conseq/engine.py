@@ -38,7 +38,6 @@ from .rules import (
     Insert,
     Rule,
     RuleSystem,
-    SchemaRule,
     TupleRule,
     UnaryRule,
     rules_extensionally_equal,
@@ -49,55 +48,22 @@ from .rules import (
 # grounding: reduce a system to insertable elements plus extensional tuples
 
 
-def _instantiate_schema_rule(rule: SchemaRule, pool: FiniteSubset) -> tuple[tuple[Element, ...], ...]:
-    pool_set = pool.member_set
-    instances = rule.instantiate(pool_set)
-    width = rule.premise_count + 1
-    for t in instances:
-        if len(t) != width:
-            raise UsageError(
-                f"schema {rule.rule_id} produced a tuple of width {len(t)}, expected {width}"
-            )
-        for e in t:
-            if e not in pool_set:
-                raise UsageError(
-                    f"schema {rule.rule_id} produced {e}, which is outside the pool"
-                )
-    return tuple(sorted(instances, key=lambda t: tuple(e.name for e in t)))
-
-
-def require_in_pool(hypotheses: FiniteSubset, pool: FiniteSubset | None) -> None:
-    if pool is not None and not hypotheses.is_subset_of(pool):
-        raise UsageError("the pool must contain every hypothesis")
-
-
 def _ground(
-    system: RuleSystem, hypotheses: FiniteSubset, pool: FiniteSubset | None
+    system: RuleSystem, hypotheses: FiniteSubset
 ) -> tuple[dict[Element, tuple], list[tuple[str, tuple[tuple[Element, ...], ...]]]]:
     """Initial insertable elements (with their justification) and the
-    extensional tuples of every rule, in system order."""
+    tuples of every rule, in system order."""
     require_same_language(system.language, hypotheses.language, "saturate")
-    if pool is not None:
-        require_same_language(system.language, pool.language, "saturate pool")
-        require_in_pool(hypotheses, pool)
-    if system.has_schema_rules() and pool is None:
-        raise UsageError(
-            f"system {system.name} has schema rules; saturation needs an explicit pool"
-        )
-
     insertable: dict[Element, tuple] = {}
     for e in hypotheses:
         insertable[e] = ("hyp",)
     grounded: list[tuple[str, tuple[tuple[Element, ...], ...]]] = []
     for rule in system.rules:
         if isinstance(rule, UnaryRule):
-            axioms = rule.axioms if pool is None else rule.axioms.intersect(pool)
-            for e in axioms:
+            for e in rule.axioms:
                 insertable.setdefault(e, ("axiom", rule.rule_id))
-        elif isinstance(rule, TupleRule):
-            grounded.append((rule.rule_id, rule.tuples))
         else:
-            grounded.append((rule.rule_id, _instantiate_schema_rule(rule, pool)))
+            grounded.append((rule.rule_id, rule.tuples))
     return insertable, grounded
 
 
@@ -122,10 +88,8 @@ class MaskSystem:
     Gallier 1984): `close` in any order, `saturate` in witness order.
     """
 
-    def __init__(
-        self, system: RuleSystem, hypotheses: FiniteSubset, pool: FiniteSubset | None = None
-    ):
-        insertable, grounded = _ground(system, hypotheses, pool)
+    def __init__(self, system: RuleSystem, hypotheses: FiniteSubset):
+        insertable, grounded = _ground(system, hypotheses)
         self.language = system.language
         if isinstance(self.language, ExplicitLanguage):
             self.elements: Sequence[Element] = self.language.elements
@@ -246,12 +210,10 @@ class Witnesses(Mapping[Element, Derivation]):
         return len(self._justification)
 
 
-def saturate(
-    system: RuleSystem, hypotheses: FiniteSubset, pool: FiniteSubset | None = None
-) -> SaturationResult:
+def saturate(system: RuleSystem, hypotheses: FiniteSubset) -> SaturationResult:
     """Everything derivable from `hypotheses`, and a witness for each
     element of it, by the rounds the module docstring describes."""
-    grounded = MaskSystem(system, hypotheses, pool)
+    grounded = MaskSystem(system, hypotheses)
     arcs, sources, users = grounded.arcs, grounded.sources, grounded._users
     justification = dict(grounded.inserted)
     have = grounded.insertable
@@ -301,16 +263,14 @@ def _replay(goal: Element, justification: dict[Element, tuple]) -> Derivation:
 
 
 def check_derivation(
-    system: RuleSystem,
-    hypotheses: FiniteSubset,
-    derivation: Derivation,
-    pool: FiniteSubset | None = None,
+    system: RuleSystem, hypotheses: FiniteSubset, derivation: Derivation
 ) -> CheckResult:
     """Replay a derivation step by step against a system.
 
-    Malformed references and unknown rules yield a failing result with
-    a diagnostic rather than an exception; only a schema rule used
-    without a pool is treated as a caller error.
+    Each step is checked against the hypotheses and the rules' own
+    members and tuples.  Malformed references, unknown rules and steps
+    no rule allows yield a failing result with a diagnostic rather than
+    an exception; only hypotheses over another language raise.
     """
     require_same_language(system.language, hypotheses.language, "check_derivation")
     relations: dict[str, set[tuple[Element, frozenset[Element]]]] = {}
@@ -328,8 +288,7 @@ def check_derivation(
                     return CheckResult(
                         False, f"step {i}: rule {step.source} is not an axiom set"
                     )
-                allowed = rule.axioms if pool is None else rule.axioms.intersect(pool)
-                if step.element not in allowed.member_set:
+                if step.element not in rule.axioms.member_set:
                     return CheckResult(
                         False, f"step {i}: {step.element} is not an axiom of {step.source}"
                     )
@@ -347,20 +306,11 @@ def check_derivation(
         referenced = tuple(step_element(derivation.steps[k - 1]) for k in step.premise_steps)
 
         if rule.rule_id not in relations:
-            if isinstance(rule, TupleRule):
-                tuples = rule.tuples
-            elif pool is None:
-                raise UsageError(
-                    f"rule {rule.rule_id} is a schema; checking needs an explicit pool"
-                )
-            else:
-                tuples = _instantiate_schema_rule(rule, pool)
-            relations[rule.rule_id] = {(t[-1], frozenset(t[:-1])) for t in tuples}
-        width = rule.arity if isinstance(rule, TupleRule) else rule.premise_count + 1
+            relations[rule.rule_id] = {(t[-1], frozenset(t[:-1])) for t in rule.tuples}
 
-        if len(referenced) != width - 1:
+        if len(referenced) != rule.arity - 1:
             return CheckResult(
-                False, f"step {i}: {step.rule_id} takes {width - 1} premises"
+                False, f"step {i}: {step.rule_id} takes {rule.arity - 1} premises"
             )
         wanted = frozenset(referenced)
         if (step.conclusion, wanted) not in relations[rule.rule_id]:
@@ -427,17 +377,13 @@ def check_step_cap(cap: int) -> None:
 
 
 def min_derivation_size(
-    system: RuleSystem,
-    hypotheses: FiniteSubset,
-    goal: Element,
-    cap: int,
-    pool: FiniteSubset | None = None,
+    system: RuleSystem, hypotheses: FiniteSubset, goal: Element, cap: int
 ) -> int | None:
     """Exact minimal derivation length for `goal`, or None beyond `cap`."""
     check_step_cap(cap)
     if goal not in system.language:
         raise DomainError(f"goal {goal} is not in the language")
-    grounded = MaskSystem(system, hypotheses, pool)
+    grounded = MaskSystem(system, hypotheses)
     goal_bit = grounded.bits.get(goal)
     if goal_bit is None:  # neither insertable nor in any tuple
         return None
@@ -445,10 +391,7 @@ def min_derivation_size(
 
 
 def bounded_consequences(
-    system: RuleSystem,
-    hypotheses: FiniteSubset,
-    steps: int,
-    pool: FiniteSubset | None = None,
+    system: RuleSystem, hypotheses: FiniteSubset, steps: int
 ) -> FiniteSubset:
     """Everything derivable by some deduction of at most `steps` steps.
 
@@ -465,12 +408,12 @@ def bounded_consequences(
     """
     if steps < 1:
         raise UsageError("the step bound must be at least 1")
-    grounded = MaskSystem(system, hypotheses, pool)
+    grounded = MaskSystem(system, hypotheses)
     universe = grounded.insertable
     for _, conclusion in grounded.arcs:
         universe |= conclusion
     if steps >= universe.bit_count():
-        return saturate(system, hypotheses, pool).closure
+        return saturate(system, hypotheses).closure
     reachable = grounded.insertable
     for i in bit_indices(grounded.close() & ~reachable):
         if _min_steps(grounded.insertable, grounded.arcs, 1 << i, steps) is not None:
@@ -557,9 +500,7 @@ def permute_premises(
 def _renamed(rule: Rule, rule_id: str) -> Rule:
     if isinstance(rule, UnaryRule):
         return UnaryRule(rule_id, rule.axioms)
-    if isinstance(rule, TupleRule):
-        return TupleRule(rule_id, rule.arity, rule.tuples)
-    return SchemaRule(rule_id, rule.premise_count, rule.instantiate)
+    return TupleRule(rule_id, rule.arity, rule.tuples)
 
 
 def union_systems(systems: Sequence[RuleSystem]) -> RuleSystem:

@@ -6,9 +6,8 @@ mapping) can tell them apart:
 * DomainError  -- an argument is outside the mathematical domain of the
   operation (element not in the language, mismatched languages, partial
   valuation).
-* UsageError   -- the call itself is malformed or unsupported (missing
-  pool for a schema rule, exhaustiveness bound exceeded, unknown
-  scenario id).
+* UsageError   -- the call itself is malformed or unsupported (step
+  cap below 1, exhaustiveness bound exceeded, unknown scenario id).
 * InputSyntaxError -- text failed to parse; carries a position so the
   message can point at the offending line or column.
 """

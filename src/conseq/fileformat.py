@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .errors import DomainError, InputSyntaxError, UsageError
 from .language import Element, EnumeratedLanguage, ExplicitLanguage, FiniteSubset
-from .rules import Rule, RuleSystem, SchemaRule, TupleRule, UnaryRule
+from .rules import Rule, RuleSystem, TupleRule, UnaryRule
 
 
 def _strip_comment(line: str) -> str:
@@ -157,7 +157,7 @@ def dumps_system(system: RuleSystem) -> str:
         if isinstance(rule, UnaryRule):
             members = " ".join(e.name for e in rule.axioms.members)
             lines.append(f"axioms {rule.rule_id}:" + (f" {members}" if members else ""))
-        elif isinstance(rule, TupleRule):
+        else:
             if not rule.tuples:
                 raise UsageError(
                     f"rule {rule.rule_id!r} has no premise tuples, so it has no line form"
@@ -165,10 +165,6 @@ def dumps_system(system: RuleSystem) -> str:
             for t in rule.tuples:
                 premises = " ".join(e.name for e in t[:-1])
                 lines.append(f"rule {rule.rule_id}: {premises} => {t[-1].name}")
-        elif isinstance(rule, SchemaRule):
-            raise UsageError(f"schema rule {rule.rule_id!r} has no finite listing to save")
-        else:
-            raise UsageError(f"cannot save rule of type {type(rule).__name__}")
     return "\n".join(lines) + "\n"
 
 

@@ -10,7 +10,6 @@ operation ever tries to enumerate an infinite language.
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
@@ -138,7 +137,6 @@ class EnumeratedLanguage:
         self.label = label
         self._seen: dict[int, Element] = {}
         self._seen_names: dict[str, int] = {}
-        self._lock = threading.Lock()
 
     @classmethod
     def prefixed(cls, prefix: str) -> "EnumeratedLanguage":
@@ -163,18 +161,17 @@ class EnumeratedLanguage:
     def element(self, index: int) -> Element:
         if index < 0:
             raise DomainError("enumeration index must be non-negative")
-        with self._lock:
-            if index in self._seen:
-                return self._seen[index]
-            e = self._enumerator(index)
-            clash = self._seen_names.get(e.name)
-            if clash is not None and clash != index:
-                raise DomainError(
-                    f"enumerator is not injective: index {clash} and {index} both map to {e.name}"
-                )
-            self._seen[index] = e
-            self._seen_names[e.name] = index
-            return e
+        if index in self._seen:
+            return self._seen[index]
+        e = self._enumerator(index)
+        clash = self._seen_names.get(e.name)
+        if clash is not None and clash != index:
+            raise DomainError(
+                f"enumerator is not injective: index {clash} and {index} both map to {e.name}"
+            )
+        self._seen[index] = e
+        self._seen_names[e.name] = index
+        return e
 
     def prefix_elements(self, count: int) -> tuple[Element, ...]:
         """First `count` elements, in enumeration order."""

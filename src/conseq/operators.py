@@ -10,12 +10,11 @@ as the pointwise union of two closure operators, are first-class.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .engine import MaskSystem, bounded_consequences, require_in_pool
+from .engine import MaskSystem, bounded_consequences
 from .errors import DomainError, UsageError
 from .language import (
     CofiniteSubset,
@@ -119,7 +118,8 @@ class TableOperator(Operator):
 
 class RuleOperator(Operator):
     """The consequence operator generated by a rule system: X maps to
-    everything derivable from X.
+    everything derivable from X.  It takes every finite subset of the
+    system's language.
 
     On first use the system is grounded once into bit masks, an axiom
     mask and one (premise mask, conclusion bit) arc per tuple
@@ -131,29 +131,25 @@ class RuleOperator(Operator):
     e enables are visited.  Witnesses come from `saturate` alone.
     """
 
-    def __init__(self, system: RuleSystem, pool: FiniteSubset | None = None):
+    def __init__(self, system: RuleSystem):
         self.system = system
-        self.pool = pool
         self.language = system.language
         self._grounded: MaskSystem | None = None
 
     def _masks(self) -> MaskSystem:
         if self._grounded is None:
-            self._grounded = MaskSystem(self.system, FiniteSubset.empty(self.language), self.pool)
+            self._grounded = MaskSystem(self.system, FiniteSubset.empty(self.language))
         return self._grounded
 
     def apply(self, subset: Subset) -> FiniteSubset:
         if not isinstance(subset, FiniteSubset):
             raise UsageError("rule-backed operators take finite subsets")
         require_same_language(self.language, subset.language, "apply")
-        grounded = self._masks()
-        require_in_pool(subset, self.pool)
-        return grounded.image(subset)
+        return self._masks().image(subset)
 
     def _image_masks(self, language: ExplicitLanguage) -> list[int]:
         require_same_language(self.language, language, "apply")
         grounded = self._masks()
-        require_in_pool(full_subset(self.language), self.pool)
         images = [grounded.close()]
         for x in range(1, 1 << len(self.language.elements)):
             low = x & -x
@@ -178,12 +174,11 @@ class BoundedOperator(Operator):
     finished by a second pass.
     """
 
-    def __init__(self, system: RuleSystem, steps: int, pool: FiniteSubset | None = None):
+    def __init__(self, system: RuleSystem, steps: int):
         if steps < 1:
             raise UsageError("the step bound must be at least 1")
         self.system = system
         self.steps = steps
-        self.pool = pool
         self.language = system.language
         self._cache: dict[int | frozenset[Element], FiniteSubset] = {}
 
@@ -194,7 +189,7 @@ class BoundedOperator(Operator):
         explicit = isinstance(self.language, ExplicitLanguage)
         key = subset.mask if explicit else subset.member_set
         if key not in self._cache:
-            self._cache[key] = bounded_consequences(self.system, subset, self.steps, self.pool)
+            self._cache[key] = bounded_consequences(self.system, subset, self.steps)
         return self._cache[key]
 
     def __repr__(self) -> str:
@@ -356,15 +351,13 @@ class MeetFamily(Operator):
         self._infimum = infimum
         self.language = language
         self._members: dict[int, Operator] = {}
-        self._lock = threading.Lock()
 
     def member(self, n: int) -> Operator:
         if n < 1:
             raise UsageError("family members are indexed from 1")
-        with self._lock:
-            if n not in self._members:
-                self._members[n] = self._member_factory(n)
-            return self._members[n]
+        if n not in self._members:
+            self._members[n] = self._member_factory(n)
+        return self._members[n]
 
     def apply(self, subset: Subset) -> Subset:
         return self._infimum.apply(subset)

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, Mapping, Sequ
 
 from .errors import DomainError, InputSyntaxError, UsageError
 from .language import Element, ExplicitLanguage, FiniteSubset
-from .rules import RuleSystem, SchemaRule, UnaryRule
+from .rules import RuleSystem, TupleRule, UnaryRule
 
 if TYPE_CHECKING:
     from .engine import SaturationResult
@@ -500,11 +500,13 @@ def pd_system(
                    bridge axiom of index n; unrestricted detachment
 
     The pool becomes the language, one element per formula (named by its
-    token) in a formula <-> element table built once.  The pool must be
-    subformula-closed; checking every member's immediate parts suffices,
-    by induction.  Axioms are instantiated here; detachment stays a
-    schema rule, which maps the engine's saturation pool through the
-    table, instantiates MP on the formulas and maps the triples back.
+    token).  The pool must be subformula-closed; checking every member's
+    immediate parts suffices, by induction.  Both relations are grounded
+    here, once, over the whole pool: the axiom instances become an axiom
+    set, and the detachment triples (implication, antecedent,
+    consequent) a 3-ary tuple rule "mp", sorted by their elements' names
+    so tuple numbers, and with them witnesses, do not depend on set
+    order.
     """
     _check_variant(variant, n)
     if variant == "standard" and n is not None:
@@ -519,7 +521,6 @@ def pd_system(
                     f"pool is not subformula-closed: {wff_to_text(part)}, "
                     f"part of {wff_to_text(w)}, is missing"
                 )
-    wff_of = {e: w for w, e in element_of.items()}
 
     if variant == "missing-atom":
         axiom_schemata = (axioms_without_atom0(n),)
@@ -534,26 +535,16 @@ def pd_system(
         axiom_wffs.add(bridge_axiom(n))
 
     detachment = MP if variant != "restricted-mp" else mp_restricted(n)
-
-    def instantiate(pool_elements: frozenset[Element]) -> frozenset[tuple[Element, ...]]:
-        wffs = frozenset(wff_of[e] for e in pool_elements)
-        return frozenset(
-            tuple(element_of[w] for w in triple)
-            for triple in instantiate_schema(detachment, wffs)
-        )
+    # each triple's implication is its own, so sorting by its name sorts by all three names
+    triples = sorted(instantiate_schema(detachment, element_of.keys()), key=lambda t: t[0]._token)
 
     language = ExplicitLanguage(tuple(element_of.values()))
     axioms = UnaryRule(
         "axioms", FiniteSubset(language, tuple(element_of[w] for w in axiom_wffs))
     )
+    mp = TupleRule("mp", 3, tuple(tuple(element_of[w] for w in t) for t in triples))
     system_name = name or (variant if n is None else f"{variant}-{n}")
-    return RuleSystem(system_name, language, (axioms, SchemaRule("mp", 2, instantiate)))
-
-
-def pool_subset(system: RuleSystem) -> FiniteSubset:
-    """The whole formula pool of a deductive system, as a subset."""
-    assert isinstance(system.language, ExplicitLanguage)
-    return FiniteSubset(system.language, system.language.elements)
+    return RuleSystem(system_name, language, (axioms, mp))
 
 
 def formula_subset(system: RuleSystem, wffs: Iterable[Wff]) -> FiniteSubset:
@@ -566,11 +557,11 @@ DEFAULT_MAX_POOL = 400
 
 @dataclass(frozen=True)
 class PoolSearch:
-    """One saturation of the hypotheses over a capped formula pool."""
+    """One saturation of the hypotheses over a capped formula pool; the
+    pool is the system's language, one element per formula."""
 
     system: RuleSystem
     hypotheses: FiniteSubset
-    pool: FiniteSubset
     result: SaturationResult
 
 
@@ -613,8 +604,7 @@ def search_pool(
     pool = subformula_closure(seeds, size_cap, max_pool=max_pool)
     system = pd_system(variant, pool, n=None if variant == "standard" else n)
     hyp_subset = formula_subset(system, hypotheses)
-    whole = pool_subset(system)
-    return PoolSearch(system, hyp_subset, whole, saturate(system, hyp_subset, whole))
+    return PoolSearch(system, hyp_subset, saturate(system, hyp_subset))
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +685,7 @@ def certificate_non_derivable(
         raise UsageError("the goal is derivable within the caps; nothing to certify")
     return BoundedEvidence(
         goal=goal,
-        pool_size=len(search.pool),
+        pool_size=len(search.system.language),
         size_cap=size_cap,
         closure_size=len(closure.members),
     )

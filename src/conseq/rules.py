@@ -3,8 +3,8 @@
 A system holds unary relations (axiom sets, whose members may be
 inserted into a deduction at any point) and (k+1)-ary relations whose
 tuples read "from these k premises conclude the last coordinate".
-Schema rules describe a relation intensionally: they are instantiated
-against an explicit finite pool whenever the engine needs their tuples.
+Both are given extensionally, as a finite subset or a finite tuple
+list, so grounding a system for the engine only reads them.
 
 Derivations are numbered step sequences.  Step n is either the
 insertion of an element (a hypothesis or an axiom) or the application
@@ -15,7 +15,7 @@ decided by `engine.check_derivation`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Union
+from typing import Union
 
 from .errors import DomainError, UsageError
 from .language import Element, FiniteSubset, Language
@@ -64,25 +64,7 @@ class TupleRule:
         return self.tuples[index][-1]
 
 
-@dataclass(frozen=True)
-class SchemaRule:
-    """A relation given by instantiation over a finite pool.
-
-    `instantiate(pool)` must deterministically return the set of
-    (premise_count+1)-tuples whose coordinates all lie in `pool`.  The
-    engine never evaluates a schema without an explicit pool.
-    """
-
-    rule_id: str
-    premise_count: int
-    instantiate: Callable[[frozenset[Element]], AbstractSet[tuple[Element, ...]]]
-
-    def __post_init__(self) -> None:
-        if self.premise_count < 1:
-            raise UsageError(f"rule {self.rule_id}: schema needs at least one premise")
-
-
-Rule = Union[UnaryRule, TupleRule, SchemaRule]
+Rule = Union[UnaryRule, TupleRule]
 
 
 def rules_extensionally_equal(a: Rule, b: Rule) -> bool:
@@ -91,8 +73,6 @@ def rules_extensionally_equal(a: Rule, b: Rule) -> bool:
         return set(a.axioms) == set(b.axioms)
     if isinstance(a, TupleRule) and isinstance(b, TupleRule):
         return a.arity == b.arity and set(a.tuples) == set(b.tuples)
-    if isinstance(a, SchemaRule) and isinstance(b, SchemaRule):
-        return a.premise_count == b.premise_count and a.instantiate is b.instantiate
     return False
 
 
@@ -145,9 +125,6 @@ class RuleSystem:
 
     def has_rule(self, rule_id: str) -> bool:
         return rule_id in self.by_id
-
-    def has_schema_rules(self) -> bool:
-        return any(isinstance(r, SchemaRule) for r in self.rules)
 
 
 # ---------------------------------------------------------------------------

@@ -347,7 +347,7 @@ def _derivable_with_verified_witness(
     if goal_element not in search.result.closure:
         return False
     witness = search.result.witnesses[goal_element]
-    return bool(check_derivation(search.system, search.hypotheses, witness, search.pool))
+    return bool(check_derivation(search.system, search.hypotheses, witness))
 
 
 def _scenario_restricted_detachment(seed: int, trials: int) -> list[Assertion]:
@@ -366,7 +366,6 @@ def _scenario_restricted_detachment(seed: int, trials: int) -> list[Assertion]:
         pd.formula_subset(small_sys, [pd.Impl(pd.Atom(1), p0), pd.Atom(1)]),
         pd.wff_element(p0),
         cap=6,
-        pool=pd.pool_subset(small_sys),
     )
 
     certificate = pd.certificate_non_derivable(
@@ -413,7 +412,6 @@ def _scenario_missing_atom(seed: int, trials: int) -> list[Assertion]:
         pd.formula_subset(small_sys, [x1, pd.Atom(1)]),
         pd.wff_element(p0),
         cap=7,
-        pool=pd.pool_subset(small_sys),
     )
 
     wide_pool = pd.subformula_closure(
@@ -422,12 +420,8 @@ def _scenario_missing_atom(seed: int, trials: int) -> list[Assertion]:
         max_pool=1200,
     )
     wide_sys = pd.pd_system("missing-atom", wide_pool, n=1)
-    empty_closure = saturate(
-        wide_sys, FiniteSubset.empty(wide_sys.language), pd.pool_subset(wide_sys)
-    ).closure
-    hyp_closure = saturate(
-        wide_sys, pd.formula_subset(wide_sys, [x1, pd.Atom(1)]), pd.pool_subset(wide_sys)
-    ).closure
+    empty_closure = saturate(wide_sys, FiniteSubset.empty(wide_sys.language)).closure
+    hyp_closure = saturate(wide_sys, pd.formula_subset(wide_sys, [x1, pd.Atom(1)])).closure
 
     blocked_hyps = [
         pd.Impl(pd.Neg(p0), pd.Neg(pd.Atom(1))),
@@ -472,10 +466,8 @@ def _scenario_positive_axioms(seed: int, trials: int) -> list[Assertion]:
     sys_one = pd.pd_system("positive", pool, n=1)
     sys_two = pd.pd_system("positive", pool, n=2)
     hyp_one = pd.formula_subset(sys_one, [x1, pd.Atom(1)])
-    closure_one = saturate(sys_one, hyp_one, pd.pool_subset(sys_one)).closure
-    closure_two = saturate(
-        sys_two, pd.formula_subset(sys_two, [x1, pd.Atom(1)]), pd.pool_subset(sys_two)
-    ).closure
+    closure_one = saturate(sys_one, hyp_one).closure
+    closure_two = saturate(sys_two, pd.formula_subset(sys_two, [x1, pd.Atom(1)])).closure
 
     blocked_hyps = [
         x1,

@@ -235,14 +235,12 @@ def test_7_restricted_deduction_variants_reach_atom0_only_via_the_bridge():
         for variant in variants:
             system = pd.pd_system(variant, pool, n=n)
             hyp_subset = pd.formula_subset(system, hyps)
-            result = saturate(system, hyp_subset, pd.pool_subset(system))
+            result = saturate(system, hyp_subset)
             goal = pd.wff_element(p0)
             if goal not in result.closure:
                 derivations_ok = False
                 continue
-            if not check_derivation(
-                system, hyp_subset, result.witnesses[goal], pool=pd.pool_subset(system)
-            ):
+            if not check_derivation(system, hyp_subset, result.witnesses[goal]):
                 derivations_ok = False
 
     certificate = pd.certificate_non_derivable(

@@ -325,9 +325,18 @@ def test_pd_search_builds_and_saturates_its_pool_once(capsys, monkeypatch, argv,
         (conseq.cli, "saturate"),
     ):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    instantiate = conseq.propositional.instantiate_schema
+
+    def instantiate_counted(schema, pool):
+        if schema.kind.startswith("mp"):
+            calls["mp"] += 1
+        return instantiate(schema, pool)
+
+    monkeypatch.setattr(conseq.propositional, "instantiate_schema", instantiate_counted)
     code, _, _ = run(capsys, "pd", "search", *argv)
     assert code == expected
-    assert calls == {"subformula_closure": 1, "saturate": 1}
+    # detachment is instantiated once, by pd_system, however many searches follow
+    assert calls == {"subformula_closure": 1, "saturate": 1, "mp": 1}
 
 
 def test_example_runs_scenarios(capsys):
@@ -489,8 +498,16 @@ def test_golden_stdout_and_exit_code(capsys, monkeypatch, case):
         ["example", "3.3.2"],
         ["example", "3.5", "--seed", "3"],
         ["example", "csystem-lattice", "--seed", "3"],
+        ["example", "thm-2.2-random", "--seed", "3"],
+        ["example", "2.1-axioms", "--seed", "3"],
+        ["example", "3.3", "--seed", "3"],
+        ["pd", "search", "--variant", "restricted-mp", "--n", "1",
+         "--hyp", "(P1 -> P2), (P2 -> P3), P1", "--goal", "P3", "--size-cap", "10", "--max-steps", "5"],
     ],
-    ids=["derive", "pd-search", "example", "example-3.5", "example-csystem-lattice"],
+    ids=[
+        "derive", "pd-search", "example", "example-3.5", "example-csystem-lattice",
+        "example-thm-2.2-random", "example-2.1-axioms", "example-3.3", "pd-search-minimal-steps",
+    ],
 )
 def test_reports_do_not_depend_on_the_hash_seed(argv):
     # element hashes are salted per process: no witness order may come

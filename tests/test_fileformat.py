@@ -18,7 +18,6 @@ from conseq.language import Element, EnumeratedLanguage, ExplicitLanguage, Finit
 from conseq.rules import (
     Rule,
     RuleSystem,
-    SchemaRule,
     TupleRule,
     UnaryRule,
     rules_extensionally_equal,
@@ -128,10 +127,6 @@ def test_parse_errors_name_the_line():
 def test_unsaveable_systems_are_refused():
     lang = ExplicitLanguage.of_tokens(["a", "b"])
     a, b = Element("a"), Element("b")
-
-    schema = SchemaRule("s", 1, lambda pool: frozenset())
-    with pytest.raises(UsageError, match="schema"):
-        dumps_system(RuleSystem("s", lang, (schema,)))
 
     hollow = RuleSystem("hollow", lang, (TupleRule("r", 2, ()),))
     with pytest.raises(UsageError, match="no premise tuples"):

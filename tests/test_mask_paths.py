@@ -175,16 +175,16 @@ def oracle_min_size(insertable, arcs, goal, cap):
     return None
 
 
-def _step_grounding(system, hypotheses, pool=None):
-    insertable, grounded = engine._ground(system, hypotheses, pool)
+def _step_grounding(system, hypotheses):
+    insertable, grounded = engine._ground(system, hypotheses)
     arcs = [(frozenset(t[:-1]), t[-1]) for _, tuples in grounded for t in tuples]
     universe = set(insertable) | {c for _, c in arcs}
     return set(insertable), arcs, universe
 
 
-def oracle_bounded(system, hypotheses, steps, pool=None):
+def oracle_bounded(system, hypotheses, steps):
     """One minimal-size search per element of the universe."""
-    insertable, arcs, universe = _step_grounding(system, hypotheses, pool)
+    insertable, arcs, universe = _step_grounding(system, hypotheses)
     kept = [e for e in universe if oracle_min_size(insertable, arcs, e, steps) is not None]
     return FiniteSubset(system.language, tuple(kept))
 
@@ -201,7 +201,7 @@ def _outcome(fn, *args):
 # random operators, lawful and lawless
 
 
-KINDS = ("rules", "rules-pool", "union", "bounded", "table", "grow", "family")
+KINDS = ("rules", "union", "bounded", "table", "grow", "family")
 
 
 def random_operator(kind, seed, language):
@@ -209,10 +209,6 @@ def random_operator(kind, seed, language):
     subsets = _subsets(language)
     if kind == "rules":
         return RuleOperator(random_system(rng, language))
-    if kind == "rules-pool":
-        # a pool short of the whole language refuses the inputs it misses
-        pool = rng.choice([subsets[-1], rng.choice(subsets)])
-        return RuleOperator(random_system(rng, language), pool)
     if kind == "union":
         left, right = (RuleOperator(random_system(rng, language)) for _ in range(2))
         return PointwiseUnion(left, right)
@@ -359,7 +355,6 @@ def test_mask_paths_over_an_enumerated_language(seed, steps):
         [(e, w.render()) for e, w in oracle_witnesses.items()],
     )
     assert RuleOperator(system).apply(hypotheses) == closure
-    assert RuleOperator(system, closure).apply(hypotheses) == closure
     bounded = oracle_bounded(system, hypotheses, steps)
     assert bounded_consequences(system, hypotheses, steps) == bounded
     assert BoundedOperator(system, steps).apply(hypotheses) == bounded

@@ -42,7 +42,6 @@ from conseq.propositional import (
     mp_restricted,
     parse,
     pd_system,
-    pool_subset,
     search_pool,
     subformula_closure,
     subformulas,
@@ -471,28 +470,19 @@ def test_standard_system_detaches_in_three_steps():
     assert set(pool) == {P0, P1, Impl(P1, P0)}
     system = pd_system("standard", pool)
     hyp = formula_subset(system, [Impl(P1, P0), P1])
-    result = saturate(system, hyp, pool_subset(system))
+    result = saturate(system, hyp)
     assert wff_element(P0) in result.closure
-    assert (
-        min_derivation_size(
-            system, hyp, wff_element(P0), cap=5, pool=pool_subset(system)
-        )
-        == 3
-    )
+    assert min_derivation_size(system, hyp, wff_element(P0), cap=5) == 3
 
 
 def test_restricted_detachment_blocks_other_indices():
     pool = subformula_closure([Impl(P2, P0)], 8)
     hyps = [Impl(P2, P0), P2]
     blocked = pd_system("restricted-mp", pool, n=1)
-    closure = saturate(
-        blocked, formula_subset(blocked, hyps), pool_subset(blocked)
-    ).closure
+    closure = saturate(blocked, formula_subset(blocked, hyps)).closure
     assert wff_element(P0) not in closure
     allowed = pd_system("restricted-mp", pool, n=2)
-    closure = saturate(
-        allowed, formula_subset(allowed, hyps), pool_subset(allowed)
-    ).closure
+    closure = saturate(allowed, formula_subset(allowed, hyps)).closure
     assert wff_element(P0) in closure
 
 
@@ -531,14 +521,9 @@ def test_bridge_derivation_needs_five_steps():
     for variant in ("restricted-mp", "missing-atom", "positive"):
         system = pd_system(variant, pool, n=1)
         hyp = formula_subset(system, [negs, P1])
-        result = saturate(system, hyp, pool_subset(system))
+        result = saturate(system, hyp)
         assert wff_element(P0) in result.closure
-        assert (
-            min_derivation_size(
-                system, hyp, wff_element(P0), cap=7, pool=pool_subset(system)
-            )
-            == 5
-        )
+        assert min_derivation_size(system, hyp, wff_element(P0), cap=7) == 5
 
 
 # pd_system as first written: per-variant axiom filters held inline,
@@ -630,9 +615,8 @@ small_wffs = st.recursive(
     st.sampled_from(VARIANTS),
     st.integers(min_value=1, max_value=3),
     st.booleans(),
-    st.data(),
 )
-def test_pd_system_matches_its_definitional_oracles(seeds, size_cap, variant, n, with_bridge, data):
+def test_pd_system_matches_its_definitional_oracles(seeds, size_cap, variant, n, with_bridge):
     if with_bridge:
         seeds, size_cap = seeds + [bridge_axiom(n)], 22
     try:
@@ -643,10 +627,10 @@ def test_pd_system_matches_its_definitional_oracles(seeds, size_cap, variant, n,
     assert {e.name for e in system.rule("axioms").axioms} == {
         _printed(w) for w in _inline_axioms(variant, frozenset(pool), n)
     }
-    detachment = system.rule("mp")
-    elements = system.language.elements
-    for pool_elements in (frozenset(elements), frozenset(data.draw(st.sets(st.sampled_from(elements))))):
-        assert detachment.instantiate(pool_elements) == _parsed_detachment(variant, n, pool_elements)
+    tuples = system.rule("mp").tuples
+    assert set(tuples) == _parsed_detachment(variant, n, frozenset(system.language.elements))
+    # sorted by element names, so tuple numbers do not depend on set order
+    assert list(tuples) == sorted(tuples)
 
 
 @settings(deadline=None, max_examples=60)
@@ -697,7 +681,7 @@ def test_pd_system_neither_parses_nor_collects_subformulas(monkeypatch):
         monkeypatch.setattr(conseq.propositional, name, counting)
     for variant, n in (("standard", None), ("restricted-mp", 2), ("missing-atom", 1), ("positive", 1)):
         system = pd_system(variant, pool, n=n)
-        closure = saturate(system, formula_subset(system, hyps), pool_subset(system)).closure
+        closure = saturate(system, formula_subset(system, hyps)).closure
         assert wff_element(P0) in closure
     assert calls == Counter()
     # the counters do count

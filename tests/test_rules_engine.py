@@ -30,7 +30,6 @@ from conseq.rules import (
     Derivation,
     Insert,
     RuleSystem,
-    SchemaRule,
     TupleRule,
     UnaryRule,
     rules_extensionally_equal,
@@ -161,22 +160,6 @@ def test_saturate_chained_rules():
         assert check_derivation(system, FiniteSubset.of(LANG4, ["x1", "x2"]), witness)
 
 
-def test_saturate_pool_filters_axioms_not_tuples():
-    # the pool is an instantiation context: it limits which axioms may be
-    # inserted and what schema rules range over, but explicit tuples fire
-    # whenever their premises are present
-    system = RuleSystem(
-        "ax",
-        LANG4,
-        (UnaryRule("base", FiniteSubset.of(LANG4, ["x1", "x2"])), TupleRule("to-b", 2, ((A, B),))),
-    )
-    pool = FiniteSubset.of(LANG4, ["a", "x1"])
-    result = saturate(system, FiniteSubset.of(LANG4, ["a"]), pool)
-    assert str(result.closure) == "{a,b,x1}"  # x2 filtered out, tuple still fires
-    with pytest.raises(UsageError):
-        saturate(system, FiniteSubset.of(LANG4, ["b"]), FiniteSubset.of(LANG4, ["a"]))
-
-
 def test_saturate_axioms_always_insertable():
     system = RuleSystem(
         "ax",
@@ -186,19 +169,6 @@ def test_saturate_axioms_always_insertable():
     result = saturate(system, FiniteSubset.empty(LANG4))
     assert str(result.closure) == "{a,b}"
     assert check_derivation(system, FiniteSubset.empty(LANG4), result.witnesses[B])
-
-
-def test_schema_rules_need_a_pool():
-    doubles = SchemaRule(
-        "dup", 1, lambda pool: frozenset((e, e) for e in pool)
-    )
-    system = RuleSystem("schema", LANG4, (doubles,))
-    with pytest.raises(UsageError):
-        saturate(system, FiniteSubset.of(LANG4, ["a"]))
-    result = saturate(
-        system, FiniteSubset.of(LANG4, ["a"]), FiniteSubset.of(LANG4, ["a", "b"])
-    )
-    assert str(result.closure) == "{a}"
 
 
 @settings(deadline=None, max_examples=40)
@@ -246,12 +216,12 @@ def _oracle_replay(goal, justification, position):
     return Derivation(tuple(steps))
 
 
-def _round_scan_saturate(system, hypotheses, pool=None):
+def _round_scan_saturate(system, hypotheses):
     """Every round scans every grounded tuple in rule, then tuple order;
     a tuple fires when its conclusion is new, all its premises are
     present and one of them was derived in the previous round.  Every
     witness is replayed eagerly.  Returns (closure, witnesses dict)."""
-    insertable, grounded = engine._ground(system, hypotheses, pool)
+    insertable, grounded = engine._ground(system, hypotheses)
     justification = dict(insertable)
     sequence = list(insertable)
     derived = set(sequence)
@@ -275,9 +245,9 @@ def _round_scan_saturate(system, hypotheses, pool=None):
     return FiniteSubset(system.language, tuple(sequence)), witnesses
 
 
-def _assert_matches_oracle(system, hypotheses, pool=None):
-    result = saturate(system, hypotheses, pool)
-    closure, witnesses = _round_scan_saturate(system, hypotheses, pool)
+def _assert_matches_oracle(system, hypotheses):
+    result = saturate(system, hypotheses)
+    closure, witnesses = _round_scan_saturate(system, hypotheses)
     assert result.closure == closure
     assert list(result.witnesses) == list(witnesses)
     for element, witness in witnesses.items():
@@ -316,20 +286,14 @@ def horn_chains(draw):
     st.integers(min_value=0, max_value=10_000),
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=0, max_value=63),
-    st.integers(min_value=0, max_value=63),
 )
-def test_saturate_matches_round_scan_oracle_on_random_systems(seed, size, mask, extra):
+def test_saturate_matches_round_scan_oracle_on_random_systems(seed, size, mask):
     language = small_language(size)
     system = random_system(seeded(seed, "oracle"), language, max_rules=4, max_tuples=8)
     hypotheses = FiniteSubset(
         language, tuple(e for i, e in enumerate(language.elements) if mask >> i & 1)
     )
     _assert_matches_oracle(system, hypotheses)
-    pool = FiniteSubset(
-        language,
-        hypotheses.members + tuple(e for i, e in enumerate(language.elements) if extra >> i & 1),
-    )
-    _assert_matches_oracle(system, hypotheses, pool)
 
 
 @settings(deadline=None, max_examples=60)
@@ -428,12 +392,6 @@ def test_check_derivation_axiom_inserts_respect_pool():
     )
     proof = Derivation((Insert(A, "base"),))
     assert check_derivation(system, FiniteSubset.empty(LANG4), proof)
-    assert not check_derivation(
-        system,
-        FiniteSubset.empty(LANG4),
-        proof,
-        pool=FiniteSubset.of(LANG4, ["b"]),
-    )
     wrong_source = Derivation((Insert(A, "nope"),))
     assert not check_derivation(system, FiniteSubset.empty(LANG4), wrong_source)
 
