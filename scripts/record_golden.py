@@ -66,6 +66,16 @@ PD_QUERIES = (
     ),
 )
 
+# Queries on a system over `language: enumerated f`, whose hypotheses
+# include elements no rule mentions (f7, f9).
+ENUMERATED_QUERIES = (
+    ["saturate", "--hyp", "f7,f1"],
+    ["derive", "--hyp", "f7", "--goal", "f7", "--max-steps", "1"],
+    ["derive", "--hyp", "f9", "--goal", "f2", "--max-steps", "4"],
+    ["bounded", "--hyp", "f7,f9", "--steps", "2"],
+    ["bounded", "--hyp", "f7", "--steps", "9"],
+)
+
 
 def golden_argv():
     argvs = []
@@ -85,6 +95,8 @@ def golden_argv():
             argvs.append(["sup", "--systems", systems, "--hyp", hyp, "--via", via])
     for variant, extra in PD_QUERIES:
         argvs.append(["pd", "search", "--variant", variant] + extra)
+    for extra in ENUMERATED_QUERIES:
+        argvs.append([extra[0], "--system", "tests/data/enumerated.system"] + extra[1:])
     return argvs
 
 

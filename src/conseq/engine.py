@@ -2,9 +2,11 @@
 
 Saturation computes everything derivable from a hypothesis set: start
 from the hypotheses and all axioms, then keep applying rule tuples
-whose premises are already present.  It runs in rounds over one
-`MaskSystem`, whose arcs (one per grounded tuple) are numbered in rule
-order, then tuple order: a round's candidates are the arcs that use an
+whose premises are already present.  It runs in rounds over the
+system's one grounding (`RuleSystem.grounded`, a `MaskSystem` built on
+first use and shared by every call), whose arcs (one per grounded
+tuple) are numbered in rule order, then tuple order; the hypotheses
+enter as one more mask.  A round's candidates are the arcs that use an
 element derived in the previous round, visited in number order.  A
 candidate fires when its conclusion is new and all its premises are
 present, counting those derived earlier in the same round.  Each
@@ -20,7 +22,7 @@ costs a step and may reference any earlier step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import DomainError, UsageError
 from .language import (
@@ -45,96 +47,87 @@ from .rules import (
 )
 
 # ---------------------------------------------------------------------------
-# grounding: reduce a system to insertable elements plus extensional tuples
-
-
-def _ground(
-    system: RuleSystem, hypotheses: FiniteSubset
-) -> tuple[dict[Element, tuple], list[tuple[str, tuple[tuple[Element, ...], ...]]]]:
-    """Initial insertable elements (with their justification) and the
-    tuples of every rule, in system order."""
-    require_same_language(system.language, hypotheses.language, "saturate")
-    insertable: dict[Element, tuple] = {}
-    for e in hypotheses:
-        insertable[e] = ("hyp",)
-    grounded: list[tuple[str, tuple[tuple[Element, ...], ...]]] = []
-    for rule in system.rules:
-        if isinstance(rule, UnaryRule):
-            for e in rule.axioms:
-                insertable.setdefault(e, ("axiom", rule.rule_id))
-        else:
-            grounded.append((rule.rule_id, rule.tuples))
-    return insertable, grounded
+# grounding: reduce a system to axiom bits plus numbered arcs
 
 
 class MaskSystem:
-    """A system grounded once onto bit masks.
+    """A system grounded once onto bit masks; `RuleSystem.grounded`
+    builds it on first use and every later call reuses it.
 
-    Every element the grounding can reach gets one bit.  Over an
-    explicit language that bit is the element's position in the
-    language, so a subset's `mask` is already in this numbering and the
-    widest mask has one bit per element.  Over an enumerated language
-    the elements are numbered densely, in grounding order, so a mask is
-    as wide as the grounding, never as wide as an enumeration index.
-    `elements` lists the numbered elements by bit and `bits` is its
-    inverse.
+    Every element the grounding reaches gets one bit.  Over an explicit
+    language that bit is the element's position in the language, so a
+    subset's `mask` is already in this numbering and the widest mask has
+    one bit per element.  Over an enumerated language the elements are
+    numbered densely, in grounding order, so a mask is as wide as the
+    elements seen, never as wide as an enumeration index; `encode` gives
+    an element it has not seen the next free bit.  `elements` lists the
+    numbered elements by bit and `bits` is its inverse.
 
-    The insertable elements (hypotheses and axioms) form one mask;
-    `inserted` keeps their justifications in insertion order.  Every
-    grounded tuple becomes one arc (premise mask, conclusion bit), in
-    system order, and `sources` keeps its rule id and tuple.  One index
-    maps each premise bit to the numbers of the arcs that use it, read
-    by two forward-chaining loops over these Horn clauses (Dowling &
-    Gallier 1984): `close` in any order, `saturate` in witness order.
+    The axioms form the `insertable` mask; `inserted` keeps their
+    justifications in rule order.  Hypotheses are no part of the
+    grounding: each call encodes its own as a mask.  Every grounded
+    tuple becomes one arc (premise mask, conclusion bit), in system
+    order, `sources` keeps its rule id and tuple, and `conclusions` is
+    the union of the arcs' conclusion bits.  One index maps each premise
+    bit to the numbers of the arcs that use it, read by two
+    forward-chaining loops over these Horn clauses (Dowling & Gallier
+    1984): `close` in any order, `saturate` in witness order.  Arcs and
+    the index never change after grounding.
     """
 
-    def __init__(self, system: RuleSystem, hypotheses: FiniteSubset):
-        insertable, grounded = _ground(system, hypotheses)
+    def __init__(self, system: RuleSystem):
         self.language = system.language
         if isinstance(self.language, ExplicitLanguage):
             self.elements: Sequence[Element] = self.language.elements
             self.bits: Mapping[Element, int] = self.language.positions
             bit_of = self.language.positions.__getitem__
         else:
-            elements: list[Element] = []
-            bits: dict[Element, int] = {}
-
-            def bit_of(e: Element) -> int:
-                i = bits.get(e)
-                if i is None:
-                    i = bits[e] = len(elements)
-                    elements.append(e)
-                return i
-
-            self.elements, self.bits = elements, bits
-        self.inserted = insertable
-        self.insertable = 0
-        for i in map(bit_of, insertable):
-            self.insertable |= 1 << i
-        self.arcs: list[tuple[int, int]] = []
-        self.sources: list[tuple[str, tuple[Element, ...]]] = []
-        self._users: dict[int, list[int]] = {}
-        for rule_id, tuples in grounded:
-            for t in tuples:
+            self.elements, self.bits = [], {}
+            bit_of = self._bit_of
+        inserted: dict[Element, tuple] = {}
+        arcs: list[tuple[int, int]] = []
+        sources: list[tuple[str, tuple[Element, ...]]] = []
+        users: dict[int, list[int]] = {}
+        insertable = conclusions = 0
+        for rule in system.rules:
+            rule_id = rule.rule_id
+            if isinstance(rule, UnaryRule):
+                for e in rule.axioms:
+                    inserted.setdefault(e, ("axiom", rule_id))
+                    insertable |= 1 << bit_of(e)
+                continue
+            for t in rule.tuples:
                 positions = list(map(bit_of, t))
                 conclusion = 1 << positions.pop()
                 premises = 0
                 for i in positions:
                     premises |= 1 << i
-                    self._users.setdefault(i, []).append(len(self.arcs))
-                self.arcs.append((premises, conclusion))
-                self.sources.append((rule_id, t))
+                    users.setdefault(i, []).append(len(arcs))
+                arcs.append((premises, conclusion))
+                sources.append((rule_id, t))
+                conclusions |= conclusion
+        self.inserted, self.insertable = inserted, insertable
+        self.arcs, self.sources, self.conclusions = arcs, sources, conclusions
+        self._users = users
+
+    def _bit_of(self, e: Element) -> int:
+        """The bit of `e` over an enumerated language, numbering it if new."""
+        i = self.bits.get(e)
+        if i is None:
+            i = self.bits[e] = len(self.elements)
+            self.elements.append(e)
+        return i
 
     def encode(self, subset: FiniteSubset) -> int:
-        """The mask of the numbered members of `subset`; the others take
-        part in no arc."""
+        """The mask of `subset`, which must be over the system's language.
+        Over an enumerated language a member the grounding has not seen
+        takes the next free bit, which no arc uses."""
+        require_same_language(self.language, subset.language, "saturate")
         if isinstance(self.language, ExplicitLanguage):
             return subset.mask
         mask = 0
-        for e in subset.members:
-            i = self.bits.get(e)
-            if i is not None:
-                mask |= 1 << i
+        for i in map(self._bit_of, subset.members):
+            mask |= 1 << i
         return mask
 
     def decode(self, mask: int) -> FiniteSubset:
@@ -144,12 +137,8 @@ class MaskSystem:
         return FiniteSubset(self.language, tuple(self.elements[i] for i in bit_indices(mask)))
 
     def image(self, subset: FiniteSubset) -> FiniteSubset:
-        """Everything derivable from `subset`.  Its members without a bit
-        take part in no arc, so they join the closure of the others."""
-        closed = self.decode(self.close(self.encode(subset)))
-        if isinstance(self.language, ExplicitLanguage):
-            return closed
-        return closed.union(subset)
+        """Everything derivable from `subset`."""
+        return self.decode(self.close(self.encode(subset)))
 
     def close(self, mask: int = 0, fresh: int | None = None) -> int:
         """The least superset of `mask` and the insertable elements that
@@ -213,10 +202,13 @@ class Witnesses(Mapping[Element, Derivation]):
 def saturate(system: RuleSystem, hypotheses: FiniteSubset) -> SaturationResult:
     """Everything derivable from `hypotheses`, and a witness for each
     element of it, by the rounds the module docstring describes."""
-    grounded = MaskSystem(system, hypotheses)
+    grounded = system.grounded
+    have = grounded.encode(hypotheses) | grounded.insertable
     arcs, sources, users = grounded.arcs, grounded.sources, grounded._users
-    justification = dict(grounded.inserted)
-    have = grounded.insertable
+    # the hypotheses in sorted order, then the other axioms in rule order:
+    # merging keeps a key's first position and its last value
+    hyps = dict.fromkeys(hypotheses.members, ("hyp",))
+    justification = hyps | grounded.inserted | hyps
     fresh = list(bit_indices(have))
     while fresh:
         candidates = sorted({a for i in fresh for a in users.get(i, ())})
@@ -328,7 +320,8 @@ def check_derivation(
 
 def _min_steps(insertable: int, arcs: list[tuple[int, int]], goal: int, cap: int) -> int | None:
     """Length of the shortest numbered deduction of the `goal` bit, up
-    to `cap`, over a `MaskSystem`'s insertable mask and arcs.
+    to `cap`, from the `insertable` mask (hypotheses and axioms) over a
+    `MaskSystem`'s arcs.
 
     A shortest deduction never repeats an element and never takes a
     step that does not feed the goal, so its steps are a set of
@@ -383,11 +376,12 @@ def min_derivation_size(
     check_step_cap(cap)
     if goal not in system.language:
         raise DomainError(f"goal {goal} is not in the language")
-    grounded = MaskSystem(system, hypotheses)
+    grounded = system.grounded
+    start = grounded.encode(hypotheses) | grounded.insertable
     goal_bit = grounded.bits.get(goal)
-    if goal_bit is None:  # neither insertable nor in any tuple
+    if goal_bit is None:  # neither a hypothesis nor in any rule
         return None
-    return _min_steps(grounded.insertable, grounded.arcs, 1 << goal_bit, cap)
+    return _min_steps(start, grounded.arcs, 1 << goal_bit, cap)
 
 
 def bounded_consequences(
@@ -395,28 +389,27 @@ def bounded_consequences(
 ) -> FiniteSubset:
     """Everything derivable by some deduction of at most `steps` steps.
 
-    The system is grounded onto bit masks (`MaskSystem`).  An insertable
-    element takes one step and is accepted outright; an element outside
-    the closure has no deduction and is rejected outright.  Each other
-    element of the closure gets its own exact search (`_min_steps`),
-    confined to the elements relevant to it: one search over all sets
-    of derivable elements would grow with every hypothesis.  Once
-    `steps` reaches the size of the universe (insertable elements and
-    tuple conclusions) the bound no longer binds, since a shortest
-    deduction never repeats an element, and the result is the
-    saturation closure.
+    It reads the system's shared grounding (`RuleSystem.grounded`) with
+    the hypotheses as one more mask.  An insertable element (hypothesis
+    or axiom) takes one step and is accepted outright; an element
+    outside the closure has no deduction and is rejected outright.
+    Each other element of the closure gets its own exact search
+    (`_min_steps`), confined to the elements relevant to it: one search
+    over all sets of derivable elements would grow with every
+    hypothesis.  Once `steps` reaches the size of the universe
+    (insertable elements and tuple conclusions) the bound no longer
+    binds, since a shortest deduction never repeats an element, and the
+    result is the saturation closure.
     """
     if steps < 1:
         raise UsageError("the step bound must be at least 1")
-    grounded = MaskSystem(system, hypotheses)
-    universe = grounded.insertable
-    for _, conclusion in grounded.arcs:
-        universe |= conclusion
-    if steps >= universe.bit_count():
+    grounded = system.grounded
+    start = grounded.encode(hypotheses) | grounded.insertable
+    if steps >= (start | grounded.conclusions).bit_count():
         return saturate(system, hypotheses).closure
-    reachable = grounded.insertable
-    for i in bit_indices(grounded.close() & ~reachable):
-        if _min_steps(grounded.insertable, grounded.arcs, 1 << i, steps) is not None:
+    reachable = start
+    for i in bit_indices(grounded.close(start) & ~start):
+        if _min_steps(start, grounded.arcs, 1 << i, steps) is not None:
             reachable |= 1 << i
     return grounded.decode(reachable)
 

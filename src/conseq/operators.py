@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .engine import MaskSystem, bounded_consequences
+from .engine import bounded_consequences
 from .errors import DomainError, UsageError
 from .language import (
     CofiniteSubset,
@@ -121,10 +121,9 @@ class RuleOperator(Operator):
     everything derivable from X.  It takes every finite subset of the
     system's language.
 
-    On first use the system is grounded once into bit masks, an axiom
-    mask and one (premise mask, conclusion bit) arc per tuple
-    (`engine.MaskSystem`), and every image is forward chaining on ints;
-    over an enumerated language only the grounded elements have bits.
+    Every image is forward chaining on ints over the system's one
+    grounding (`RuleSystem.grounded`: an axiom mask and one (premise
+    mask, conclusion bit) arc per tuple), with X as one more mask.
     The image table over P(language) is filled in binary-counting
     order from the image of X minus its lowest element e: when that
     image holds e it is X's image too, and otherwise only the arcs that
@@ -134,22 +133,16 @@ class RuleOperator(Operator):
     def __init__(self, system: RuleSystem):
         self.system = system
         self.language = system.language
-        self._grounded: MaskSystem | None = None
-
-    def _masks(self) -> MaskSystem:
-        if self._grounded is None:
-            self._grounded = MaskSystem(self.system, FiniteSubset.empty(self.language))
-        return self._grounded
 
     def apply(self, subset: Subset) -> FiniteSubset:
         if not isinstance(subset, FiniteSubset):
             raise UsageError("rule-backed operators take finite subsets")
         require_same_language(self.language, subset.language, "apply")
-        return self._masks().image(subset)
+        return self.system.grounded.image(subset)
 
     def _image_masks(self, language: ExplicitLanguage) -> list[int]:
         require_same_language(self.language, language, "apply")
-        grounded = self._masks()
+        grounded = self.system.grounded
         images = [grounded.close()]
         for x in range(1, 1 << len(self.language.elements)):
             low = x & -x

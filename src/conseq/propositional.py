@@ -113,10 +113,6 @@ def wff_element(w: Wff) -> Element:
     return Element(w._token)
 
 
-def element_wff(e: Element) -> Wff:
-    return parse(e.name)
-
-
 # Deepest accepted nesting of '~' and '(' in parsed text.  The parser and
 # evaluators recurse once per level, so this keeps them well under the
 # interpreter's recursion limit.

@@ -15,10 +15,15 @@ decided by `engine.check_derivation`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from functools import cached_property
+from itertools import chain
+from typing import TYPE_CHECKING, Union
 
 from .errors import DomainError, UsageError
 from .language import Element, FiniteSubset, Language
+
+if TYPE_CHECKING:
+    from .engine import MaskSystem
 
 # ---------------------------------------------------------------------------
 # rules
@@ -88,8 +93,10 @@ class RuleSystem:
     are empty relations.
 
     `by_id` maps each rule id to its rule, built once, so `rule` and
-    `has_rule` are hash lookups.  It is not a dataclass field, so
-    equality, hashing and repr see only `name`, `language` and `rules`.
+    `has_rule` are hash lookups.  `grounded` is the system's one
+    grounding (`engine.MaskSystem`), built on first use.  Neither is a
+    dataclass field, so equality, hashing and repr see only `name`,
+    `language` and `rules`.
     """
 
     name: str
@@ -109,13 +116,20 @@ class RuleSystem:
                         f"system {self.name}: axioms of {rule.rule_id} use another language"
                     )
             elif isinstance(rule, TupleRule):
-                for t in rule.tuples:
-                    for e in t:
-                        if e not in self.language:
-                            raise DomainError(
-                                f"system {self.name}: rule {rule.rule_id} mentions "
-                                f"{e} outside the language"
-                            )
+                for e in dict.fromkeys(chain.from_iterable(rule.tuples)):
+                    if e not in self.language:
+                        raise DomainError(
+                            f"system {self.name}: rule {rule.rule_id} mentions "
+                            f"{e} outside the language"
+                        )
+
+    @cached_property
+    def grounded(self) -> "MaskSystem":
+        """The system grounded onto bit masks, built on first use and
+        shared by every later saturation, search and operator image."""
+        from .engine import MaskSystem  # engine imports this module
+
+        return MaskSystem(self)
 
     def rule(self, rule_id: str) -> Rule:
         try:

@@ -7,7 +7,6 @@ the scenario registry and the test suite replay exactly.
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 from .errors import UsageError
 from .language import Element, ExplicitLanguage, FiniteSubset
@@ -70,39 +69,6 @@ def random_closure_family(
     return tuple(subsets)
 
 
-def random_subset(rng: random.Random, language: ExplicitLanguage) -> FiniteSubset:
-    elements = list(language.elements)
-    count = rng.randint(0, len(elements))
-    return FiniteSubset(language, tuple(rng.sample(elements, count)))
-
-
-def random_operator_table(
-    rng: random.Random, language: ExplicitLanguage
-) -> dict[frozenset[Element], frozenset[Element]]:
-    """A total table for a random consequence operator, built by closing
-    each subset within a random intersection-closed family."""
-    family = random_closure_family(rng, language)
-    table: dict[frozenset[Element], frozenset[Element]] = {}
-    elements = list(language.elements)
-    n = len(elements)
-    for mask in range(1 << n):
-        members = frozenset(elements[i] for i in range(n) if (mask >> i) & 1)
-        closed = [frozenset(s.members) for s in family if members <= frozenset(s.members)]
-        image = frozenset(language.elements)
-        for c in closed:
-            image &= c
-        table[members] = image
-    return table
-
-
 def seeded(seed: int, stream: str) -> random.Random:
     """Independent deterministic generator for a named stream."""
     return random.Random(f"{seed}:{stream}")
-
-
-def sample_systems(
-    seed: int, count: int, *, language_size: int = 5
-) -> Sequence[RuleSystem]:
-    rng = seeded(seed, "systems")
-    language = small_language(language_size)
-    return [random_system(rng, language) for _ in range(count)]

@@ -45,14 +45,16 @@ from conseq.operators import (
 )
 from conseq import propositional as pd
 from conseq.rules import RuleSystem, TupleRule
-from conseq.sampling import (
-    random_operator_table,
-    random_subset,
-    random_system,
-    sample_systems,
-    seeded,
-    small_language,
-)
+from conseq.sampling import random_system, seeded, small_language
+
+from test_operators import random_subset
+from test_rules_engine import random_operator_table
+
+
+def sample_systems(seed, count, *, language_size=5):
+    rng = seeded(seed, "systems")
+    language = small_language(language_size)
+    return [random_system(rng, language) for _ in range(count)]
 
 
 def _verdict(number: int, label: str, ok: bool) -> None:

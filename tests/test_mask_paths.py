@@ -9,15 +9,18 @@ bounded sets and minimal sizes must come out equal, on lawful operators
 step-bounded operators, random tables).
 """
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conseq import engine
+from conseq.cli import main
 from conseq.csystems import closed_systems
 from conseq.engine import bounded_consequences, min_derivation_size, saturate
 from conseq.errors import UsageError
-from conseq.fileformat import loads_system
+from conseq.fileformat import load_system, loads_system
 from conseq.language import Element, FiniteSubset
 from conseq.operators import (
     AxiomCounterexample,
@@ -32,9 +35,10 @@ from conseq.operators import (
     leq,
     sup_w,
 )
+from conseq.rules import RuleSystem
 from conseq.sampling import random_closure_family, random_system, seeded, small_language
 
-from test_rules_engine import _round_scan_saturate
+from test_rules_engine import _oracle_ground, _round_scan_saturate
 
 AXIOMS = ("extensive", "monotone", "idempotent", "finite_character")
 
@@ -176,7 +180,7 @@ def oracle_min_size(insertable, arcs, goal, cap):
 
 
 def _step_grounding(system, hypotheses):
-    insertable, grounded = engine._ground(system, hypotheses)
+    insertable, grounded = _oracle_ground(system, hypotheses)
     arcs = [(frozenset(t[:-1]), t[-1]) for _, tuples in grounded for t in tuples]
     universe = set(insertable) | {c for _, c in arcs}
     return set(insertable), arcs, universe
@@ -366,3 +370,92 @@ def test_mask_paths_over_an_enumerated_language(seed, steps):
         assert min_derivation_size(system, hypotheses, goal, steps) == oracle_min_size(
             insertable, arcs, goal, steps
         )
+
+
+# ---------------------------------------------------------------------------
+# one grounding per system, shared by every call
+
+
+def _answer(system, call, hypotheses, goal, steps):
+    """One engine or operator call on `system`, as comparable data."""
+    if call == "saturate":
+        result = saturate(system, hypotheses)
+        return result.closure, [(e, w.render()) for e, w in result.witnesses.items()]
+    if call == "min_derivation_size":
+        return min_derivation_size(system, hypotheses, goal, steps)
+    if call == "bounded_consequences":
+        return bounded_consequences(system, hypotheses, steps)
+    return RuleOperator(system).apply(hypotheses)
+
+
+CALLS = ("saturate", "min_derivation_size", "bounded_consequences", "apply")
+
+# Beyond the eight indices of a `_prefix_system`: elements no rule mentions.
+UNMENTIONED = (40, 41, 2**70)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.lists(
+        st.tuples(
+            st.sampled_from(CALLS),
+            st.lists(st.integers(0, 10), max_size=4),
+            st.integers(0, 10),
+            st.integers(1, 4),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_one_shared_grounding_answers_like_a_fresh_one(seed, calls):
+    system, indices = _prefix_system(seeded(seed, "prefix"))
+    language = system.language
+    pool = [Element(f"f{i}") for i in (*indices, *UNMENTIONED)]
+    for call, picked, goal, steps in calls:
+        hypotheses = FiniteSubset(language, tuple(pool[i] for i in picked))
+        fresh = RuleSystem(system.name, language, system.rules)
+        assert _answer(system, call, hypotheses, pool[goal], steps) == _answer(
+            fresh, call, hypotheses, pool[goal], steps
+        )
+    assert system == fresh and "grounded" not in repr(system)
+
+
+STEP_LIMITED = str(Path(__file__).parent.parent / "systems" / "step-limited.system")
+
+
+def _check_bounded_operator_axioms():
+    system = load_system(STEP_LIMITED)
+    check_axioms(BoundedOperator(system, 3), system.language)
+
+
+def _bounded_past_the_universe():
+    system = load_system(STEP_LIMITED)
+    bounded_consequences(system, FiniteSubset.of(system.language, ["x1", "x2"]), 10)
+
+
+GROUNDED_ONCE = {
+    "check-axioms-bounded": _check_bounded_operator_axioms,
+    "bounded-past-the-universe": _bounded_past_the_universe,
+    "derive-max-steps": lambda: main(
+        ["derive", "--system", STEP_LIMITED, "--hyp", "x1,x2", "--goal", "b", "--max-steps", "6"]
+    ),
+    "pd-search-max-steps": lambda: main(
+        ["pd", "search", "--hyp", "(P1 -> P0), P1", "--goal", "P0", "--size-cap", "8", "--max-steps", "5"]
+    ),
+}
+
+
+@pytest.mark.parametrize("query", GROUNDED_ONCE)
+def test_each_query_grounds_its_system_once(monkeypatch, capsys, query):
+    built = []
+    init = engine.MaskSystem.__init__
+
+    def counted(grounding, *args):
+        built.append(args)
+        init(grounding, *args)
+
+    monkeypatch.setattr(engine.MaskSystem, "__init__", counted)
+    GROUNDED_ONCE[query]()
+    capsys.readouterr()
+    assert len(built) == 1

@@ -38,10 +38,16 @@ from conseq.operators import (
     tabulate,
 )
 from conseq.rules import RuleSystem, TupleRule
-from conseq.sampling import random_subset, random_system, seeded, small_language
+from conseq.sampling import random_system, seeded, small_language
 
 LANG = ExplicitLanguage.of_tokens(["a", "b", "c", "d"])
 A, B, C, D = (Element(n) for n in "abcd")
+
+
+def random_subset(rng, language):
+    elements = list(language.elements)
+    count = rng.randint(0, len(elements))
+    return FiniteSubset(language, tuple(rng.sample(elements, count)))
 
 
 def _sub(*names):

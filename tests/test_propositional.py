@@ -32,7 +32,6 @@ from conseq.propositional import (
     axioms_without_atom0,
     bridge_axiom,
     certificate_non_derivable,
-    element_wff,
     eval_wff,
     falsifying_valuation,
     formula_subset,
@@ -51,6 +50,11 @@ from conseq.propositional import (
 )
 
 P0, P1, P2 = Atom(0), Atom(1), Atom(2)
+
+
+def element_wff(e):
+    """The formula an element names."""
+    return parse(e.name)
 
 
 def wffs(max_depth=4):

@@ -34,7 +34,24 @@ from conseq.rules import (
     UnaryRule,
     rules_extensionally_equal,
 )
-from conseq.sampling import random_operator_table, random_system, seeded, small_language
+from conseq.sampling import random_closure_family, random_system, seeded, small_language
+
+
+def random_operator_table(rng, language):
+    """A total table for a random consequence operator, built by closing
+    each subset within a random intersection-closed family."""
+    family = random_closure_family(rng, language)
+    table = {}
+    elements = list(language.elements)
+    n = len(elements)
+    for mask in range(1 << n):
+        members = frozenset(elements[i] for i in range(n) if (mask >> i) & 1)
+        closed = [frozenset(s.members) for s in family if members <= frozenset(s.members)]
+        image = frozenset(language.elements)
+        for c in closed:
+            image &= c
+        table[members] = image
+    return table
 
 
 def _el(*names):
@@ -116,6 +133,25 @@ def test_system_validates_rule_ids_and_elements():
     assert saturate(empty, FiniteSubset.of(LANG4, ["a"])).closure == FiniteSubset.of(
         LANG4, ["a"]
     )
+
+
+def test_system_checks_each_distinct_tuple_element_once(monkeypatch):
+    contains = ExplicitLanguage.__contains__
+    asked = []
+
+    def counted(language, element):
+        asked.append(element)
+        return contains(language, element)
+
+    repeated = TupleRule("r", 3, ((X1, X2, A), (X2, X1, A), (A, A, B), (X1, A, B)))
+    monkeypatch.setattr(ExplicitLanguage, "__contains__", counted)
+    RuleSystem("s", LANG4, (repeated,))
+    assert asked == [X1, X2, A, B]
+    y = Element("y")
+    outsider = TupleRule("r", 2, ((A, B), (X1, y), (y, A), (Element("z"), A)))
+    with pytest.raises(DomainError) as info:
+        RuleSystem("s", LANG4, (outsider,))
+    assert str(info.value) == "system s: rule r mentions y outside the language"
 
 
 def test_rule_lookup_by_id_leaves_equality_hashing_and_repr_alone():
@@ -216,12 +252,27 @@ def _oracle_replay(goal, justification, position):
     return Derivation(tuple(steps))
 
 
+def _oracle_ground(system, hypotheses):
+    """The insertable elements with their justifications (hypotheses in
+    sorted order, then the other axioms in rule order) and every tuple
+    rule's (rule id, tuples), in system order."""
+    insertable = {e: ("hyp",) for e in hypotheses}
+    grounded = []
+    for rule in system.rules:
+        if isinstance(rule, UnaryRule):
+            for e in rule.axioms:
+                insertable.setdefault(e, ("axiom", rule.rule_id))
+        else:
+            grounded.append((rule.rule_id, rule.tuples))
+    return insertable, grounded
+
+
 def _round_scan_saturate(system, hypotheses):
     """Every round scans every grounded tuple in rule, then tuple order;
     a tuple fires when its conclusion is new, all its premises are
     present and one of them was derived in the previous round.  Every
     witness is replayed eagerly.  Returns (closure, witnesses dict)."""
-    insertable, grounded = engine._ground(system, hypotheses)
+    insertable, grounded = _oracle_ground(system, hypotheses)
     justification = dict(insertable)
     sequence = list(insertable)
     derived = set(sequence)
