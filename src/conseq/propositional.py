@@ -6,7 +6,10 @@ the three standard schemata, possibly filtered) with detachment, and
 everything runs over an explicit finite formula pool so that the
 generic saturation engine applies unchanged.  Each schema is written
 once, as a shape that recognizes its instances, fills them and bounds
-their printed size; the pool closure fills shapes in semi-naive rounds.
+their printed size.  The pool closure fills shapes in semi-naive rounds
+and returns, with the pool, each shape's fills: exactly its instances in
+the pool, so a system over that pool filters them per variant instead of
+recognizing them again.
 
 Formula syntax: atoms are ``P`` plus a decimal index, negation is
 ``~``, implication is infix ``->`` and every implication is
@@ -273,12 +276,22 @@ def h_transform(w: Wff) -> Wff:
 
 # Each axiom schema is written once, as a shape: a formula whose atoms P0,
 # P1 and P2 stand for the metavariables X, Y and Z.  `_match` recognizes its
-# instances, `_fill` builds them and `subformula_closure` bounds their size.
+# instances, `_fill` builds them and `subformula_closure` bounds their size
+# and records, per shape, the instances it fills.
 _SHAPES = {
     "r1": parse("(P0 -> (P1 -> P0))"),
     "r2": parse("((P0 -> (P1 -> P2)) -> ((P0 -> P1) -> (P0 -> P2)))"),
     "r3": parse("((~P0 -> ~P1) -> (P1 -> P0))"),
 }
+# Per shape, the occurrences of each metavariable, and the printed size of
+# its own symbols: the shape's token minus its metavariables' (P0, P1 and
+# P2 print in 2 characters).  An instance prints in that size plus, per
+# metavariable, its occurrences times the bound formula's printed size.
+_COUNTS = {
+    kind: tuple(shape._token.count(f"P{i}") for i in range(max(atoms(shape)) + 1))
+    for kind, shape in _SHAPES.items()
+}
+_SYMBOLS = {kind: len(shape._token) - 2 * sum(_COUNTS[kind]) for kind, shape in _SHAPES.items()}
 
 
 def _match(shape: Wff, w: Wff, binding: dict[int, Wff]) -> bool:
@@ -294,13 +307,17 @@ def _match(shape: Wff, w: Wff, binding: dict[int, Wff]) -> bool:
     return _match(shape.antecedent, w.antecedent, binding) and _match(shape.consequent, w.consequent, binding)
 
 
-def _fill(shape: Wff, binding: Sequence[Wff]) -> Wff:
-    """The instance of `shape` that puts binding[i] for metavariable i."""
+def _fill(shape: Wff, binding: Sequence[Wff], built: set[Wff]) -> Wff:
+    """The instance of `shape` that puts binding[i] for metavariable i; each
+    node built for it, that is each node outside the binding, goes into `built`."""
     if isinstance(shape, Atom):
         return binding[shape.index]
     if isinstance(shape, Neg):
-        return Neg(_fill(shape.operand, binding))
-    return Impl(_fill(shape.antecedent, binding), _fill(shape.consequent, binding))
+        w = Neg(_fill(shape.operand, binding, built))
+    else:
+        w = Impl(_fill(shape.antecedent, binding, built), _fill(shape.consequent, binding, built))
+    built.add(w)
+    return w
 
 
 def bridge_axiom(n: int) -> Wff:
@@ -308,7 +325,7 @@ def bridge_axiom(n: int) -> Wff:
     R3 with X = P0 and Y = Pn, (~P0 -> ~Pn) -> (Pn -> P0)."""
     if n < 1:
         raise UsageError("bridge axioms are indexed from 1")
-    return _fill(_SHAPES["r3"], (Atom(0), Atom(n)))
+    return _fill(_SHAPES["r3"], (Atom(0), Atom(n)), set())
 
 
 @dataclass(frozen=True)
@@ -341,24 +358,53 @@ def axioms_without_atom0(m: int) -> Schema:
     return Schema("axioms-without-atom0", m)
 
 
+def _positive(w: Wff) -> bool:
+    """Whether an R3 instance is kept by R3_POSITIVE: its negation-erased
+    transform is a tautology."""
+    return is_tautology(h_transform(w))
+
+
+def _avoids_atom0(w: Wff) -> bool:
+    return 0 not in atoms(w)
+
+
+# Per axiom schema: the shapes it draws instances from, and the filter
+# those instances must pass (None keeps them all).
+_AXIOM_SCHEMATA = {
+    "r1": (("r1",), None),
+    "r2": (("r2",), None),
+    "r3": (("r3",), None),
+    "r3-positive": (("r3",), _positive),
+    "axioms-without-atom0": (tuple(_SHAPES), _avoids_atom0),
+}
+
+
+def _axiom_instances(
+    schema: Schema, instances: Mapping[str, Iterable[Wff]], pool: AbstractSet[Wff]
+) -> set[Wff]:
+    """The instances of an axiom schema in the pool, given each shape's
+    instances in it; axioms_without_atom0 adds its bridge axiom when the
+    pool holds it."""
+    kinds, keep = _AXIOM_SCHEMATA[schema.kind]
+    found = {w for kind in kinds for w in instances[kind] if keep is None or keep(w)}
+    if schema.kind == "axioms-without-atom0" and bridge_axiom(schema.index) in pool:
+        found.add(bridge_axiom(schema.index))
+    return found
+
+
 def instantiate_schema(schema: Schema, pool: AbstractSet[Wff]) -> frozenset[tuple[Wff, ...]]:
     """All instances of a schema whose coordinates lie in the pool.
 
-    Axiom schemata yield 1-tuples, detachment schemata yield
+    Axiom schemata yield 1-tuples, recognized by matching every pool
+    formula against their shapes; detachment schemata yield
     (implication, antecedent, consequent) triples.
     """
-    if schema.kind in _SHAPES:
-        return frozenset((w,) for w in pool if _match(_SHAPES[schema.kind], w, {}))
-    if schema.kind == "r3-positive":
-        return frozenset((w,) for w in pool if _match(_SHAPES["r3"], w, {}) and is_tautology(h_transform(w)))
-    if schema.kind == "axioms-without-atom0":
-        bridge = bridge_axiom(schema.index)
-        return frozenset(
-            (w,)
-            for w in pool
-            if w == bridge
-            or (any(_match(shape, w, {}) for shape in _SHAPES.values()) and 0 not in atoms(w))
-        )
+    if schema.kind in _AXIOM_SCHEMATA:
+        instances = {
+            kind: [w for w in pool if _match(_SHAPES[kind], w, {})]
+            for kind in _AXIOM_SCHEMATA[schema.kind][0]
+        }
+        return frozenset((w,) for w in _axiom_instances(schema, instances, pool))
     if schema.kind in ("mp", "mp-restricted"):
         triples = set()
         for w in pool:
@@ -398,9 +444,23 @@ def _bindings(
             yield binding + (w,)
 
 
-def subformula_closure(
-    seeds: Iterable[Wff], size_cap: int, *, max_pool: int = 400
-) -> tuple[Wff, ...]:
+class Pool(tuple):
+    """A formula pool: distinct, subformula-closed formulas in token order.
+
+    A tuple, so it compares, iterates and measures like one.  `instances`
+    maps each axiom shape's kind ("r1", "r2", "r3") to that shape's
+    instances in the pool.
+    """
+
+    instances: Mapping[str, tuple[Wff, ...]]
+
+    def __new__(cls, formulas: Iterable[Wff], instances: Mapping[str, tuple[Wff, ...]]) -> "Pool":
+        pool = super().__new__(cls, formulas)
+        pool.instances = instances
+        return pool
+
+
+def subformula_closure(seeds: Iterable[Wff], size_cap: int, *, max_pool: int = 400) -> Pool:
     """Close a formula set under subformulas and axiom instances.
 
     Every axiom-schema instance over the pool whose printed size stays
@@ -416,8 +476,16 @@ def subformula_closure(
     all-old binding was offered then) and ranks only the new formulas.
     Each node stores its hash and token, set at construction from its
     children's, so a candidate is hashed and ranked without a walk or a
-    second printing; only its nodes outside the pool and this round are
-    visited.
+    second printing.  A filled instance's subformulas are its bound
+    formulas, already in the pool, and the nodes built for it, which
+    `_fill` collects as it builds them; those outside the pool are new.
+
+    The result is a `Pool` that records every instance filled, per shape.
+    The record is exact: every pool formula fits the cap (seeds over it
+    are refused, subformulas are shorter and fills stay within it), and
+    the last round adds nothing, so every instance whose binding lies in
+    the final pool was filled; the fills of a shape are its instances in
+    the pool, as `instantiate_schema` would recognize them.
     """
     pool: set[Wff] = set()
     for w in seeds:
@@ -427,42 +495,34 @@ def subformula_closure(
             )
         pool |= subformulas(w)
 
+    fills: dict[str, list[Wff]] = {kind: [] for kind in _SHAPES}
     old: list[tuple[int, Wff]] = []  # the pool outside `new` as (printed length, formula), shortest first
     new = pool
     while True:
         ranked_new = sorted(((len(w._token), w) for w in new), key=itemgetter(0))
         ranked = sorted(old + ranked_new, key=itemgetter(0))  # merges the two sorted runs
-        fresh: set[Wff] = set()
-
-        def offer(candidate: Wff) -> None:
-            # pool and fresh are both subformula-closed, so the walk stops
-            # at any node already in either of them.
-            stack = [candidate]
-            while stack:
-                v = stack.pop()
-                if v in pool or v in fresh:
-                    continue
-                fresh.add(v)
-                stack.extend(_children(v))
-
-        for shape in _SHAPES.values():
-            token = shape._token  # its metavariables P0, P1, P2 print in 2 characters
-            counts = [token.count(f"P{i}") for i in range(max(atoms(shape)) + 1)]
+        built: set[Wff] = set()
+        for kind, shape in _SHAPES.items():
+            counts, filled = _COUNTS[kind], fills[kind]
             for j in range(len(counts)):  # j: the first metavariable bound to a new formula
                 lists = [old] * j + [ranked_new] + [ranked] * (len(counts) - 1 - j)
-                for binding in _bindings(counts, lists, size_cap - len(token) + 2 * sum(counts)):
-                    offer(_fill(shape, binding))
+                for binding in _bindings(counts, lists, size_cap - _SYMBOLS[kind]):
+                    filled.append(_fill(shape, binding, built))
 
-        if not fresh:
+        built -= pool
+        if not built:
             break
-        pool |= fresh
+        pool |= built
         if len(pool) > max_pool:
             raise UsageError(
                 f"pool grew past {max_pool} formulas under size cap {size_cap}; "
                 "lower the cap or raise max_pool"
             )
-        old, new = ranked, fresh
-    return tuple(sorted(pool, key=attrgetter("_token")))
+        old, new = ranked, built
+    return Pool(
+        sorted(pool, key=attrgetter("_token")),
+        {kind: tuple(filled) for kind, filled in fills.items()},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +540,24 @@ def _check_variant(variant: str, n: int | None) -> None:
         raise UsageError(f"variant {variant} needs an index n >= 1")
 
 
+def _as_pool(formulas: Iterable[Wff]) -> Pool:
+    """The `Pool` of a caller-given formula collection: refused unless
+    subformula-closed, with each shape's instances recognized."""
+    members = set(formulas)
+    ordered = sorted(members, key=attrgetter("_token"))
+    for w in ordered:
+        for part in _children(w):
+            if part not in members:
+                raise UsageError(
+                    f"pool is not subformula-closed: {wff_to_text(part)}, "
+                    f"part of {wff_to_text(w)}, is missing"
+                )
+    return Pool(
+        ordered,
+        {s.kind: tuple(w for (w,) in instantiate_schema(s, members)) for s in (R1, R2, R3)},
+    )
+
+
 def pd_system(
     variant: str, pool: Sequence[Wff], *, n: int | None = None, name: str | None = None
 ) -> RuleSystem:
@@ -495,28 +573,28 @@ def pd_system(
                    negation-erased transform is a tautology), plus the
                    bridge axiom of index n; unrestricted detachment
 
-    The pool becomes the language, one element per formula (named by its
-    token).  The pool must be subformula-closed; checking every member's
-    immediate parts suffices, by induction.  Both relations are grounded
-    here, once, over the whole pool: the axiom instances become an axiom
-    set, and the detachment triples (implication, antecedent,
-    consequent) a 3-ary tuple rule "mp", sorted by their elements' names
-    so tuple numbers, and with them witnesses, do not depend on set
-    order.
+    The pool must be non-empty; it becomes the language, one element per
+    formula (named by its token).  A `Pool` from `subformula_closure` is
+    taken as it is: already sorted, distinct and closed, with each
+    shape's instances recorded.  Any other pool must be
+    subformula-closed (checking every member's immediate parts
+    suffices, by induction) and is made a `Pool`, its shapes' instances
+    recognized by `instantiate_schema`.  Each variant then filters the
+    shapes' instances by the predicates `instantiate_schema` applies.
+    Both relations are grounded here, once, over the whole pool: the
+    axiom instances become an axiom set, and the detachment triples
+    (implication, antecedent, consequent) a 3-ary tuple rule "mp",
+    sorted by their elements' names so tuple numbers, and with them
+    witnesses, do not depend on set order.
     """
     _check_variant(variant, n)
     if variant == "standard" and n is not None:
         raise UsageError("variant standard takes no index")
-    element_of = {w: wff_element(w) for w in sorted(set(pool), key=attrgetter("_token"))}
-    if not element_of:
+    if not isinstance(pool, Pool):
+        pool = _as_pool(pool)
+    if not pool:
         raise UsageError("the formula pool must be non-empty")
-    for w in element_of:
-        for part in _children(w):
-            if part not in element_of:
-                raise UsageError(
-                    f"pool is not subformula-closed: {wff_to_text(part)}, "
-                    f"part of {wff_to_text(w)}, is missing"
-                )
+    element_of = {w: wff_element(w) for w in pool}
 
     if variant == "missing-atom":
         axiom_schemata = (axioms_without_atom0(n),)
@@ -524,9 +602,9 @@ def pd_system(
         axiom_schemata = (R1, R2, R3_POSITIVE)
     else:
         axiom_schemata = (R1, R2, R3)
-    axiom_wffs = {
-        w for schema in axiom_schemata for (w,) in instantiate_schema(schema, element_of.keys())
-    }
+    axiom_wffs = set().union(
+        *(_axiom_instances(schema, pool.instances, element_of.keys()) for schema in axiom_schemata)
+    )
     if variant == "positive" and bridge_axiom(n) in element_of:
         axiom_wffs.add(bridge_axiom(n))
 
@@ -538,7 +616,7 @@ def pd_system(
     axioms = UnaryRule(
         "axioms", FiniteSubset(language, tuple(element_of[w] for w in axiom_wffs))
     )
-    mp = TupleRule("mp", 3, tuple(tuple(element_of[w] for w in t) for t in triples))
+    mp = TupleRule("mp", 3, tuple((element_of[w], element_of[a], element_of[c]) for w, a, c in triples))
     system_name = name or (variant if n is None else f"{variant}-{n}")
     return RuleSystem(system_name, language, (axioms, mp))
 
@@ -574,7 +652,9 @@ def search_pool(
     the query seeds.
 
     The pool is the subformula closure of the hypotheses, the goal and,
-    for the variants that have one, the bridge axiom of index n.  The
+    for the variants that have one, the bridge axiom of index n; the
+    system over it takes its axioms from the instances the closure
+    filled, so detachment is the one schema instantiated.  The
     standard variant ignores n.  A bridge axiom longer than `size_cap`
     is refused with an error that names it and the cap it needs.  A
     `size_cap` or `max_pool` below 1 is refused with an error that

@@ -328,8 +328,7 @@ def test_pd_search_builds_and_saturates_its_pool_once(capsys, monkeypatch, argv,
     instantiate = conseq.propositional.instantiate_schema
 
     def instantiate_counted(schema, pool):
-        if schema.kind.startswith("mp"):
-            calls["mp"] += 1
+        calls["mp" if schema.kind.startswith("mp") else "axioms"] += 1
         return instantiate(schema, pool)
 
     monkeypatch.setattr(conseq.propositional, "instantiate_schema", instantiate_counted)
@@ -337,6 +336,8 @@ def test_pd_search_builds_and_saturates_its_pool_once(capsys, monkeypatch, argv,
     assert code == expected
     # detachment is instantiated once, by pd_system, however many searches follow
     assert calls == {"subformula_closure": 1, "saturate": 1, "mp": 1}
+    # the axioms are the closure's own fills, not recognized again
+    assert calls["axioms"] == 0
 
 
 def test_example_runs_scenarios(capsys):
@@ -568,12 +569,18 @@ def test_fuzz_pd_formula_commands(command, text):
     st.sampled_from([None, "0", "1", "2"]),
     st.lists(formula_texts, max_size=4).map(",".join),
     formula_texts,
+    st.integers(min_value=0, max_value=16),
+    st.integers(min_value=0, max_value=60),
+    # small step bounds: minimal-size search grows fast with the bound
+    st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
 )
-@example("standard", None, "P\u00b2", "P0")
-@example("standard", None, ",".join(["P1"] * 1500), "P2")
-def test_fuzz_pd_search(variant, n, hyps, goal):
+@example("standard", None, "P\u00b2", "P0", 12, 60, None)
+@example("standard", None, ",".join(["P1"] * 1500), "P2", 12, 60, None)
+def test_fuzz_pd_search(variant, n, hyps, goal, size_cap, pool_cap, max_steps):
     argv = ["pd", "search", "--variant", variant, f"--hyp={hyps}", f"--goal={goal}"]
-    argv += ["--size-cap", "12", "--pool-cap", "60"] + (["--n", n] if n is not None else [])
+    argv += ["--size-cap", str(size_cap), "--pool-cap", str(pool_cap)]
+    argv += ["--n", n] if n is not None else []
+    argv += ["--max-steps", str(max_steps)] if max_steps is not None else []
     assert exit_code(argv) in (0, 1, 2)
 
 

@@ -433,22 +433,44 @@ def _closure_or_error(closure, seeds, size_cap, max_pool):
         return str(exc)
 
 
-@settings(deadline=None, max_examples=60)
-@given(
-    st.lists(wffs(max_depth=2), min_size=1, max_size=3),
-    st.integers(min_value=4, max_value=22),
-    st.integers(min_value=5, max_value=400),
-)
-# pools of 7, 52 and 120 formulas: the third round adds nothing
-@example([Impl(Neg(P0), Neg(P1)), P1, P0, bridge_axiom(1)], 22, 400)
-# eleven rounds, ending at 1966 formulas
-@example([Impl(P0, P0)], 34, 2000)
-# pools of 1, 6, 35, 135 and 282 formulas, then 389 crosses max_pool
-@example([P0], 30, 300)
+def closure_cases(test):
+    """Run `test(seeds, size_cap, max_pool)` on drawn closure inputs."""
+    cases = given(
+        st.lists(wffs(max_depth=2), min_size=1, max_size=3),
+        st.integers(min_value=4, max_value=22),
+        st.integers(min_value=5, max_value=400),
+    )(test)
+    # pools of 7, 52 and 120 formulas: the third round adds nothing
+    cases = example([Impl(Neg(P0), Neg(P1)), P1, P0, bridge_axiom(1)], 22, 400)(cases)
+    # eleven rounds, ending at 1966 formulas
+    cases = example([Impl(P0, P0)], 34, 2000)(cases)
+    # pools of 1, 6, 35, 135 and 282 formulas, then 389 crosses max_pool
+    cases = example([P0], 30, 300)(cases)
+    return settings(deadline=None, max_examples=60)(cases)
+
+
+@closure_cases
 def test_subformula_closure_matches_the_definitional_closure(seeds, size_cap, max_pool):
     assert _closure_or_error(subformula_closure, seeds, size_cap, max_pool) == _closure_or_error(
         _definitional_closure, seeds, size_cap, max_pool
     )
+
+
+@closure_cases
+def test_closure_records_the_instances_recognition_finds(seeds, size_cap, max_pool):
+    try:
+        pool = subformula_closure(seeds, size_cap, max_pool=max_pool)
+    except UsageError:
+        return
+    members = frozenset(pool)
+    for schema in (R1, R2, R3):
+        recorded = pool.instances[schema.kind]
+        assert len(set(recorded)) == len(recorded)
+        assert {(w,) for w in recorded} == instantiate_schema(schema, members)
+    # the closure's record and recognition over a plain tuple ground the same system
+    for variant in VARIANTS:
+        for n in [None] if variant == "standard" else [1, 2]:
+            assert pd_system(variant, pool, n=n) == pd_system(variant, tuple(pool), n=n)
 
 
 # ---------------------------------------------------------------------------
