@@ -76,6 +76,27 @@ ENUMERATED_QUERIES = (
     ["bounded", "--hyp", "f7", "--steps", "9"],
 )
 
+# `pd search` queries whose output does not depend on when the truth
+# table runs: a certified query whose pool overflows, a certified query
+# whose bridge axiom outgrows the size cap, a goal that is a hypothesis,
+# and a derivable query over 21 atoms whose 2^21-row truth table is far
+# larger than its 222-formula pool.
+PD_EDGE_QUERIES = (
+    ["--hyp", "(P2 -> P0)", "--goal", "(P1 -> P0)", "--pool-cap", "3"],
+    ["--variant", "positive", "--n", "2", "--hyp", "((P0 -> P0) -> (P0 -> P0))", "--goal", "P0", "--size-cap", "18"],
+    ["--hyp", "P1, (P1 -> P2)", "--goal", "P1"],
+    [
+        "--hyp",
+        ", ".join([f"P{i}" for i in range(1, 21)] + ["(P20 -> P0)"]),
+        "--goal",
+        "P0",
+        "--size-cap",
+        "14",
+        "--pool-cap",
+        "1000000",
+    ],
+)
+
 
 def golden_argv():
     argvs = []
@@ -97,6 +118,8 @@ def golden_argv():
         argvs.append(["pd", "search", "--variant", variant] + extra)
     for extra in ENUMERATED_QUERIES:
         argvs.append([extra[0], "--system", "tests/data/enumerated.system"] + extra[1:])
+    for extra in PD_EDGE_QUERIES:
+        argvs.append(["pd", "search"] + extra)
     return argvs
 
 

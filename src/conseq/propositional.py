@@ -243,17 +243,28 @@ def eval_wff(w: Wff, valuation: Valuation) -> bool:
     return (not eval_wff(w.antecedent, valuation)) or eval_wff(w.consequent, valuation)
 
 
+def _holds(w: Wff, shift: Mapping[int, int], mask: int) -> bool:
+    """Truth of `w` when atom i takes bit shift[i] of `mask`."""
+    if isinstance(w, Atom):
+        return bool(mask >> shift[w.index] & 1)
+    if isinstance(w, Neg):
+        return not _holds(w.operand, shift, mask)
+    return not _holds(w.antecedent, shift, mask) or _holds(w.consequent, shift, mask)
+
+
 def falsifying_valuation(w: Wff) -> Valuation | None:
     """First falsifying assignment in binary-counting order (lowest
-    atom index is the most significant bit), or None for a tautology."""
+    atom index is the most significant bit), or None for a tautology.
+
+    Each candidate is a mask read bit by bit, so an atom's value is one
+    shift; only the falsifier returned becomes a `Valuation`.
+    """
     indices = sorted(atoms(w))
     k = len(indices)
+    shift = {index: k - 1 - j for j, index in enumerate(indices)}
     for mask in range(1 << k):
-        valuation = Valuation.of(
-            {indices[j]: bool((mask >> (k - 1 - j)) & 1) for j in range(k)}
-        )
-        if not eval_wff(w, valuation):
-            return valuation
+        if not _holds(w, shift, mask):
+            return Valuation.of({index: bool(mask >> s & 1) for index, s in shift.items()})
     return None
 
 
@@ -392,12 +403,14 @@ def _axiom_instances(
     return found
 
 
-def instantiate_schema(schema: Schema, pool: AbstractSet[Wff]) -> frozenset[tuple[Wff, ...]]:
+def instantiate_schema(schema: Schema, pool: AbstractSet[Wff] | Pool) -> frozenset[tuple[Wff, ...]]:
     """All instances of a schema whose coordinates lie in the pool.
 
     Axiom schemata yield 1-tuples, recognized by matching every pool
     formula against their shapes; detachment schemata yield
-    (implication, antecedent, consequent) triples.
+    (implication, antecedent, consequent) triples.  Detachment checks
+    that an implication's parts are in the pool, except in a `Pool`,
+    which is subformula-closed by construction.
     """
     if schema.kind in _AXIOM_SCHEMATA:
         instances = {
@@ -406,11 +419,12 @@ def instantiate_schema(schema: Schema, pool: AbstractSet[Wff]) -> frozenset[tupl
         }
         return frozenset((w,) for w in _axiom_instances(schema, instances, pool))
     if schema.kind in ("mp", "mp-restricted"):
+        closed = isinstance(pool, Pool)
         triples = set()
         for w in pool:
             if not isinstance(w, Impl):
                 continue
-            if w.antecedent not in pool or w.consequent not in pool:
+            if not closed and (w.antecedent not in pool or w.consequent not in pool):
                 continue
             # restricted detachment drops P<i> -> P0 for every i >= 1 but its index
             if (
@@ -610,7 +624,7 @@ def pd_system(
 
     detachment = MP if variant != "restricted-mp" else mp_restricted(n)
     # each triple's implication is its own, so sorting by its name sorts by all three names
-    triples = sorted(instantiate_schema(detachment, element_of.keys()), key=lambda t: t[0]._token)
+    triples = sorted(instantiate_schema(detachment, pool), key=lambda t: t[0]._token)
 
     language = ExplicitLanguage(tuple(element_of.values()))
     axioms = UnaryRule(
@@ -639,7 +653,7 @@ class PoolSearch:
     result: SaturationResult
 
 
-def search_pool(
+def query_pool(
     variant: str,
     hypotheses: Sequence[Wff],
     goal: Wff,
@@ -647,22 +661,18 @@ def search_pool(
     n: int | None = None,
     size_cap: int = DEFAULT_SIZE_CAP,
     max_pool: int = DEFAULT_MAX_POOL,
-) -> PoolSearch:
-    """Saturate `hypotheses` in the variant's system over the pool that
-    the query seeds.
+) -> Pool:
+    """The pool a query seeds: the subformula closure of the hypotheses,
+    the goal and, for the variants that have one, the bridge axiom of
+    index n.
 
-    The pool is the subformula closure of the hypotheses, the goal and,
-    for the variants that have one, the bridge axiom of index n; the
-    system over it takes its axioms from the instances the closure
-    filled, so detachment is the one schema instantiated.  The
-    standard variant ignores n.  A bridge axiom longer than `size_cap`
-    is refused with an error that names it and the cap it needs.  A
-    `size_cap` or `max_pool` below 1 is refused with an error that
-    names its command-line flag, and an unknown variant or a missing or
-    non-positive n with `pd_system`'s error, before any pool is built.
+    The standard variant ignores n.  A bridge axiom longer than
+    `size_cap` is refused with an error that names it and the cap it
+    needs.  A `size_cap` or `max_pool` below 1 is refused with an error
+    that names its command-line flag, and an unknown variant or a
+    missing or non-positive n with `pd_system`'s error, before any pool
+    is built.
     """
-    from .engine import saturate  # local import keeps module layering flat
-
     for flag, cap in (("--size-cap", size_cap), ("--pool-cap", max_pool)):
         if cap < 1:
             raise UsageError(f"{flag} must be at least 1, not {cap}")
@@ -677,10 +687,45 @@ def search_pool(
                 f"which needs --size-cap {needed} or more, not {size_cap}"
             )
         seeds.append(bridge)
-    pool = subformula_closure(seeds, size_cap, max_pool=max_pool)
+    return subformula_closure(seeds, size_cap, max_pool=max_pool)
+
+
+def saturate_pool(
+    variant: str, pool: Pool, hypotheses: Sequence[Wff], *, n: int | None = None
+) -> PoolSearch:
+    """Saturate `hypotheses` in the variant's system over `pool`, the
+    `query_pool` of a query with these hypotheses.
+
+    The system takes its axioms from the instances the closure filled,
+    so detachment is the one schema instantiated.  The standard variant
+    ignores n.
+    """
+    from .engine import saturate  # local import keeps module layering flat
+
     system = pd_system(variant, pool, n=None if variant == "standard" else n)
     hyp_subset = formula_subset(system, hypotheses)
     return PoolSearch(system, hyp_subset, saturate(system, hyp_subset))
+
+
+def search_pool(
+    variant: str,
+    hypotheses: Sequence[Wff],
+    goal: Wff,
+    *,
+    n: int | None = None,
+    size_cap: int = DEFAULT_SIZE_CAP,
+    max_pool: int = DEFAULT_MAX_POOL,
+) -> PoolSearch:
+    """Saturate `hypotheses` in the variant's system over the pool that
+    the query seeds: `saturate_pool` over `query_pool`, whose errors it
+    raises.
+
+    It always grounds and saturates.  `pd search` builds the pool first
+    and runs `certificate_first` before it saturates, which skips both
+    for a falsified chain; this search is that shortcut's reference.
+    """
+    pool = query_pool(variant, hypotheses, goal, n=n, size_cap=size_cap, max_pool=max_pool)
+    return saturate_pool(variant, pool, hypotheses, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +758,43 @@ class BoundedEvidence:
 CertificateResult = Union[Certified, BoundedEvidence]
 
 
+def _chain(hypotheses: Sequence[Wff], goal: Wff) -> Wff:
+    """The hypotheses-to-goal implication chain (h1 -> (h2 -> ... goal))."""
+    chain = goal
+    for h in reversed(hypotheses):
+        chain = Impl(h, chain)
+    return chain
+
+
+def _certified(chain: Wff, goal: Wff) -> Certified | None:
+    """The certificate of the chain's first falsifier, or None for a tautology."""
+    valuation = falsifying_valuation(chain)
+    if valuation is None:
+        return None
+    return Certified(goal=goal, transform=chain, valuation=valuation)
+
+
+def certificate_first(hypotheses: Sequence[Wff], goal: Wff, pool: Sequence[Wff]) -> Certified | None:
+    """The truth-table certificate of a query whose pool is built but
+    not yet grounded, or None.
+
+    The table runs only where it costs no more than grounding: the
+    hypotheses-to-goal chain has at most MAX_DEPTH hypotheses and its
+    2^k valuations (k distinct atoms) are no more than the pool's
+    formulas, each of which grounding and saturation visit at least
+    once.  A falsifier gives the same `Certified` as
+    `certificate_non_derivable`; every variant is sound, so that goal
+    is not in the pool's closure either.  None when the table does not
+    run or the chain is a tautology.
+    """
+    if len(hypotheses) > MAX_DEPTH:
+        return None
+    chain = _chain(hypotheses, goal)
+    if 1 << len(atoms(chain)) > len(pool):
+        return None
+    return _certified(chain, goal)
+
+
 def certificate_non_derivable(
     variant: str,
     hypotheses: Sequence[Wff],
@@ -735,6 +817,11 @@ def certificate_non_derivable(
     and reporting the failed search.  A goal derivable within the caps,
     an unknown variant and a parametrized one without n >= 1 are refused.
 
+    The truth table runs first here, whatever its size, and no pool is
+    built for a falsified chain.  `pd search` builds its pool first,
+    tries `certificate_first`, and calls this only after a saturation
+    that missed the goal.
+
     `search`, when given, must be `search_pool` of this same query and
     caps; it is used in place of saturating the pool again.
     """
@@ -747,12 +834,9 @@ def certificate_non_derivable(
             f"not {len(hypotheses)}"
         )
 
-    transform = goal
-    for h in reversed(hypotheses):
-        transform = Impl(h, transform)
-    valuation = falsifying_valuation(transform)
-    if valuation is not None:
-        return Certified(goal=goal, transform=transform, valuation=valuation)
+    certificate = _certified(_chain(hypotheses, goal), goal)
+    if certificate is not None:
+        return certificate
 
     if search is None:
         search = search_pool(variant, hypotheses, goal, n=n, size_cap=size_cap, max_pool=max_pool)

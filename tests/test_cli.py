@@ -23,7 +23,10 @@ from hypothesis import strategies as st
 import conseq.cli
 import conseq.engine
 import conseq.propositional
+from conseq import propositional as pd
 from conseq.cli import main
+from conseq.engine import check_step_cap, min_derivation_size
+from conseq.errors import ConseqError
 
 ROOT = Path(__file__).parent.parent
 SYSTEMS = ROOT / "systems"
@@ -300,16 +303,22 @@ def test_pd_search_reports_bounded_evidence(capsys):
     assert "evidence only, not a proof" in out
 
 
+SEARCHED = {"subformula_closure": 1, "saturate": 1, "mp": 1}
+
+
 @pytest.mark.parametrize(
-    "argv, expected",
+    "argv, expected, searched",
     [
-        (["--hyp", "(P1 -> P0), P1", "--goal", "P0", "--size-cap", "8", "--max-steps", "5"], 0),
-        (["--hyp", "(P2 -> P0)", "--goal", "(P1 -> P0)", "--size-cap", "10"], 1),
-        (["--variant", "restricted-mp", "--n", "1", "--hyp", "(P2 -> P0), P2", "--goal", "P0"], 1),
+        (["--hyp", "(P1 -> P0), P1", "--goal", "P0", "--size-cap", "8", "--max-steps", "5"], 0, SEARCHED),
+        # 8 valuations, 21 pool formulas: the truth table certifies before anything is grounded
+        (["--hyp", "(P2 -> P0)", "--goal", "(P1 -> P0)", "--size-cap", "14"], 1, {"subformula_closure": 1}),
+        # 8 valuations, 5 pool formulas: the pool is searched before the truth table runs
+        (["--hyp", "(P2 -> P0)", "--goal", "(P1 -> P0)", "--size-cap", "10"], 1, SEARCHED),
+        (["--variant", "restricted-mp", "--n", "1", "--hyp", "(P2 -> P0), P2", "--goal", "P0"], 1, SEARCHED),
     ],
-    ids=["derived", "certified", "bounded"],
+    ids=["derived", "certified", "certified-small-pool", "bounded"],
 )
-def test_pd_search_builds_and_saturates_its_pool_once(capsys, monkeypatch, argv, expected):
+def test_pd_search_builds_and_saturates_its_pool_once(capsys, monkeypatch, argv, expected, searched):
     calls = Counter()
 
     def counted(name, fn):
@@ -335,9 +344,77 @@ def test_pd_search_builds_and_saturates_its_pool_once(capsys, monkeypatch, argv,
     code, _, _ = run(capsys, "pd", "search", *argv)
     assert code == expected
     # detachment is instantiated once, by pd_system, however many searches follow
-    assert calls == {"subformula_closure": 1, "saturate": 1, "mp": 1}
+    assert calls == searched
     # the axioms are the closure's own fills, not recognized again
     assert calls["axioms"] == 0
+
+
+def _search_first(variant, n, hypotheses, goal, size_cap, pool_cap, max_steps):
+    """`pd search` searching its pool before it looks at the truth table:
+    (exit code, stdout, stderr)."""
+    try:
+        if max_steps is not None:
+            check_step_cap(max_steps)
+        search = pd.search_pool(variant, hypotheses, goal, n=n, size_cap=size_cap, max_pool=pool_cap)
+        goal_element = pd.wff_element(goal)
+        if goal_element in search.result.closure:
+            out = ""
+            if max_steps is not None:
+                size = min_derivation_size(search.system, search.hypotheses, goal_element, cap=max_steps)
+                if size is None:
+                    return 1, f"derivable, but not within {max_steps} steps\n", ""
+                out = f"minimal steps: {size}\n"
+            return 0, out + search.result.witnesses[goal_element].render() + "\n", ""
+        certificate = pd.certificate_non_derivable(
+            variant, hypotheses, goal, n=n, size_cap=size_cap, max_pool=pool_cap, search=search
+        )
+    except ConseqError as exc:
+        return 2, "", f"error: {exc}\n"
+    if isinstance(certificate, pd.Certified):
+        text = pd.wff_to_text(certificate.transform)
+        return 1, f"not derivable: {text} is falsified by {certificate.valuation}\n", ""
+    return 1, (
+        f"not derived: search exhausted a pool of {certificate.pool_size} formulas "
+        f"(size cap {certificate.size_cap}); evidence only, not a proof\n"
+    ), ""
+
+
+small_wffs = st.recursive(
+    st.integers(min_value=0, max_value=3).map(pd.Atom),
+    lambda inner: st.one_of(st.builds(pd.Neg, inner), st.builds(pd.Impl, inner, inner)),
+    max_leaves=4,
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.sampled_from([("standard", None)] + [(v, n) for v in pd.VARIANTS[1:] for n in (1, 2)]),
+    st.lists(small_wffs, max_size=3),
+    small_wffs,
+    st.sampled_from([8, 14, 22]),
+    st.sampled_from([3, 40, 150, 400]),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=2)),
+)
+@example(("standard", None), [pd.parse("(P2 -> P0)")], pd.parse("(P1 -> P0)"), 22, 3, None)
+@example(("positive", 2), [pd.parse("((P0 -> P0) -> (P0 -> P0))")], pd.Atom(0), 18, 400, None)
+@example(("positive", 0), [pd.Atom(1)], pd.Atom(0), 22, 400, None)
+@example(("standard", None), [pd.Atom(1), pd.parse("(P1 -> P2)")], pd.Atom(1), 22, 150, 1)
+@example(("standard", None), [pd.Atom(1)] * (pd.MAX_DEPTH + 1), pd.Atom(2), 4, 3, None)
+def test_pd_search_prints_what_searching_first_prints(
+    variant_n, hypotheses, goal, size_cap, pool_cap, max_steps
+):
+    variant, n = variant_n
+    argv = ["pd", "search", "--variant", variant, "--goal", pd.wff_to_text(goal)]
+    argv += ["--hyp", ", ".join(pd.wff_to_text(h) for h in hypotheses)]
+    argv += ["--size-cap", str(size_cap), "--pool-cap", str(pool_cap)]
+    argv += ["--n", str(n)] if n is not None else []
+    argv += ["--max-steps", str(max_steps)] if max_steps is not None else []
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert (code, out.getvalue(), err.getvalue()) == _search_first(
+        variant, n, hypotheses, goal, size_cap, pool_cap, max_steps
+    )
 
 
 def test_example_runs_scenarios(capsys):

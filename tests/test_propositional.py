@@ -26,11 +26,13 @@ from conseq.propositional import (
     Certified,
     Impl,
     Neg,
+    Pool,
     Schema,
     Valuation,
     atoms,
     axioms_without_atom0,
     bridge_axiom,
+    certificate_first,
     certificate_non_derivable,
     eval_wff,
     falsifying_valuation,
@@ -264,6 +266,28 @@ def test_tautology_agrees_with_exhaustive_evaluation(w):
     assert is_tautology(w) == brute
 
 
+def _valuation_loop_falsifier(w):
+    """The definitional search: a sorted `Valuation` per candidate, read
+    atom by atom through `value_of`, in binary-counting order."""
+    indices = sorted(atoms(w))
+    k = len(indices)
+    for mask in range(1 << k):
+        valuation = Valuation.of({indices[j]: bool((mask >> (k - 1 - j)) & 1) for j in range(k)})
+        if not eval_wff(w, valuation):
+            return valuation
+    return None
+
+
+@settings(deadline=None, max_examples=200)
+@given(wffs())
+@example(Impl(Impl(P2, P0), Impl(P1, P0)))
+@example(Impl(Atom(5), Impl(Atom(3), Atom(3))))
+def test_falsifying_valuation_matches_the_valuation_loop(w):
+    found = falsifying_valuation(w)
+    assert found == _valuation_loop_falsifier(w)
+    assert found is None or str(found) == str(_valuation_loop_falsifier(w))
+
+
 def test_h_transform_erases_negations():
     assert h_transform(Neg(Neg(P0))) == P0
     bridged = h_transform(bridge_axiom(1))
@@ -309,6 +333,16 @@ def test_detachment_instantiation_and_restriction():
     assert limited == frozenset({(impl1, P1, P0), (other, P0, P1)})
     # consequences must also be in the pool
     assert instantiate_schema(MP, frozenset({impl1, P1})) == frozenset()
+
+
+def test_detachment_trusts_a_pool_to_be_subformula_closed():
+    pool = subformula_closure([Impl(P2, P0), Impl(P1, P0), P1], 10)
+    assert instantiate_schema(MP, pool) == instantiate_schema(MP, frozenset(pool))
+    assert instantiate_schema(mp_restricted(1), pool) == instantiate_schema(mp_restricted(1), frozenset(pool))
+    # a Pool's parts are not looked up; any other collection's are
+    unclosed = (Impl(P1, P0),)
+    assert instantiate_schema(MP, Pool(unclosed, {})) == frozenset({(Impl(P1, P0), P1, P0)})
+    assert instantiate_schema(MP, unclosed) == frozenset()
 
 
 def test_axioms_without_atom0_keep_only_the_bridge():
@@ -777,3 +811,64 @@ def test_certificate_takes_at_most_max_depth_hypotheses():
     assert str(info.value) == (
         f"a non-derivability certificate takes at most {MAX_DEPTH} hypotheses, not {MAX_DEPTH + 1}"
     )
+
+
+def _chain(hypotheses, goal):
+    for h in reversed(hypotheses):
+        goal = Impl(h, goal)
+    return goal
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.sampled_from(VARIANTS),
+    st.sampled_from([1, 2]),
+    st.lists(wffs(max_depth=2), max_size=3),
+    wffs(max_depth=2),
+    st.sampled_from([6, 10, 14, 22]),
+)
+@example("standard", 1, [Impl(P2, P0)], Impl(P1, P0), 14)
+@example("positive", 1, [Impl(Neg(P0), Neg(P1)), P1], P0, 22)
+def test_a_falsified_chain_keeps_its_goal_out_of_the_closure(variant, n, hypotheses, goal, size_cap):
+    # the search is the reference for certifying before grounding
+    n = None if variant == "standard" else n
+    try:
+        search = search_pool(variant, hypotheses, goal, n=n, size_cap=size_cap, max_pool=400)
+    except UsageError:
+        return
+    falsified = falsifying_valuation(_chain(hypotheses, goal)) is not None
+    if falsified:
+        assert wff_element(goal) not in search.result.closure
+    pool = search.system.language.elements
+    first = certificate_first(hypotheses, goal, pool)
+    if first is not None:
+        assert falsified
+        assert first == certificate_non_derivable(variant, hypotheses, goal, n=n)
+
+
+def test_certificate_first_runs_the_truth_table_only_within_the_pool(monkeypatch):
+    tables = Counter()
+    original = conseq.propositional.falsifying_valuation
+
+    def counted(w):
+        tables[wff_to_text(w)] += 1
+        return original(w)
+
+    monkeypatch.setattr(conseq.propositional, "falsifying_valuation", counted)
+    hyps, goal = [Impl(P2, P0)], Impl(P1, P0)  # three atoms: 8 valuations
+    assert certificate_first(hyps, goal, [P0] * 7) is None
+    assert tables == Counter()
+    assert certificate_first(hyps, goal, [P0] * 8) == certificate_non_derivable("standard", hyps, goal)
+    # a tautological chain within the pool is looked at and left to the search
+    assert certificate_first([Impl(P1, P0), P1], P0, [P0] * 4) is None
+    # more hypotheses than the chain may nest
+    assert certificate_first([P1] * (MAX_DEPTH + 1), P2, [P0] * 10) is None
+    assert certificate_first([P1] * MAX_DEPTH, P2, [P0] * 4) is not None
+    # 21 atoms against 222 formulas: 2^21 valuations are never enumerated
+    many = [Atom(i) for i in range(1, 21)] + [Impl(Atom(20), P0)]
+    assert certificate_first(many, P0, [P0] * 222) is None
+    assert set(tables) == {
+        "((P2 -> P0) -> (P1 -> P0))",
+        "((P1 -> P0) -> (P1 -> P0))",
+        wff_to_text(_chain([P1] * MAX_DEPTH, P2)),
+    }
