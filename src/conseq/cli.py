@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import propositional as pd
 from .csystems import closed_systems
@@ -208,90 +208,182 @@ def _cmd_example(args: argparse.Namespace) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+Argument = tuple[tuple[str, ...], dict[str, Any]]  # add_argument's flags and keywords
+Handler = Callable[[argparse.Namespace], int]
+
+
+class Command(NamedTuple):
+    """One entry of the command table: a leaf runs `handler` on the
+    parsed arguments; a group holds a nested table under `commands`."""
+
+    help: str
+    arguments: tuple[Argument, ...] = ()
+    handler: Handler | None = None
+    commands: dict[str, Command] | None = None
+
+
+def _arg(*flags: str, **options: Any) -> Argument:
+    return flags, options
+
+
+def _command(text: str, handler: Handler, *arguments: Argument) -> Command:
+    return Command(text, arguments, handler)
+
+
+COMMANDS: dict[str, Command] = {
+    "check-axioms": _command(
+        "test the four closure axioms exhaustively",
+        _cmd_check_axioms,
+        _arg("--system", required=True, help="system file"),
+        _arg("--bound", type=int, default=6, help="max language size for exhaustive checks"),
+    ),
+    "saturate": _command(
+        "everything derivable from the hypotheses",
+        _cmd_saturate,
+        _arg("--system", required=True),
+        _arg("--hyp", required=True, help="comma-separated hypothesis elements"),
+    ),
+    "derive": _command(
+        "exhibit a numbered derivation of a goal",
+        _cmd_derive,
+        _arg("--system", required=True),
+        _arg("--hyp", required=True),
+        _arg("--goal", required=True),
+        _arg("--max-steps", type=int, default=None),
+    ),
+    "bounded": _command(
+        "consequences derivable within a step budget",
+        _cmd_bounded,
+        _arg("--system", required=True),
+        _arg("--hyp", required=True),
+        _arg("--steps", type=int, required=True),
+    ),
+    "meet": _command(
+        "pointwise intersection of the systems' operators",
+        _cmd_meet,
+        _arg("--systems", required=True, help="comma-separated system files"),
+        _arg("--hyp", required=True),
+    ),
+    "sup": _command(
+        "least upper bound of the systems' operators",
+        _cmd_sup,
+        _arg("--systems", required=True),
+        _arg("--hyp", required=True),
+        _arg(
+            "--via",
+            choices=("union", "closed-systems"),
+            default="closed-systems",
+            help="compute by saturating the union or from shared closed sets",
+        ),
+    ),
+    "csystems": _command(
+        "list the operator's closed sets",
+        _cmd_csystems,
+        _arg("--system", required=True),
+    ),
+    "pd": Command(
+        "propositional deduction tools",
+        commands={
+            "taut": _command(
+                "decide whether a formula is a tautology", _cmd_pd_taut, _arg("formula")
+            ),
+            "h": _command("erase negations from a formula", _cmd_pd_h, _arg("formula")),
+            "search": _command(
+                "search for a derivation over a capped pool",
+                _cmd_pd_search,
+                _arg("--variant", choices=pd.VARIANTS, default="standard"),
+                _arg("--n", type=int, default=None, help="index for parametrized variants"),
+                _arg("--hyp", default="", help="comma-separated hypothesis formulas"),
+                _arg("--goal", required=True),
+                _arg("--pool-cap", type=int, default=pd.DEFAULT_MAX_POOL, help="max pool size"),
+                _arg("--size-cap", type=int, default=pd.DEFAULT_SIZE_CAP, help="max formula length"),
+                _arg("--max-steps", type=int, default=None),
+            ),
+        },
+    ),
+    "example": _command(
+        "run a named scenario",
+        _cmd_example,
+        _arg("id", help="scenario id; one of: " + ", ".join(scenario_ids())),
+        _arg("--seed", type=int, default=0),
+        _arg("--trials", type=int, default=None),
+    ),
+}
+
+
+def _branch(argv: Sequence[str]) -> list[str] | None:
+    """The command words that lead argv, down to a leaf of COMMANDS, or
+    None when argv does not start by naming one exactly."""
+    table, path = COMMANDS, []
+    for word in argv:
+        command = table.get(word)
+        if command is None:
+            return None
+        path.append(word)
+        if command.commands is None:
+            return path
+        table = command.commands
+    return None
+
+
+def _add_commands(
+    parser: argparse.ArgumentParser, dest: str, table: dict[str, Command], path: list[str] | None
+) -> None:
+    """Give `parser` a sub-parser for each command of `table`, or only
+    for the branch `path` names when there is one."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    names = path[:1] if path else table
+    for name in names:
+        command = table[name]
+        p = sub.add_parser(name, help=command.help)
+        for flags, options in command.arguments:
+            p.add_argument(*flags, **options)
+        if command.commands is None:
+            p.set_defaults(handler=command.handler)
+        else:
+            _add_commands(p, f"{name}_command", command.commands, path[1:] if path else None)
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """A parser for `conseq`, built from COMMANDS on each call.
+
+    When argv's leading words name a command exactly (under `pd`, a
+    `pd` command as well), only that branch is registered: the root
+    plus one or two sub-parsers.  Any other argv -- empty, `-h` first,
+    an unknown or partial word, `pd` without a known subcommand -- gets
+    all 13 parsers, as `build_parser()` does.
+
+    Every word after a command name goes to that command's sub-parser,
+    which is built as in the full parser, so both read argv alike.  They
+    differ only in the root usage line, which the narrow parser prints
+    for one error alone: arguments left over, which `main` therefore
+    hands to the full parser.
+    """
     parser = argparse.ArgumentParser(
         prog="conseq",
         description="Workbench for rule systems and the operators they generate.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check-axioms", help="test the four closure axioms exhaustively")
-    p.add_argument("--system", required=True, help="system file")
-    p.add_argument("--bound", type=int, default=6, help="max language size for exhaustive checks")
-    p.set_defaults(handler=_cmd_check_axioms)
-
-    p = sub.add_parser("saturate", help="everything derivable from the hypotheses")
-    p.add_argument("--system", required=True)
-    p.add_argument("--hyp", required=True, help="comma-separated hypothesis elements")
-    p.set_defaults(handler=_cmd_saturate)
-
-    p = sub.add_parser("derive", help="exhibit a numbered derivation of a goal")
-    p.add_argument("--system", required=True)
-    p.add_argument("--hyp", required=True)
-    p.add_argument("--goal", required=True)
-    p.add_argument("--max-steps", type=int, default=None)
-    p.set_defaults(handler=_cmd_derive)
-
-    p = sub.add_parser("bounded", help="consequences derivable within a step budget")
-    p.add_argument("--system", required=True)
-    p.add_argument("--hyp", required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.set_defaults(handler=_cmd_bounded)
-
-    p = sub.add_parser("meet", help="pointwise intersection of the systems' operators")
-    p.add_argument("--systems", required=True, help="comma-separated system files")
-    p.add_argument("--hyp", required=True)
-    p.set_defaults(handler=_cmd_meet)
-
-    p = sub.add_parser("sup", help="least upper bound of the systems' operators")
-    p.add_argument("--systems", required=True)
-    p.add_argument("--hyp", required=True)
-    p.add_argument(
-        "--via",
-        choices=("union", "closed-systems"),
-        default="closed-systems",
-        help="compute by saturating the union or from shared closed sets",
-    )
-    p.set_defaults(handler=_cmd_sup)
-
-    p = sub.add_parser("csystems", help="list the operator's closed sets")
-    p.add_argument("--system", required=True)
-    p.set_defaults(handler=_cmd_csystems)
-
-    pd_parser = sub.add_parser("pd", help="propositional deduction tools")
-    pd_sub = pd_parser.add_subparsers(dest="pd_command", required=True)
-
-    p = pd_sub.add_parser("taut", help="decide whether a formula is a tautology")
-    p.add_argument("formula")
-    p.set_defaults(handler=_cmd_pd_taut)
-
-    p = pd_sub.add_parser("h", help="erase negations from a formula")
-    p.add_argument("formula")
-    p.set_defaults(handler=_cmd_pd_h)
-
-    p = pd_sub.add_parser("search", help="search for a derivation over a capped pool")
-    p.add_argument("--variant", choices=pd.VARIANTS, default="standard")
-    p.add_argument("--n", type=int, default=None, help="index for parametrized variants")
-    p.add_argument("--hyp", default="", help="comma-separated hypothesis formulas")
-    p.add_argument("--goal", required=True)
-    p.add_argument("--pool-cap", type=int, default=pd.DEFAULT_MAX_POOL, help="max pool size")
-    p.add_argument("--size-cap", type=int, default=pd.DEFAULT_SIZE_CAP, help="max formula length")
-    p.add_argument("--max-steps", type=int, default=None)
-    p.set_defaults(handler=_cmd_pd_search)
-
-    p = sub.add_parser("example", help="run a named scenario")
-    p.add_argument("id", help="scenario id; one of: " + ", ".join(scenario_ids()))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=None)
-    p.set_defaults(handler=_cmd_example)
-
+    _add_commands(parser, "command", COMMANDS, _branch(argv))
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    """Run `conseq <argv>` (sys.argv[1:] when argv is None); return the
+    exit code.
+
+    argv is parsed by `build_parser(argv)`, which builds only the branch
+    argv names: 2 parsers for `saturate`, 3 for `pd search`, all 13 when
+    argv names no command.  Its root usage line names that one command,
+    so when arguments are left over, the full parser parses argv again
+    and prints the "unrecognized arguments" error with the same usage
+    line as for any other argv.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args, extras = build_parser(argv).parse_known_args(argv)
+        if extras:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

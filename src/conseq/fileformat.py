@@ -170,10 +170,11 @@ def dumps_system(system: RuleSystem) -> str:
 
 def load_system(path: str | Path) -> RuleSystem:
     """Load a system file; a file that cannot be read or is not UTF-8
-    text is a usage error naming the path."""
+    text is a usage error naming the path.  A leading byte-order mark is
+    dropped."""
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise UsageError(f"cannot read system file {str(p)!r}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

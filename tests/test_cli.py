@@ -5,6 +5,7 @@ Exit code contract: 0 success / all checks pass, 1 a check failed
 2 malformed usage or unparseable input.
 """
 
+import argparse
 import io
 import json
 import os
@@ -17,7 +18,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import conseq.cli
@@ -701,3 +702,119 @@ def test_fuzz_system_commands(command, lines, hyp, steps, systems):
         if command == "bounded":
             argv += ["--steps", str(steps)]
         assert exit_code(argv) in (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the narrow parser: main parses argv as the full parser would
+
+
+def outputs(run_argv, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_argv(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def full_parser_then_handler(argv):
+    try:
+        args = conseq.cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    try:
+        return args.handler(args)
+    except ConseqError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+COMMAND_PATHS = [
+    [], ["check-axioms"], ["saturate"], ["derive"], ["bounded"], ["meet"], ["sup"], ["csystems"],
+    ["pd"], ["pd", "taut"], ["pd", "h"], ["pd", "search"], ["example"],
+    ["sat"], ["Saturate"], ["pd", "sea"], ["pd", "saturate"], ["search"], ["taut"], ["p"],
+]
+CALLS = [
+    ["check-axioms", "--system", STEPS, "--bound", "3"],
+    ["saturate", "--system", STEPS, "--hyp", "x1,x2"],
+    ["derive", "--system", STEPS, "--hyp", "x1,x2", "--goal", "b"],
+    ["bounded", "--system", STEPS, "--hyp", "x1,x2", "--steps", "1"],
+    ["meet", "--systems", f"{STEPS},{PAIRS}", "--hyp", "a"],
+    ["sup", "--systems", f"{STEPS},{PAIRS}", "--hyp", "a"],
+    ["csystems", "--system", STEPS],
+    ["pd", "taut", "(P0 -> P0)"],
+    ["pd", "h", "~P0"],
+    ["pd", "search", "--hyp", "P0, (P0 -> P1)", "--goal", "P1"],
+    ["example", "2.2"],
+]
+FLAGS = [
+    "--system", "--systems", "--hyp", "--goal", "--bound", "--steps", "--max-steps", "--via",
+    "--variant", "--n", "--pool-cap", "--size-cap", "--seed", "--trials",
+]
+VALUES = [
+    STEPS, "missing.system", "a", "x1,x2", "b", "P0", "(P0 -> P1)", "(P0 ->", "0", "1", "3", "-1",
+    "x", "", "union", "standard", "positive", "2.2",
+]
+argv_words = st.one_of(
+    st.sampled_from(FLAGS + VALUES + ["-h", "--help", "--", "--bogus", "-x", "--sys", "extra"]),
+    st.sampled_from([p[-1] for p in COMMAND_PATHS if p]),
+    st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)).map("=".join),
+)
+
+
+@settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    # a command path or a whole call, then random fragments
+    st.tuples(st.sampled_from(COMMAND_PATHS + CALLS), st.lists(argv_words, max_size=6)).map(
+        lambda p: p[0] + p[1]
+    )
+)
+@example([])
+@example(["-h"])
+@example(["pd"])
+@example(["pd", "-h"])
+@example(["-h", "saturate"])
+@example(["check-axioms", "-h"])
+@example(["saturate", "-h"])
+@example(["derive", "-h"])
+@example(["bounded", "-h"])
+@example(["meet", "-h"])
+@example(["sup", "-h"])
+@example(["csystems", "-h"])
+@example(["pd", "taut", "-h"])
+@example(["pd", "h", "-h"])
+@example(["pd", "search", "-h"])
+@example(["example", "-h"])
+@example(["saturate", "--system", STEPS, "--hyp", "a", "extra"])
+@example(["pd", "search", "--goal", "P0", "--bogus"])
+@example(["pd", "taut", "P0", "P1"])
+def test_main_prints_what_the_full_parser_prints(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "60")
+    got = outputs(main, argv)
+    assert got == outputs(full_parser_then_handler, argv)
+    assert got[0] in (0, 1, 2)
+
+
+def parsers_built(monkeypatch, argv):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        main(argv)
+    monkeypatch.undo()
+    return built
+
+
+def table_size(table):
+    return sum(1 + table_size(command.commands or {}) for command in table.values())
+
+
+def test_main_builds_only_the_branch_argv_names(monkeypatch):
+    assert len(parsers_built(monkeypatch, ["saturate", "--system", STEPS, "--hyp", "a"])) == 2
+    assert len(parsers_built(monkeypatch, ["pd", "search", "--goal", "P0"])) == 3
+    every_parser = 1 + table_size(conseq.cli.COMMANDS)
+    assert len(parsers_built(monkeypatch, [])) == every_parser
+    assert len(parsers_built(monkeypatch, ["-h"])) == every_parser

@@ -65,6 +65,18 @@ def test_save_load_through_the_filesystem(tmp_path):
     assert load_system(target).name == "copy"
 
 
+def test_a_leading_byte_order_mark_is_dropped(tmp_path):
+    text = "language: a b\nrule r: a => b\n"
+    plain, marked = tmp_path / "f.system", tmp_path / "marked" / "f.system"
+    marked.parent.mkdir()
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    system = load_system(marked)
+    assert _same_system(system, load_system(plain))
+    assert system.name == "f"
+    assert dumps_system(system) == text
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(min_value=0, max_value=100_000))
 def test_dumps_loads_is_idempotent_on_random_systems(seed):
