@@ -61,14 +61,13 @@ def main() -> int:
             print(f"trial {trial}: union-saturation != weak join", file=sys.stderr)
 
         family = closed_systems(op, language)
-        members = list(family)
         closed_ok = all(
-            x.intersect(y) in set(members) and join_uplus(op, x, y) in set(members)
-            for x in members
-            for y in members
+            x.intersect(y) in family and join_uplus(op, x, y) in family
+            for x in family
+            for y in family
         )
         if not closed_ok or not equal_ops(
-            from_closure_family(members, language), op, language
+            from_closure_family(family, language), op, language
         ):
             lattice_failures += 1
             print(f"trial {trial}: closed-set family broken", file=sys.stderr)

@@ -154,6 +154,10 @@ def dumps_system(system: RuleSystem) -> str:
     else:
         raise UsageError(f"cannot save language of type {type(system.language).__name__}")
     for rule in system.rules:
+        if not rule.rule_id or any(c in ":#" or c.isspace() for c in rule.rule_id):
+            raise UsageError(
+                f"rule id {rule.rule_id!r} has no line form: it must be non-empty, without whitespace, ':' or '#'"
+            )
         if isinstance(rule, UnaryRule):
             members = " ".join(e.name for e in rule.axioms.members)
             lines.append(f"axioms {rule.rule_id}:" + (f" {members}" if members else ""))

@@ -10,10 +10,10 @@ operation ever tries to enumerate an infinite language.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from operator import attrgetter
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Union
 
 from .errors import DomainError, UsageError
@@ -25,46 +25,40 @@ from .errors import DomainError, UsageError
 _WHITESPACE = re.compile(r"\s")  # matches exactly the characters str.isspace accepts
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Element:
-    """A named point of a language.
+class Element(tuple):
+    """A named point of a language: the 1-tuple `(name,)`, nothing more.
 
     Names double as the on-disk token syntax, hence the restrictions:
     non-empty, no whitespace, no '#' (comment marker), no '=>' (rule
-    arrow).  Ordering is lexicographic on the name.
-
-    The hash is computed once, at construction, and equals the
-    field-tuple hash `hash((name,))` that the dataclass would compute on
-    every call.
+    arrow).  Hashing, equality and ordering are the tuple's own, so an
+    element hashes as `hash((name,))`, orders by name, and equals the
+    bare tuple `(name,)`.
     """
 
-    name: str
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __new__(cls, name: str) -> "Element":
+        if not name:
             raise DomainError("element name must be non-empty")
-        if _WHITESPACE.search(self.name):
-            raise DomainError(f"element name may not contain whitespace: {self.name!r}")
-        if "#" in self.name:
-            raise DomainError(f"element name may not contain '#': {self.name!r}")
-        if "=>" in self.name:
-            raise DomainError(f"element name may not contain '=>': {self.name!r}")
-        object.__setattr__(self, "_hash", hash((self.name,)))
+        if _WHITESPACE.search(name):
+            raise DomainError(f"element name may not contain whitespace: {name!r}")
+        if "#" in name:
+            raise DomainError(f"element name may not contain '#': {name!r}")
+        if "=>" in name:
+            raise DomainError(f"element name may not contain '=>': {name!r}")
+        return tuple.__new__(cls, (name,))
 
-    def __hash__(self) -> int:
-        return self._hash
+    name = property(itemgetter(0))
 
-    def __reduce__(self):
-        # str hashes are salted per process, so an unpickled Element
-        # recomputes its hash instead of restoring the stored one.
-        return (Element, (self.name,))
+    def __getnewargs__(self) -> tuple[str]:
+        # copies and unpickled elements go through __new__: re-validated, hashed in this process
+        return (self.name,)
+
+    def __repr__(self) -> str:
+        return f"Element(name={self.name!r})"
 
     def __str__(self) -> str:
         return self.name
-
-
-_by_name = attrgetter("name")  # the same order as Element's, without its __lt__
 
 
 def _as_element(value: Element | str) -> Element:
@@ -77,7 +71,7 @@ def _as_element(value: Element | str) -> Element:
 
 @dataclass(frozen=True)
 class ExplicitLanguage:
-    """A finite language, stored in sorted order.
+    """A finite language, its elements stored in name order.
 
     `positions` maps each element to its index in that order, built
     once, so membership is a hash lookup and bit masks have their bit
@@ -90,7 +84,7 @@ class ExplicitLanguage:
     def __post_init__(self) -> None:
         if not self.elements:
             raise DomainError("an explicit language needs at least one element")
-        elements = tuple(sorted(self.elements, key=_by_name))
+        elements = tuple(sorted(self.elements))
         positions = {e: i for i, e in enumerate(elements)}
         if len(positions) != len(elements):
             raise DomainError("language elements must be distinct")
@@ -247,7 +241,7 @@ class FiniteSubset:
 
     def __post_init__(self) -> None:
         member_set = _member_set(self.language, self.members, "member")
-        object.__setattr__(self, "members", tuple(sorted(member_set, key=_by_name)))
+        object.__setattr__(self, "members", tuple(sorted(member_set)))
         object.__setattr__(self, "member_set", member_set)
 
     @classmethod
@@ -350,7 +344,7 @@ class CofiniteSubset:
         if not isinstance(self.language, EnumeratedLanguage):
             raise UsageError("cofinite subsets require an enumerated language")
         excluded_set = _member_set(self.language, self.excluded, "excluded element")
-        object.__setattr__(self, "excluded", tuple(sorted(excluded_set, key=_by_name)))
+        object.__setattr__(self, "excluded", tuple(sorted(excluded_set)))
         object.__setattr__(self, "excluded_set", excluded_set)
 
     @classmethod

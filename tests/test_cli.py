@@ -26,8 +26,11 @@ import conseq.engine
 import conseq.propositional
 from conseq import propositional as pd
 from conseq.cli import main
-from conseq.engine import check_step_cap, min_derivation_size
+from conseq.engine import check_derivation, check_step_cap, min_derivation_size
 from conseq.errors import ConseqError
+from conseq.fileformat import load_system
+from conseq.language import Element, FiniteSubset
+from conseq.rules import Apply, Derivation, Insert
 
 ROOT = Path(__file__).parent.parent
 SYSTEMS = ROOT / "systems"
@@ -608,6 +611,121 @@ def test_reports_do_not_depend_on_the_hash_seed(argv):
         return done.stdout
 
     assert stdout("0") == stdout("1")
+
+
+# ---------------------------------------------------------------------------
+# printed witnesses: what derive and pd search print reads back as a
+# derivation that check_derivation accepts
+
+
+def parse_witness(lines):
+    """The numbered steps `Derivation.render` prints, as a Derivation.
+    Element names and rule ids hold no whitespace, so the words of each
+    bracket tell the three step forms apart."""
+    steps = []
+    for number, line in enumerate(lines, start=1):
+        head, _, origin = line.rpartition("  [")
+        assert head.startswith(f"{number}. ") and origin.endswith("]"), line
+        element = Element(head[len(f"{number}. "):])
+        words = origin[:-1].split(" ")
+        if words == ["hypothesis"]:
+            steps.append(Insert(element))
+        elif len(words) == 2 and words[0] == "axiom":
+            steps.append(Insert(element, words[1]))
+        else:
+            rule_id, by, refs = words
+            assert by == "from", line
+            steps.append(Apply(rule_id, tuple(int(k) for k in refs.split(",")), element))
+    return Derivation(tuple(steps))
+
+
+def printed_witness(out, goal):
+    lines = out.splitlines()
+    if lines[0].startswith("minimal steps: "):
+        size = int(lines[0].removeprefix("minimal steps: "))
+        lines = lines[1:]
+        assert size <= len(lines)
+    derivation = parse_witness(lines)
+    assert derivation.final_element() == goal
+    return derivation
+
+
+# rule ids that read like the bracket words too: hypothesis, axiom, from
+witness_rule_ids = st.one_of(
+    st.sampled_from(["hypothesis", "axiom", "from", "mp"]),
+    st.from_regex(r"[A-Za-z][A-Za-z0-9_.~]{0,3}", fullmatch=True),
+)
+
+
+@st.composite
+def derive_queries(draw):
+    """A system text, hypotheses, a goal and an optional step cap.
+
+    The names are drawn in chain order: the first is a hypothesis, the
+    last the goal, and each name in between gets a row (an axiom, or a
+    rule row whose premises are earlier names) unless its link is
+    dropped.  Noise rows connect any names."""
+    name = st.from_regex(r"[a-zé][a-z0-9é]{0,2}", fullmatch=True)
+    names = draw(st.lists(name, min_size=3, max_size=7, unique=True))
+    element = st.sampled_from(names)
+    rule_ids = draw(st.lists(witness_rule_ids, unique=True, min_size=1, max_size=4))
+    # arity 1 stands for an axiom set, whose rows are its members
+    arity = {rule_id: draw(st.sampled_from([1, 2, 2, 3])) for rule_id in rule_ids}
+    rows = {rule_id: [] for rule_id in rule_ids}
+    for k in range(1, len(names)):
+        if draw(st.integers(0, 4)):  # one link in five is dropped
+            rule_id = draw(st.sampled_from(rule_ids))
+            premises = [draw(st.sampled_from(names[:k])) for _ in range(arity[rule_id] - 1)]
+            rows[rule_id].append(premises + [names[k]])
+    lines = ["language: " + " ".join(names)]
+    for rule_id in rule_ids:
+        noise = st.lists(element, min_size=arity[rule_id], max_size=arity[rule_id])
+        rows[rule_id] += draw(st.lists(noise, max_size=3))
+        if arity[rule_id] == 1:
+            lines.append(f"axioms {rule_id}: " + " ".join(row[0] for row in rows[rule_id]))
+        else:
+            lines += [f"rule {rule_id}: {' '.join(row[:-1])} => {row[-1]}" for row in rows[rule_id]]
+    hypotheses = [names[0]] + draw(st.lists(element, max_size=1))
+    max_steps = draw(st.one_of(st.none(), st.integers(1, 6)))
+    return "\n".join(lines) + "\n", hypotheses, names[-1], max_steps
+
+
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(derive_queries())
+def test_printed_derive_witnesses_replay(capsys, tmp_path, query):
+    text, hypotheses, goal, max_steps = query
+    path = tmp_path / "drawn.system"
+    path.write_text(text, encoding="utf-8")
+    argv = ["derive", "--system", str(path), "--hyp", ",".join(hypotheses), "--goal", goal]
+    argv += ["--max-steps", str(max_steps)] if max_steps is not None else []
+    code, out, _ = run(capsys, *argv)
+    if code == 1:
+        return  # not derivable, or not within the step cap
+    assert code == 0, out
+    system = load_system(path)
+    derivation = printed_witness(out, Element(goal))
+    result = check_derivation(system, FiniteSubset.of(system.language, hypotheses), derivation)
+    assert result, (result.reason, out)
+
+
+PD_CATALOG = json.loads((ROOT / "perfbench" / "pd_catalog.json").read_text(encoding="utf-8"))
+DERIVED = [q for q in PD_CATALOG["queries"] if q["outcome"] == "derived"]
+
+
+@pytest.mark.parametrize("query", DERIVED, ids=[f"derived-{i:02d}" for i in range(len(DERIVED))])
+def test_printed_pd_search_witnesses_replay(capsys, query):
+    hypotheses, goal = [pd.parse(h) for h in query["hyps"]], pd.parse(query["goal"])
+    caps = {"size_cap": PD_CATALOG["size_cap"], "max_pool": PD_CATALOG["pool_cap"]}
+    argv = ["pd", "search", "--variant", query["variant"], "--hyp", ", ".join(query["hyps"])]
+    argv += ["--goal", query["goal"], "--size-cap", str(caps["size_cap"])]
+    argv += ["--pool-cap", str(caps["max_pool"])]
+    argv += ["--n", str(query["n"])] if query["n"] is not None else []
+    code, out, _ = run(capsys, *argv)
+    assert code == 0, out
+    search = pd.search_pool(query["variant"], hypotheses, goal, n=query["n"], **caps)
+    derivation = printed_witness(out, pd.wff_element(goal))
+    result = check_derivation(search.system, search.hypotheses, derivation)
+    assert result, (result.reason, out)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conseq.engine import union_systems
 from conseq.errors import ConseqError, InputSyntaxError, UsageError
 from conseq.fileformat import dumps_system, load_system, loads_system, save_system
 from conseq.language import Element, EnumeratedLanguage, ExplicitLanguage, FiniteSubset
@@ -155,6 +156,30 @@ def test_unsaveable_systems_are_refused():
         with pytest.raises(UsageError, match="'enumerated' reads as the keyword") as info:
             dumps_system(RuleSystem("k", keyword_first, ()))
         assert repr(keyword_first) in str(info.value)
+
+    for rule_id in ("", "r:s", "my sys.r", "r#1", "r\u2028s"):
+        with pytest.raises(UsageError, match="has no line form") as info:
+            dumps_system(RuleSystem("ids", lang, (TupleRule(rule_id, 2, ((a, b),)),)))
+        assert repr(rule_id) in str(info.value)
+    named = loads_system("language: a b\nrule r: a => b\n", name="my sys")
+    with pytest.raises(UsageError, match="'my sys.r' has no line form"):
+        dumps_system(union_systems([named]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.text(max_size=6), st.booleans())
+def test_any_rule_id_dumps_to_a_refusal_or_a_round_trip(rule_id, unary):
+    lang = ExplicitLanguage.of_tokens(["a", "b"])
+    if unary:
+        rule: Rule = UnaryRule(rule_id, FiniteSubset.of(lang, ["b"]))
+    else:
+        rule = TupleRule(rule_id, 2, ((Element("a"), Element("b")),))
+    system = RuleSystem("ids", lang, (rule,))
+    try:
+        dumped = dumps_system(system)
+    except UsageError:
+        return
+    assert _same_system(loads_system(dumped), system)
 
 
 def test_empty_axiom_line_round_trips():
@@ -351,13 +376,13 @@ def test_name_table_loader_matches_the_per_token_loader_on_misses():
 
 def test_each_distinct_token_is_validated_once(monkeypatch):
     built = []
-    post_init = Element.__post_init__
+    new = Element.__new__
 
-    def counted(self):
-        built.append(self.name)
-        post_init(self)
+    def counted(cls, name):
+        built.append(name)
+        return new(cls, name)
 
-    monkeypatch.setattr(Element, "__post_init__", counted)
+    monkeypatch.setattr(Element, "__new__", counted)
     loads_system("language: b a\nrule r: a => b\nrule r: b => a\naxioms s: a b a\n")
     assert built == ["b", "a"]  # the language line only
     built.clear()

@@ -1,5 +1,6 @@
 """Subset algebra checked against a plain-set oracle."""
 
+import copy
 import itertools
 import os
 import pickle
@@ -56,18 +57,31 @@ def test_element_names_refuse_every_whitespace_code_point():
             Element("a" + c + "b")
 
 
-@settings(deadline=None)
-@given(
-    st.text(alphabet=st.characters(blacklist_characters=WHITESPACE + ["#"]), min_size=1).filter(
-        lambda name: "=>" not in name
-    )
+_names = st.text(alphabet=st.characters(blacklist_characters=WHITESPACE + ["#"]), min_size=1).filter(
+    lambda name: "=>" not in name
 )
-def test_element_names_without_reserved_text_are_accepted_and_hash_once(name):
+_round_trips = (copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e)))
+
+
+@settings(deadline=None)
+@given(_names, _names)
+def test_element_names_without_reserved_text_are_accepted_and_hash_once(name, other):
     e = Element(name)
     assert e.name == name
     assert hash(e) == hash((name,))
-    assert e == Element(name) and hash(e) == hash(Element(name))
-    assert pickle.loads(pickle.dumps(e)) == e
+    assert e == Element(name) == (name,) and hash(e) == hash(Element(name))
+    assert (e < Element(other)) == (name < other) and (e <= Element(other)) == (name <= other)
+    assert [x.name for x in sorted([Element(other), e])] == sorted([other, name])
+    assert repr(e) == f"Element(name={name!r})" and str(e) == name
+    assert not hasattr(e, "__dict__")
+    for round_trip in _round_trips:
+        again = round_trip(e)
+        assert type(again) is Element and again == e and hash(again) == hash(e)
+    # a forged element, built around the name check, is refused on the way back
+    forged = tuple.__new__(Element, (name + " ",))
+    for round_trip in _round_trips:
+        with pytest.raises(DomainError, match="whitespace"):
+            round_trip(forged)
 
 
 def test_unpickled_elements_hash_like_fresh_ones():
