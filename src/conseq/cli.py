@@ -330,9 +330,15 @@ def _add_commands(
     parser: argparse.ArgumentParser, dest: str, table: dict[str, Command], path: list[str] | None
 ) -> None:
     """Give `parser` a sub-parser for each command of `table`, or only
-    for the branch `path` names when there is one."""
-    sub = parser.add_subparsers(dest=dest, required=True)
+    for the branch `path` names when there is one.
+
+    A narrowed root names every command in its usage line, as the full
+    parser does.  The full parser keeps argparse's own metavar, which
+    its "required: command" and "invalid choice" errors print.
+    """
     names = path[:1] if path else table
+    metavar = "{" + ",".join(table) + "}" if path and table is COMMANDS else None
+    sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
     for name in names:
         command = table[name]
         p = sub.add_parser(name, help=command.help)
@@ -351,13 +357,8 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     `pd` command as well), only that branch is registered: the root
     plus one or two sub-parsers.  Any other argv -- empty, `-h` first,
     an unknown or partial word, `pd` without a known subcommand -- gets
-    all 13 parsers, as `build_parser()` does.
-
-    Every word after a command name goes to that command's sub-parser,
-    which is built as in the full parser, so both read argv alike.  They
-    differ only in the root usage line, which the narrow parser prints
-    for one error alone: arguments left over, which `main` therefore
-    hands to the full parser.
+    all 13 parsers, as `build_parser()` does.  Both read argv alike and
+    print the same root usage line.
     """
     parser = argparse.ArgumentParser(
         prog="conseq",
@@ -371,19 +372,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run `conseq <argv>` (sys.argv[1:] when argv is None); return the
     exit code.
 
-    argv is parsed by `build_parser(argv)`, which builds only the branch
-    argv names: 2 parsers for `saturate`, 3 for `pd search`, all 13 when
-    argv names no command.  Its root usage line names that one command,
-    so when arguments are left over, the full parser parses argv again
-    and prints the "unrecognized arguments" error with the same usage
-    line as for any other argv.
+    argv is parsed once, by `build_parser(argv)`, which builds only the
+    branch argv names: 2 parsers for `saturate`, 3 for `pd search`, all
+    13 when argv names no command.
     """
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args, extras = build_parser(argv).parse_known_args(argv)
-        if extras:
-            args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

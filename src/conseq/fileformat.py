@@ -147,10 +147,7 @@ def dumps_system(system: RuleSystem) -> str:
             )
         lines.append("language: " + " ".join(e.name for e in system.language.elements))
     elif isinstance(system.language, EnumeratedLanguage):
-        prefix = system.language.prefix
-        if prefix is None:
-            raise UsageError("only prefix-labelled enumerated languages can be saved")
-        lines.append(f"language: enumerated {prefix}")
+        lines.append(f"language: enumerated {system.language.prefix}")
     else:
         raise UsageError(f"cannot save language of type {type(system.language).__name__}")
     for rule in system.rules:

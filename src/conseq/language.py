@@ -1,7 +1,8 @@
 """Languages and their decidable subset algebra.
 
 A language is the universe a deduction lives in: either an explicit
-finite set of elements or a lazily enumerated denumerable one.  Subsets
+finite set of elements or the denumerable set of names `{prefix}0`,
+`{prefix}1`, ..., which is known by its prefix alone.  Subsets
 come in two representations, finite and cofinite, and every operation
 on them (membership, inclusion, union, intersection) is exact -- no
 operation ever tries to enumerate an infinite language.
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import DomainError, UsageError
 
@@ -108,87 +109,50 @@ class ExplicitLanguage:
         return f"ExplicitLanguage({','.join(e.name for e in self.elements)})"
 
 
+@dataclass(frozen=True)
 class EnumeratedLanguage:
-    """A denumerable language seen only through its enumerator.
+    """The denumerable language of the names `{prefix}0`, `{prefix}1`, ...
 
-    `enumerator` maps indices 0, 1, 2, ... to elements and must be
-    injective; injectivity is checked on every index actually queried.
-    `index_of` is the partial inverse used for membership tests, so
-    every query against the language stays decidable.
-
-    Two prefixed languages with the same prefix compare equal; custom
-    enumerators compare by identity.
+    The prefix is the whole language: two languages with the same prefix
+    are equal, and element i is the name `{prefix}{i}`, in plain decimal
+    with no leading zeros, so distinct indices give distinct names.
+    `index_of` reads an index back off a name, so membership is decided
+    on the name alone.
     """
 
-    def __init__(
-        self,
-        enumerator: Callable[[int], Element],
-        index_of: Callable[[Element], int | None],
-        label: str | None = None,
-    ):
-        self._enumerator = enumerator
-        self._index_of = index_of
-        self.label = label
-        self._seen: dict[int, Element] = {}
-        self._seen_names: dict[str, int] = {}
+    prefix: str
+
+    def __post_init__(self) -> None:
+        Element(self.prefix)  # reuse the token validation
 
     @classmethod
     def prefixed(cls, prefix: str) -> "EnumeratedLanguage":
-        Element(prefix)  # reuse the token validation
-        pattern = re.compile(re.escape(prefix) + r"(0|[1-9][0-9]*)\Z")
-
-        def enumerate_at(i: int) -> Element:
-            return Element(f"{prefix}{i}")
-
-        def index_of(e: Element) -> int | None:
-            m = pattern.match(e.name)
-            return int(m.group(1)) if m else None
-
-        return cls(enumerate_at, index_of, label=f"prefix:{prefix}")
-
-    @property
-    def prefix(self) -> str | None:
-        if self.label and self.label.startswith("prefix:"):
-            return self.label[len("prefix:"):]
-        return None
+        return cls(prefix)
 
     def element(self, index: int) -> Element:
         if index < 0:
             raise DomainError("enumeration index must be non-negative")
-        if index in self._seen:
-            return self._seen[index]
-        e = self._enumerator(index)
-        clash = self._seen_names.get(e.name)
-        if clash is not None and clash != index:
-            raise DomainError(
-                f"enumerator is not injective: index {clash} and {index} both map to {e.name}"
-            )
-        self._seen[index] = e
-        self._seen_names[e.name] = index
-        return e
+        return Element(f"{self.prefix}{index}")
 
     def prefix_elements(self, count: int) -> tuple[Element, ...]:
         """First `count` elements, in enumeration order."""
         return tuple(self.element(i) for i in range(count))
 
     def index_of(self, element: Element) -> int | None:
-        return self._index_of(element)
+        name = element.name
+        if not name.startswith(self.prefix):
+            return None
+        digits = name[len(self.prefix):]
+        # ASCII decimal only (str.isdigit alone accepts '²' and '١'), no leading zero
+        if not (digits.isascii() and digits.isdigit()) or (digits[0] == "0" and digits != "0"):
+            return None
+        return int(digits)
 
     def __contains__(self, element: Element) -> bool:
-        return self._index_of(element) is not None
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if isinstance(other, EnumeratedLanguage):
-            return self.label is not None and self.label == other.label
-        return False
-
-    def __hash__(self) -> int:
-        return hash(self.label) if self.label is not None else id(self)
+        return self.index_of(element) is not None
 
     def __repr__(self) -> str:
-        return f"EnumeratedLanguage({self.label or hex(id(self))})"
+        return f"EnumeratedLanguage(prefix:{self.prefix})"
 
 
 Language = Union[ExplicitLanguage, EnumeratedLanguage]

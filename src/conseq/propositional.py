@@ -474,7 +474,12 @@ class Pool(tuple):
         return pool
 
 
-def subformula_closure(seeds: Iterable[Wff], size_cap: int, *, max_pool: int = 400) -> Pool:
+DEFAULT_MAX_POOL = 400
+
+
+def subformula_closure(
+    seeds: Iterable[Wff], size_cap: int, *, max_pool: int = DEFAULT_MAX_POOL
+) -> Pool:
     """Close a formula set under subformulas and axiom instances.
 
     Every axiom-schema instance over the pool whose printed size stays
@@ -640,7 +645,6 @@ def formula_subset(system: RuleSystem, wffs: Iterable[Wff]) -> FiniteSubset:
 
 
 DEFAULT_SIZE_CAP = 22
-DEFAULT_MAX_POOL = 400
 
 
 @dataclass(frozen=True)

@@ -585,10 +585,14 @@ def test_golden_stdout_and_exit_code(capsys, monkeypatch, case):
         ["example", "3.3", "--seed", "3"],
         ["pd", "search", "--variant", "restricted-mp", "--n", "1",
          "--hyp", "(P1 -> P2), (P2 -> P3), P1", "--goal", "P3", "--size-cap", "10", "--max-steps", "5"],
+        ["derive", "--system", "tests/data/enumerated.system", "--hyp", "f7,f1", "--goal", "f2",
+         "--max-steps", "4"],
+        ["bounded", "--system", "tests/data/enumerated.system", "--hyp", "f9,f5", "--steps", "2"],
     ],
     ids=[
         "derive", "pd-search", "example", "example-3.5", "example-csystem-lattice",
         "example-thm-2.2-random", "example-2.1-axioms", "example-3.3", "pd-search-minimal-steps",
+        "derive-enumerated", "bounded-enumerated",
     ],
 )
 def test_reports_do_not_depend_on_the_hash_seed(argv):
@@ -883,29 +887,34 @@ argv_words = st.one_of(
     # a command path or a whole call, then random fragments
     st.tuples(st.sampled_from(COMMAND_PATHS + CALLS), st.lists(argv_words, max_size=6)).map(
         lambda p: p[0] + p[1]
-    )
+    ),
+    st.sampled_from(["40", "60", "100"]),
 )
-@example([])
-@example(["-h"])
-@example(["pd"])
-@example(["pd", "-h"])
-@example(["-h", "saturate"])
-@example(["check-axioms", "-h"])
-@example(["saturate", "-h"])
-@example(["derive", "-h"])
-@example(["bounded", "-h"])
-@example(["meet", "-h"])
-@example(["sup", "-h"])
-@example(["csystems", "-h"])
-@example(["pd", "taut", "-h"])
-@example(["pd", "h", "-h"])
-@example(["pd", "search", "-h"])
-@example(["example", "-h"])
-@example(["saturate", "--system", STEPS, "--hyp", "a", "extra"])
-@example(["pd", "search", "--goal", "P0", "--bogus"])
-@example(["pd", "taut", "P0", "P1"])
-def test_main_prints_what_the_full_parser_prints(monkeypatch, argv):
-    monkeypatch.setenv("COLUMNS", "60")
+@example([], "60")
+@example(["-h"], "60")
+@example(["pd"], "60")
+@example(["pd", "-h"], "60")
+@example(["-h", "saturate"], "60")
+@example(["check-axioms", "-h"], "60")
+@example(["saturate", "-h"], "60")
+@example(["derive", "-h"], "60")
+@example(["bounded", "-h"], "60")
+@example(["meet", "-h"], "60")
+@example(["sup", "-h"], "60")
+@example(["csystems", "-h"], "60")
+@example(["pd", "taut", "-h"], "60")
+@example(["pd", "h", "-h"], "60")
+@example(["pd", "search", "-h"], "60")
+@example(["example", "-h"], "60")
+@example(["saturate", "--system", STEPS, "--hyp", "a", "extra"], "40")
+@example(["saturate", "--system", STEPS, "--hyp", "a", "extra"], "60")
+@example(["saturate", "--system", STEPS, "--hyp", "a", "extra"], "100")
+@example(["pd", "search", "--goal", "P0", "--bogus"], "40")
+@example(["pd", "search", "--goal", "P0", "--bogus"], "60")
+@example(["pd", "search", "--goal", "P0", "--bogus"], "100")
+@example(["pd", "taut", "P0", "P1"], "60")
+def test_main_prints_what_the_full_parser_prints(monkeypatch, argv, columns):
+    monkeypatch.setenv("COLUMNS", columns)
     got = outputs(main, argv)
     assert got == outputs(full_parser_then_handler, argv)
     assert got[0] in (0, 1, 2)

@@ -145,12 +145,6 @@ def test_unsaveable_systems_are_refused():
     with pytest.raises(UsageError, match="no premise tuples"):
         dumps_system(hollow)
 
-    unlabeled = EnumeratedLanguage(
-        lambda i: Element(f"g{i}"), lambda e: None
-    )
-    with pytest.raises(UsageError, match="prefix-labelled"):
-        dumps_system(RuleSystem("u", unlabeled, ()))
-
     for names in (["enumerated", "x"], ["enumerated", "x", "y"]):
         keyword_first = ExplicitLanguage.of_tokens(names)
         with pytest.raises(UsageError, match="'enumerated' reads as the keyword") as info:

@@ -4,14 +4,18 @@ import copy
 import itertools
 import os
 import pickle
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conseq.engine import saturate
 from conseq.errors import DomainError, UsageError
+from conseq.fileformat import load_system
 from conseq.language import (
     CofiniteSubset,
     Element,
@@ -23,6 +27,7 @@ from conseq.language import (
     subsets_equal,
 )
 
+DATA = Path(__file__).parent / "data"
 LANG = ExplicitLanguage.of_tokens(["a", "b", "c", "d"])
 ELEMENTS = list(LANG.elements)
 
@@ -124,6 +129,42 @@ def test_enumerated_language_prefix_label_round_trip():
     assert lang.prefix == "atom"
     assert lang == EnumeratedLanguage.prefixed("atom")
     assert lang != EnumeratedLanguage.prefixed("other")
+
+
+_digits_and_lookalikes = st.text(alphabet="0123456789\u00b2\u0661x", max_size=5)
+
+
+@settings(deadline=None, max_examples=400)
+@given(_names | st.sampled_from(["f", "x1", "a0"]), _digits_and_lookalikes)
+def test_enumerated_membership_matches_the_prefix_regex(prefix, tail):
+    # the regex the language used to carry, kept here as the oracle
+    pattern = re.compile(re.escape(prefix) + r"(0|[1-9][0-9]*)\Z")
+    lang = EnumeratedLanguage.prefixed(prefix)
+    for name in (prefix + tail, tail):
+        if not name:
+            continue
+        match = pattern.match(name)
+        expected = int(match.group(1)) if match else None
+        assert lang.index_of(Element(name)) == expected, name
+        assert (Element(name) in lang) == (match is not None), name
+        if expected is not None:
+            assert lang.element(expected) == Element(name)
+
+
+def test_enumerated_systems_survive_pickle_and_deepcopy():
+    system = load_system(DATA / "enumerated.system")
+    lang = system.language
+    hypotheses = FiniteSubset.of(lang, ["f0", "f7"])
+    before = saturate(system, hypotheses)
+    cofinite = CofiniteSubset.of(lang, ["f2", "f1"])
+    for round_trip in _round_trips[1:]:
+        again = round_trip(system)
+        assert again == system and again.language == lang
+        after = saturate(again, round_trip(hypotheses))
+        assert after.closure == before.closure
+        assert list(after.witnesses.items()) == list(before.witnesses.items())
+        assert round_trip(hypotheses) == hypotheses
+        assert round_trip(cofinite) == cofinite and Element("f1") not in round_trip(cofinite)
 
 
 # ---------------------------------------------------------------------------
