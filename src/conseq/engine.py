@@ -160,6 +160,21 @@ class MaskSystem:
                     todo |= conclusion
         return have
 
+    def closures(self, width: int) -> list[int]:
+        """`close(X)` for every mask X of `width` bits, indexed by X.
+
+        The table is filled in binary-counting order from the closure of
+        X minus its lowest bit e: when that closure holds e it is X's
+        closure too, and otherwise only the arcs that e enables are
+        visited.
+        """
+        out = [self.close()]
+        for x in range(1, 1 << width):
+            low = x & -x
+            below = out[x ^ low]
+            out.append(below if below & low else self.close(below | low, low))
+        return out
+
 
 # ---------------------------------------------------------------------------
 # saturation
@@ -387,31 +402,45 @@ def min_derivation_size(
 def bounded_consequences(
     system: RuleSystem, hypotheses: FiniteSubset, steps: int
 ) -> FiniteSubset:
-    """Everything derivable by some deduction of at most `steps` steps.
-
-    It reads the system's shared grounding (`RuleSystem.grounded`) with
-    the hypotheses as one more mask.  An insertable element (hypothesis
-    or axiom) takes one step and is accepted outright; an element
-    outside the closure has no deduction and is rejected outright.
-    Each other element of the closure gets its own exact search
-    (`_min_steps`), confined to the elements relevant to it: one search
-    over all sets of derivable elements would grow with every
-    hypothesis.  Once `steps` reaches the size of the universe
-    (insertable elements and tuple conclusions) the bound no longer
-    binds, since a shortest deduction never repeats an element, and the
-    result is the saturation closure.
-    """
+    """Everything derivable by some deduction of at most `steps` steps,
+    by `bounded_mask` on the system's shared grounding
+    (`RuleSystem.grounded`) with the hypotheses as one more mask."""
     if steps < 1:
         raise UsageError("the step bound must be at least 1")
     grounded = system.grounded
-    start = grounded.encode(hypotheses) | grounded.insertable
+    return grounded.decode(bounded_mask(system, grounded.encode(hypotheses), steps))
+
+
+def bounded_mask(
+    system: RuleSystem, hypotheses: int, steps: int, closure: int | None = None, known: int = 0
+) -> int:
+    """The mask of everything derivable from the `hypotheses` mask by
+    some deduction of at most `steps` steps.
+
+    An insertable element (hypothesis or axiom) takes one step and is
+    accepted outright; an element outside the closure has no deduction
+    and is rejected outright.  Each other element of the closure gets
+    its own exact search (`_min_steps`), confined to the elements
+    relevant to it: one search over all sets of derivable elements would
+    grow with every hypothesis.  A caller that already has the closure
+    of the hypotheses passes it as `closure`, and bits it already knows
+    to fit the bound as `known`; those are not searched again.  Once
+    `steps` reaches the size of the universe (insertable elements and
+    tuple conclusions) the bound no longer binds, since a shortest
+    deduction never repeats an element, and the result is the
+    saturation closure.
+    """
+    grounded = system.grounded
+    start = hypotheses | grounded.insertable
     if steps >= (start | grounded.conclusions).bit_count():
-        return saturate(system, hypotheses).closure
-    reachable = start
-    for i in bit_indices(grounded.close(start) & ~start):
+        return grounded.encode(saturate(system, grounded.decode(hypotheses)).closure)
+    if closure is None:
+        closure = grounded.close(start)
+    reachable = start | known
+    for i in bit_indices(closure & ~reachable):
         if _min_steps(start, grounded.arcs, 1 << i, steps) is not None:
             reachable |= 1 << i
-    return grounded.decode(reachable)
+    return reachable
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ class EnumeratedLanguage:
         return tuple(self.element(i) for i in range(count))
 
     def index_of(self, element: Element) -> int | None:
-        name = element.name
+        name = element[0]  # a bare 1-tuple equals the Element of its name
         if not name.startswith(self.prefix):
             return None
         digits = name[len(self.prefix):]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .engine import bounded_consequences
+from .engine import bounded_consequences, bounded_mask
 from .errors import DomainError, UsageError
 from .language import (
     CofiniteSubset,
@@ -52,8 +52,11 @@ class Operator:
 
     def _image_masks(self, language: ExplicitLanguage) -> list[int] | None:
         """The image mask of every input mask over `language`, from a mask
-        kernel; None for an operator without one, which exhaustive checks
-        then ask through `apply`, subset by subset."""
+        kernel; None for an operator without one (identity, unit, trigger
+        operators, operator families, and a meet or pointwise union with
+        such an operand), which exhaustive checks then ask through
+        `apply`, subset by subset.  A kernel refuses a language other than
+        its operator's with the error `apply` gives."""
         return None
 
     def __call__(self, subset: Subset) -> Subset:
@@ -124,10 +127,11 @@ class RuleOperator(Operator):
     Every image is forward chaining on ints over the system's one
     grounding (`RuleSystem.grounded`: an axiom mask and one (premise
     mask, conclusion bit) arc per tuple), with X as one more mask.
-    The image table over P(language) is filled in binary-counting
-    order from the image of X minus its lowest element e: when that
-    image holds e it is X's image too, and otherwise only the arcs that
-    e enables are visited.  Witnesses come from `saturate` alone.
+    The image table over P(language) is `MaskSystem.closures`, filled in
+    binary-counting order from the image of X minus its lowest element
+    e: when that image holds e it is X's image too, and otherwise only
+    the arcs that e enables are visited.  Witnesses come from
+    `saturate` alone.
     """
 
     def __init__(self, system: RuleSystem):
@@ -142,13 +146,7 @@ class RuleOperator(Operator):
 
     def _image_masks(self, language: ExplicitLanguage) -> list[int]:
         require_same_language(self.language, language, "apply")
-        grounded = self.system.grounded
-        images = [grounded.close()]
-        for x in range(1, 1 << len(self.language.elements)):
-            low = x & -x
-            below = images[x ^ low]
-            images.append(below if below & low else grounded.close(below | low, low))
-        return images
+        return self.system.grounded.closures(len(language.elements))
 
     def __repr__(self) -> str:
         return f"RuleOperator({self.system.name})"
@@ -157,11 +155,19 @@ class RuleOperator(Operator):
 class BoundedOperator(Operator):
     """Derivability within a fixed number of deduction steps.
 
-    Each image is one `engine.bounded_consequences` call, an exact
-    search per element, remembered per input (by mask over an explicit
-    language, by member set over an enumerated one).  There is no mask
-    kernel, so exhaustive checks ask for images subset by subset
-    through `apply`.
+    `apply` answers with one `engine.bounded_consequences` call, an
+    exact search per element, remembered per input (by mask over an
+    explicit language, by member set over an enumerated one).
+
+    Exhaustive checks read a mask kernel instead, which leaves that
+    memo alone.  It fills the image table in binary-counting order on
+    the system's one grounding, with `engine.bounded_mask`, the search
+    `bounded_consequences` runs.  The closure of X comes from the
+    closure of X minus its lowest element (`MaskSystem.closures`).
+    Bounded deduction is monotone in its hypotheses, since a deduction
+    from a subset is one from any superset, so the image of X minus its
+    lowest element is known to fit the bound from X, and only the
+    closure elements outside it, X and the axioms are searched.
 
     Generally fails idempotence: a chain too long for the bound can be
     finished by a second pass.
@@ -184,6 +190,15 @@ class BoundedOperator(Operator):
         if key not in self._cache:
             self._cache[key] = bounded_consequences(self.system, subset, self.steps)
         return self._cache[key]
+
+    def _image_masks(self, language: ExplicitLanguage) -> list[int]:
+        require_same_language(self.language, language, "apply")
+        system, steps = self.system, self.steps
+        closures = system.grounded.closures(len(language.elements))
+        images = [bounded_mask(system, 0, steps, closures[0])]
+        for x in range(1, len(closures)):
+            images.append(bounded_mask(system, x, steps, closures[x], images[x ^ (x & -x)]))
+        return images
 
     def __repr__(self) -> str:
         return f"BoundedOperator({self.system.name}, steps={self.steps})"
@@ -238,7 +253,12 @@ class AdjoinIfContains(Operator):
 
 class MeetOperator(Operator):
     """Pointwise intersection of finitely many operators; the meet in
-    the operator lattice."""
+    the operator lattice.
+
+    When every operand has a mask kernel, the image table is the
+    operands' tables ANDed entry by entry; otherwise exhaustive checks
+    ask through `apply`.
+    """
 
     def __init__(self, operands: Sequence[Operator]):
         if not operands:
@@ -251,6 +271,15 @@ class MeetOperator(Operator):
             out = out.intersect(op.apply(subset))
         return out
 
+    def _image_masks(self, language: ExplicitLanguage) -> list[int] | None:
+        images = _kernel(self.operands[0], language)
+        for op in self.operands[1:]:
+            table = None if images is None else _kernel(op, language)
+            if table is None:
+                return None
+            images = [a & b for a, b in zip(images, table)]
+        return images
+
     def __repr__(self) -> str:
         return f"MeetOperator({list(self.operands)!r})"
 
@@ -261,6 +290,10 @@ class PointwiseUnion(Operator):
     This is NOT the lattice join: the result of one operator can
     trigger the other, so idempotence usually fails.  Kept around as
     the standard counterexample.
+
+    When both operands have a mask kernel, the image table is their
+    tables ORed entry by entry; otherwise exhaustive checks ask through
+    `apply`.
     """
 
     def __init__(self, left: Operator, right: Operator):
@@ -269,6 +302,13 @@ class PointwiseUnion(Operator):
 
     def apply(self, subset: Subset) -> Subset:
         return self.left.apply(subset).union(self.right.apply(subset))
+
+    def _image_masks(self, language: ExplicitLanguage) -> list[int] | None:
+        left = _kernel(self.left, language)
+        right = None if left is None else _kernel(self.right, language)
+        if right is None:
+            return None
+        return [a | b for a, b in zip(left, right)]
 
     def __repr__(self) -> str:
         return f"PointwiseUnion({self.left!r}, {self.right!r})"
@@ -520,18 +560,25 @@ def _require_small_language(language: ExplicitLanguage, bound: int) -> None:
         )
 
 
+def _kernel(op: Operator, language: ExplicitLanguage) -> list[int] | None:
+    """The image table from `op`'s mask kernel, or None without one."""
+    # any object with `apply` is accepted; only an Operator has a kernel
+    return op._image_masks(language) if isinstance(op, Operator) else None
+
+
 def _image_table(op: Operator, language: ExplicitLanguage) -> list[int]:
     """The image of every subset of `language` under `op`, as masks
     indexed by the input's mask; exhaustive checks see results only
     through this table.
 
-    An operator with a mask kernel (`_image_masks`) fills the table on
-    ints.  Any other is asked through `apply`, one subset at a time, and
-    must answer with a finite subset of the same language.
+    An operator with a mask kernel (`_image_masks`: rule, step-bounded,
+    table and closure-family operators, and meets and pointwise unions
+    of those) fills the table on ints.  Any other is asked through
+    `apply`, one subset at a time, and must answer with a finite subset
+    of the same language.
     """
     subsets = all_subsets(language)  # refuses an enumerated language
-    # any object with `apply` is accepted; only an Operator has a kernel
-    images = op._image_masks(language) if isinstance(op, Operator) else None
+    images = _kernel(op, language)
     if images is not None:
         return images
     images = []

@@ -151,6 +151,14 @@ def test_enumerated_membership_matches_the_prefix_regex(prefix, tail):
             assert lang.element(expected) == Element(name)
 
 
+@pytest.mark.parametrize(
+    "language", [EnumeratedLanguage("f"), ExplicitLanguage.of_tokens(["a", "f1"])], ids=repr
+)
+@pytest.mark.parametrize("name", ["f1", "a", "f01", "g2", "f"])
+def test_a_bare_name_tuple_is_a_member_exactly_when_its_element_is(language, name):
+    assert ((name,) in language) == (Element(name) in language)
+
+
 def test_enumerated_systems_survive_pickle_and_deepcopy():
     system = load_system(DATA / "enumerated.system")
     lang = system.language

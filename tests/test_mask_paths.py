@@ -19,20 +19,23 @@ from conseq import engine
 from conseq.cli import main
 from conseq.csystems import closed_systems
 from conseq.engine import bounded_consequences, min_derivation_size, saturate
-from conseq.errors import UsageError
+from conseq.errors import DomainError, UsageError
 from conseq.fileformat import load_system, loads_system
-from conseq.language import Element, FiniteSubset
+from conseq.language import Element, FiniteSubset, all_subsets
 from conseq.operators import (
     AxiomCounterexample,
     AxiomReport,
     BoundedOperator,
+    MeetOperator,
     PointwiseUnion,
     RuleOperator,
     TableOperator,
     check_axioms,
+    cup_join,
     equal_ops,
     from_closure_family,
     leq,
+    meet,
     sup_w,
 )
 from conseq.rules import RuleSystem
@@ -205,7 +208,7 @@ def _outcome(fn, *args):
 # random operators, lawful and lawless
 
 
-KINDS = ("rules", "union", "bounded", "table", "grow", "family")
+KINDS = ("rules", "union", "bounded", "table", "grow", "family", "meet", "union-bounded")
 
 
 def random_operator(kind, seed, language):
@@ -218,6 +221,15 @@ def random_operator(kind, seed, language):
         return PointwiseUnion(left, right)
     if kind == "bounded":
         return BoundedOperator(random_system(rng, language), rng.randint(1, 3))
+    if kind == "meet":  # two or three rule operators, one of them step-bounded half the time
+        operands = [RuleOperator(random_system(rng, language)) for _ in range(rng.randint(2, 3))]
+        if rng.random() < 0.5:
+            bounded = BoundedOperator(random_system(rng, language), rng.randint(1, 3))
+            operands[rng.randrange(len(operands))] = bounded
+        return MeetOperator(operands)
+    if kind == "union-bounded":  # the cup-not-join scenario's shape, one side step-bounded
+        bounded = BoundedOperator(random_system(rng, language), rng.randint(1, 3))
+        return PointwiseUnion(bounded, RuleOperator(random_system(rng, language)))
     if kind == "table":
         return TableOperator(language, {s: rng.choice(subsets) for s in subsets})
     if kind == "grow":  # extensive, otherwise arbitrary
@@ -318,6 +330,41 @@ def test_bounded_consequences_grow_with_steps_up_to_saturation(seed, n):
         if steps >= universe:
             assert got == closure
         previous = got
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(1, 7), st.integers(1, 5), st.booleans())
+def test_the_bounded_kernel_table_is_the_per_subset_search(seed, n, steps, axioms):
+    language = small_language(n)
+    rng = seeded(seed, "bounded-kernel")
+    system = random_system(rng, language, axiom_chance=1.0 if axioms else 0.0)
+    op = BoundedOperator(system, steps)
+    assert op._image_masks(language) == [
+        bounded_consequences(system, x, steps).mask for x in all_subsets(language)
+    ]
+    assert op._cache == {}  # the kernel leaves the apply memo alone
+
+
+class _ApplyOnly:
+    """An operator seen only through `apply`, with no mask kernel."""
+
+    def __init__(self, op):
+        self.apply = op.apply
+
+
+def test_a_composite_over_mismatched_languages_fails_as_apply_does():
+    language, other = small_language(3), small_language(3, prefix="f")
+    rng = seeded(0, "mismatch")
+    mine = RuleOperator(random_system(rng, language))
+    foreign = BoundedOperator(random_system(rng, other), 2)
+    composites = (meet([mine, foreign]), meet([foreign, mine]), cup_join(mine, foreign), cup_join(foreign, mine))
+    for op in composites:
+        for checked in (language, other, small_language(2)):
+            with pytest.raises(DomainError) as through_apply:
+                check_axioms(_ApplyOnly(op), checked)
+            with pytest.raises(DomainError, match="mismatched languages") as through_kernel:
+                check_axioms(op, checked)
+            assert str(through_kernel.value) == str(through_apply.value)
 
 
 # Indices past 2**63: a bit per enumeration index would make Python
@@ -429,6 +476,11 @@ def _check_bounded_operator_axioms():
     check_axioms(BoundedOperator(system, 3), system.language)
 
 
+def _check_composite_axioms(combine):
+    system = load_system(STEP_LIMITED)
+    check_axioms(combine(BoundedOperator(system, 3), RuleOperator(system)), system.language)
+
+
 def _bounded_past_the_universe():
     system = load_system(STEP_LIMITED)
     bounded_consequences(system, FiniteSubset.of(system.language, ["x1", "x2"]), 10)
@@ -436,6 +488,8 @@ def _bounded_past_the_universe():
 
 GROUNDED_ONCE = {
     "check-axioms-bounded": _check_bounded_operator_axioms,
+    "check-axioms-meet": lambda: _check_composite_axioms(lambda a, b: meet([a, b])),
+    "check-axioms-cup-join": lambda: _check_composite_axioms(cup_join),
     "bounded-past-the-universe": _bounded_past_the_universe,
     "derive-max-steps": lambda: main(
         ["derive", "--system", STEP_LIMITED, "--hyp", "x1,x2", "--goal", "b", "--max-steps", "6"]
