@@ -23,7 +23,7 @@ from .engine import (
 from .errors import ConseqError, UsageError
 from .fileformat import load_system
 from .language import Element, FiniteSubset, Subset
-from .operators import RuleOperator, check_axioms, meet, sup_w
+from .operators import DEFAULT_BOUND, RuleOperator, check_axioms, meet, sup_w
 from .rules import RuleSystem
 from .scenarios import run_scenario, scenario_ids
 
@@ -235,7 +235,7 @@ COMMANDS: dict[str, Command] = {
         "test the four closure axioms exhaustively",
         _cmd_check_axioms,
         _arg("--system", required=True, help="system file"),
-        _arg("--bound", type=int, default=6, help="max language size for exhaustive checks"),
+        _arg("--bound", type=int, default=DEFAULT_BOUND, help="max language size for exhaustive checks"),
     ),
     "saturate": _command(
         "everything derivable from the hypotheses",

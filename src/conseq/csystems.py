@@ -14,7 +14,7 @@ from typing import Iterator
 
 from .errors import UsageError
 from .language import ExplicitLanguage, FiniteSubset
-from .operators import Operator, closed_family
+from .operators import DEFAULT_BOUND, Operator, closed_family
 
 
 @dataclass(eq=False, frozen=True)
@@ -42,7 +42,7 @@ class CSystemFamily:
         return len(self.members)
 
 
-def closed_systems(op: Operator, language: ExplicitLanguage, *, bound: int = 6) -> CSystemFamily:
+def closed_systems(op: Operator, language: ExplicitLanguage, *, bound: int = DEFAULT_BOUND) -> CSystemFamily:
     """The closed sets of `op` over a finite language, as
     `operators.closed_family` collects, checks and orders them."""
     members = closed_family(op, language, bound=bound)

@@ -31,6 +31,9 @@ from .language import (
 )
 from .rules import RuleSystem, TupleRule, UnaryRule
 
+# The largest language the exhaustive checks take unless told otherwise.
+DEFAULT_BOUND = 6
+
 # ---------------------------------------------------------------------------
 # operator variants
 
@@ -50,14 +53,24 @@ class Operator:
     def apply(self, subset: Subset) -> Subset:
         raise NotImplementedError
 
-    def _image_masks(self, language: ExplicitLanguage) -> list[int] | None:
-        """The image mask of every input mask over `language`, from a mask
-        kernel; None for an operator without one (identity, unit, trigger
-        operators, operator families, and a meet or pointwise union with
-        such an operand), which exhaustive checks then ask through
-        `apply`, subset by subset.  A kernel refuses a language other than
-        its operator's with the error `apply` gives."""
-        return None
+    def _image_masks(self, language: ExplicitLanguage) -> list[int]:
+        """The image mask of every input mask over `language`, asked
+        through `apply` one subset at a time; every answer must be a
+        finite subset of `language`.
+
+        Rule, step-bounded, table and closure-family operators override
+        this with a mask kernel, which refuses a language other than its
+        operator's with the error `apply` gives; a meet or pointwise
+        union combines its operands' tables.
+        """
+        images = []
+        for s in all_subsets(language):
+            r = self.apply(s)
+            if not isinstance(r, FiniteSubset):
+                raise DomainError("operator returned a non-finite subset over a finite language")
+            require_same_language(language, r.language, "operator result")
+            images.append(r.mask)
+        return images
 
     def __call__(self, subset: Subset) -> Subset:
         return self.apply(subset)
@@ -156,14 +169,13 @@ class BoundedOperator(Operator):
     """Derivability within a fixed number of deduction steps.
 
     `apply` answers with one `engine.bounded_consequences` call, an
-    exact search per element, remembered per input (by mask over an
-    explicit language, by member set over an enumerated one).
+    exact search per element.
 
-    Exhaustive checks read a mask kernel instead, which leaves that
-    memo alone.  It fills the image table in binary-counting order on
-    the system's one grounding, with `engine.bounded_mask`, the search
-    `bounded_consequences` runs.  The closure of X comes from the
-    closure of X minus its lowest element (`MaskSystem.closures`).
+    Exhaustive checks read a mask kernel instead.  It fills the image
+    table in binary-counting order on the system's one grounding, with
+    `engine.bounded_mask`, the search `bounded_consequences` runs.  The
+    closure of X comes from the closure of X minus its lowest element
+    (`MaskSystem.closures`).
     Bounded deduction is monotone in its hypotheses, since a deduction
     from a subset is one from any superset, so the image of X minus its
     lowest element is known to fit the bound from X, and only the
@@ -179,17 +191,12 @@ class BoundedOperator(Operator):
         self.system = system
         self.steps = steps
         self.language = system.language
-        self._cache: dict[int | frozenset[Element], FiniteSubset] = {}
 
     def apply(self, subset: Subset) -> FiniteSubset:
         if not isinstance(subset, FiniteSubset):
             raise UsageError("step-bounded operators take finite subsets")
         require_same_language(self.language, subset.language, "apply")
-        explicit = isinstance(self.language, ExplicitLanguage)
-        key = subset.mask if explicit else subset.member_set
-        if key not in self._cache:
-            self._cache[key] = bounded_consequences(self.system, subset, self.steps)
-        return self._cache[key]
+        return bounded_consequences(self.system, subset, self.steps)
 
     def _image_masks(self, language: ExplicitLanguage) -> list[int]:
         require_same_language(self.language, language, "apply")
@@ -255,9 +262,9 @@ class MeetOperator(Operator):
     """Pointwise intersection of finitely many operators; the meet in
     the operator lattice.
 
-    When every operand has a mask kernel, the image table is the
-    operands' tables ANDed entry by entry; otherwise exhaustive checks
-    ask through `apply`.
+    The image table is the operands' tables ANDed entry by entry,
+    whether an operand fills its table from a mask kernel or through
+    `apply`.
     """
 
     def __init__(self, operands: Sequence[Operator]):
@@ -271,13 +278,10 @@ class MeetOperator(Operator):
             out = out.intersect(op.apply(subset))
         return out
 
-    def _image_masks(self, language: ExplicitLanguage) -> list[int] | None:
-        images = _kernel(self.operands[0], language)
+    def _image_masks(self, language: ExplicitLanguage) -> list[int]:
+        images = _image_table(self.operands[0], language)
         for op in self.operands[1:]:
-            table = None if images is None else _kernel(op, language)
-            if table is None:
-                return None
-            images = [a & b for a, b in zip(images, table)]
+            images = [a & b for a, b in zip(images, _image_table(op, language))]
         return images
 
     def __repr__(self) -> str:
@@ -291,8 +295,8 @@ class PointwiseUnion(Operator):
     trigger the other, so idempotence usually fails.  Kept around as
     the standard counterexample.
 
-    When both operands have a mask kernel, the image table is their
-    tables ORed entry by entry; otherwise exhaustive checks ask through
+    The image table is the operands' tables ORed entry by entry,
+    whether an operand fills its table from a mask kernel or through
     `apply`.
     """
 
@@ -303,11 +307,8 @@ class PointwiseUnion(Operator):
     def apply(self, subset: Subset) -> Subset:
         return self.left.apply(subset).union(self.right.apply(subset))
 
-    def _image_masks(self, language: ExplicitLanguage) -> list[int] | None:
-        left = _kernel(self.left, language)
-        right = None if left is None else _kernel(self.right, language)
-        if right is None:
-            return None
+    def _image_masks(self, language: ExplicitLanguage) -> list[int]:
+        left, right = _image_table(self.left, language), _image_table(self.right, language)
         return [a | b for a, b in zip(left, right)]
 
     def __repr__(self) -> str:
@@ -370,7 +371,7 @@ class MeetFamily(Operator):
 
     The constructor takes the family's own decision procedure for the
     intersection as a closed-form `infimum` operator; `member(n)`
-    exposes the constituents (memoized) so the closed form can be
+    builds the n-th constituent, so the closed form can be
     cross-checked against any finite sample of them.
     """
 
@@ -383,14 +384,11 @@ class MeetFamily(Operator):
         self._member_factory = member_factory
         self._infimum = infimum
         self.language = language
-        self._members: dict[int, Operator] = {}
 
     def member(self, n: int) -> Operator:
         if n < 1:
             raise UsageError("family members are indexed from 1")
-        if n not in self._members:
-            self._members[n] = self._member_factory(n)
-        return self._members[n]
+        return self._member_factory(n)
 
     def apply(self, subset: Subset) -> Subset:
         return self._infimum.apply(subset)
@@ -409,7 +407,7 @@ def cup_join(left: Operator, right: Operator) -> PointwiseUnion:
 
 
 def sup_w(
-    operands: Sequence[Operator], language: ExplicitLanguage, *, bound: int = 6
+    operands: Sequence[Operator], language: ExplicitLanguage, *, bound: int = DEFAULT_BOUND
 ) -> SupremumOperator:
     """Least upper bound of `operands` over a finite language.
 
@@ -428,7 +426,7 @@ def sup_w(
 
 
 def closed_family(
-    op: Operator, language: ExplicitLanguage, *, bound: int = 6
+    op: Operator, language: ExplicitLanguage, *, bound: int = DEFAULT_BOUND
 ) -> tuple[FiniteSubset, ...]:
     """The image of P(language) under `op`, ordered by size, then
     member by member.  Every image must be a fixed point and the whole
@@ -560,38 +558,21 @@ def _require_small_language(language: ExplicitLanguage, bound: int) -> None:
         )
 
 
-def _kernel(op: Operator, language: ExplicitLanguage) -> list[int] | None:
-    """The image table from `op`'s mask kernel, or None without one."""
-    # any object with `apply` is accepted; only an Operator has a kernel
-    return op._image_masks(language) if isinstance(op, Operator) else None
-
-
 def _image_table(op: Operator, language: ExplicitLanguage) -> list[int]:
     """The image of every subset of `language` under `op`, as masks
     indexed by the input's mask; exhaustive checks see results only
-    through this table.
+    through this table, which `op._image_masks` fills.
 
-    An operator with a mask kernel (`_image_masks`: rule, step-bounded,
-    table and closure-family operators, and meets and pointwise unions
-    of those) fills the table on ints.  Any other is asked through
-    `apply`, one subset at a time, and must answer with a finite subset
-    of the same language.
+    Any object with `apply` is accepted: one that is not an `Operator`
+    is asked subset by subset, as `Operator._image_masks` asks.
     """
-    subsets = all_subsets(language)  # refuses an enumerated language
-    images = _kernel(op, language)
-    if images is not None:
-        return images
-    images = []
-    for s in subsets:
-        r = op.apply(s)
-        if not isinstance(r, FiniteSubset):
-            raise DomainError("operator returned a non-finite subset over a finite language")
-        require_same_language(language, r.language, "operator result")
-        images.append(r.mask)
-    return images
+    all_subsets(language)  # refuses an enumerated language
+    if isinstance(op, Operator):
+        return op._image_masks(language)
+    return Operator._image_masks(op, language)
 
 
-def check_axioms(op: Operator, language: ExplicitLanguage, *, bound: int = 6) -> AxiomReport:
+def check_axioms(op: Operator, language: ExplicitLanguage, *, bound: int = DEFAULT_BOUND) -> AxiomReport:
     """Decide the four closure axioms exhaustively over P(language).
 
     Finite character asks that op(X) equal the union of op(F) over the
@@ -685,7 +666,7 @@ def counterexample_reproduces(op: Operator, cex: AxiomCounterexample) -> bool:
 
 
 def leq(
-    first: Operator, second: Operator, language: ExplicitLanguage, *, bound: int = 6
+    first: Operator, second: Operator, language: ExplicitLanguage, *, bound: int = DEFAULT_BOUND
 ) -> bool:
     """Pointwise order: first(X) inside second(X) for every X."""
     _require_small_language(language, bound)
@@ -694,7 +675,7 @@ def leq(
 
 
 def equal_ops(
-    first: Operator, second: Operator, language: ExplicitLanguage, *, bound: int = 6
+    first: Operator, second: Operator, language: ExplicitLanguage, *, bound: int = DEFAULT_BOUND
 ) -> bool:
     """Pointwise equality: first(X) equals second(X) for every X."""
     _require_small_language(language, bound)

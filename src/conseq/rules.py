@@ -62,12 +62,6 @@ class TupleRule:
                 )
         object.__setattr__(self, "tuples", tuples)
 
-    def premises(self, index: int) -> tuple[Element, ...]:
-        return self.tuples[index][:-1]
-
-    def conclusion(self, index: int) -> Element:
-        return self.tuples[index][-1]
-
 
 Rule = Union[UnaryRule, TupleRule]
 

@@ -6,7 +6,9 @@ the validating constructor, asks the operator through `apply`, and
 compares member sets.  Reports, counterexample subsets, family order,
 bounded sets and minimal sizes must come out equal, on lawful operators
 (rule systems, closure families) and lawless ones (pointwise unions,
-step-bounded operators, random tables).
+step-bounded operators, random tables), and on composites whose
+operands fill their tables two ways: from a mask kernel or through
+`apply`, the latter also for an operand that is not an `Operator`.
 """
 
 from pathlib import Path
@@ -23,6 +25,8 @@ from conseq.errors import DomainError, UsageError
 from conseq.fileformat import load_system, loads_system
 from conseq.language import Element, FiniteSubset, all_subsets
 from conseq.operators import (
+    AdjoinIfContains,
+    AdjoinIfIntersects,
     AxiomCounterexample,
     AxiomReport,
     BoundedOperator,
@@ -37,6 +41,7 @@ from conseq.operators import (
     leq,
     meet,
     sup_w,
+    tabulate,
 )
 from conseq.rules import RuleSystem
 from conseq.sampling import random_closure_family, random_system, seeded, small_language
@@ -208,7 +213,17 @@ def _outcome(fn, *args):
 # random operators, lawful and lawless
 
 
-KINDS = ("rules", "union", "bounded", "table", "grow", "family", "meet", "union-bounded")
+class _ApplyOnly:
+    """An operator seen only through `apply`, with no mask kernel."""
+
+    def __init__(self, op):
+        self.apply = op.apply
+
+
+KINDS = (
+    "rules", "union", "bounded", "table", "grow", "family", "meet", "union-bounded",
+    "meet-trigger", "union-trigger",
+)
 
 
 def random_operator(kind, seed, language):
@@ -230,6 +245,13 @@ def random_operator(kind, seed, language):
     if kind == "union-bounded":  # the cup-not-join scenario's shape, one side step-bounded
         bounded = BoundedOperator(random_system(rng, language), rng.randint(1, 3))
         return PointwiseUnion(bounded, RuleOperator(random_system(rng, language)))
+    if kind in ("meet-trigger", "union-trigger"):  # a kernel operand beside one asked through apply
+        system = random_system(rng, language)
+        kernel = BoundedOperator(system, rng.randint(1, 3)) if rng.random() < 0.5 else RuleOperator(system)
+        adjoin = rng.choice((AdjoinIfContains, AdjoinIfIntersects))(rng.choice(subsets), rng.choice(subsets))
+        pair = [kernel, _ApplyOnly(adjoin) if rng.random() < 0.5 else adjoin]
+        rng.shuffle(pair)
+        return meet(pair) if kind == "meet-trigger" else cup_join(*pair)
     if kind == "table":
         return TableOperator(language, {s: rng.choice(subsets) for s in subsets})
     if kind == "grow":  # extensive, otherwise arbitrary
@@ -243,6 +265,17 @@ def random_operator(kind, seed, language):
 operators = st.tuples(
     st.sampled_from(KINDS), st.integers(min_value=0, max_value=10_000), st.integers(1, 6)
 )
+
+
+@settings(deadline=None, max_examples=200)
+@given(operators)
+def test_every_image_table_is_the_per_subset_apply(drawn):
+    kind, seed, n = drawn
+    language = small_language(n)
+    op = random_operator(kind, seed, language)
+    table = tabulate(op, language)
+    for s in _subsets(language):
+        assert table.apply(s) == op.apply(s)
 
 
 @settings(deadline=None, max_examples=200)
@@ -342,14 +375,6 @@ def test_the_bounded_kernel_table_is_the_per_subset_search(seed, n, steps, axiom
     assert op._image_masks(language) == [
         bounded_consequences(system, x, steps).mask for x in all_subsets(language)
     ]
-    assert op._cache == {}  # the kernel leaves the apply memo alone
-
-
-class _ApplyOnly:
-    """An operator seen only through `apply`, with no mask kernel."""
-
-    def __init__(self, op):
-        self.apply = op.apply
 
 
 def test_a_composite_over_mismatched_languages_fails_as_apply_does():
