@@ -3,16 +3,16 @@
 Saturation computes everything derivable from a hypothesis set: start
 from the hypotheses and all axioms, then keep applying rule tuples
 whose premises are already present.  It runs in rounds over the
-system's one grounding (`RuleSystem.grounded`, a `MaskSystem` built on
-first use and shared by every call), whose arcs (one per grounded
-tuple) are numbered in rule order, then tuple order; the hypotheses
-enter as one more mask.  A round's candidates are the arcs that use an
-element derived in the previous round, visited in number order.  A
-candidate fires when its conclusion is new and all its premises are
-present, counting those derived earlier in the same round.  Each
-element is derived exactly once, and every derived element has a
-replayable derivation witness, rebuilt from the recorded
-justifications when it is looked up.
+system's one grounding (`RuleSystem.grounded`, a `MaskSystem` built
+with the system, checking every tuple element, and shared by every
+call), whose arcs (one per grounded tuple) are numbered in rule order,
+then tuple order; the hypotheses enter as one more mask.  A round's
+candidates are the arcs that use an element derived in the previous
+round, visited in number order.  A candidate fires when its conclusion
+is new and all its premises are present, counting those derived
+earlier in the same round.  Each element is derived exactly once, and
+every derived element has a replayable derivation witness, rebuilt
+from the recorded justifications when it is looked up.
 
 The bounded variants count steps the way numbered deductions do:
 inserting a hypothesis or axiom costs a step, and a rule application
@@ -45,136 +45,6 @@ from .rules import (
     rules_extensionally_equal,
     step_element,
 )
-
-# ---------------------------------------------------------------------------
-# grounding: reduce a system to axiom bits plus numbered arcs
-
-
-class MaskSystem:
-    """A system grounded once onto bit masks; `RuleSystem.grounded`
-    builds it on first use and every later call reuses it.
-
-    Every element the grounding reaches gets one bit.  Over an explicit
-    language that bit is the element's position in the language, so a
-    subset's `mask` is already in this numbering and the widest mask has
-    one bit per element.  Over an enumerated language the elements are
-    numbered densely, in grounding order, so a mask is as wide as the
-    elements seen, never as wide as an enumeration index; `encode` gives
-    an element it has not seen the next free bit.  `elements` lists the
-    numbered elements by bit and `bits` is its inverse.
-
-    The axioms form the `insertable` mask; `inserted` keeps their
-    justifications in rule order.  Hypotheses are no part of the
-    grounding: each call encodes its own as a mask.  Every grounded
-    tuple becomes one arc (premise mask, conclusion bit), in system
-    order, `sources` keeps its rule id and tuple, and `conclusions` is
-    the union of the arcs' conclusion bits.  One index maps each premise
-    bit to the numbers of the arcs that use it, read by two
-    forward-chaining loops over these Horn clauses (Dowling & Gallier
-    1984): `close` in any order, `saturate` in witness order.  Arcs and
-    the index never change after grounding.
-    """
-
-    def __init__(self, system: RuleSystem):
-        self.language = system.language
-        if isinstance(self.language, ExplicitLanguage):
-            self.elements: Sequence[Element] = self.language.elements
-            self.bits: Mapping[Element, int] = self.language.positions
-            bit_of = self.language.positions.__getitem__
-        else:
-            self.elements, self.bits = [], {}
-            bit_of = self._bit_of
-        inserted: dict[Element, tuple] = {}
-        arcs: list[tuple[int, int]] = []
-        sources: list[tuple[str, tuple[Element, ...]]] = []
-        users: dict[int, list[int]] = {}
-        insertable = conclusions = 0
-        for rule in system.rules:
-            rule_id = rule.rule_id
-            if isinstance(rule, UnaryRule):
-                for e in rule.axioms:
-                    inserted.setdefault(e, ("axiom", rule_id))
-                    insertable |= 1 << bit_of(e)
-                continue
-            for t in rule.tuples:
-                positions = list(map(bit_of, t))
-                conclusion = 1 << positions.pop()
-                premises = 0
-                for i in positions:
-                    premises |= 1 << i
-                    users.setdefault(i, []).append(len(arcs))
-                arcs.append((premises, conclusion))
-                sources.append((rule_id, t))
-                conclusions |= conclusion
-        self.inserted, self.insertable = inserted, insertable
-        self.arcs, self.sources, self.conclusions = arcs, sources, conclusions
-        self._users = users
-
-    def _bit_of(self, e: Element) -> int:
-        """The bit of `e` over an enumerated language, numbering it if new."""
-        i = self.bits.get(e)
-        if i is None:
-            i = self.bits[e] = len(self.elements)
-            self.elements.append(e)
-        return i
-
-    def encode(self, subset: FiniteSubset) -> int:
-        """The mask of `subset`, which must be over the system's language.
-        Over an enumerated language a member the grounding has not seen
-        takes the next free bit, which no arc uses."""
-        require_same_language(self.language, subset.language, "saturate")
-        if isinstance(self.language, ExplicitLanguage):
-            return subset.mask
-        mask = 0
-        for i in map(self._bit_of, subset.members):
-            mask |= 1 << i
-        return mask
-
-    def decode(self, mask: int) -> FiniteSubset:
-        """The subset whose members are the elements of the bits of `mask`."""
-        if isinstance(self.language, ExplicitLanguage):
-            return FiniteSubset._of_mask(self.language, mask)
-        return FiniteSubset(self.language, tuple(self.elements[i] for i in bit_indices(mask)))
-
-    def image(self, subset: FiniteSubset) -> FiniteSubset:
-        """Everything derivable from `subset`."""
-        return self.decode(self.close(self.encode(subset)))
-
-    def close(self, mask: int = 0, fresh: int | None = None) -> int:
-        """The least superset of `mask` and the insertable elements that
-        holds every arc's conclusion once it holds the arc's premises.
-
-        When `mask` is closed apart from the bits of `fresh`, passing
-        them visits only the arcs those bits can enable.
-        """
-        have = mask | self.insertable
-        todo = have if fresh is None else fresh
-        arcs, users = self.arcs, self._users
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            for a in users.get(low.bit_length() - 1, ()):
-                premises, conclusion = arcs[a]
-                if not have & conclusion and have & premises == premises:
-                    have |= conclusion
-                    todo |= conclusion
-        return have
-
-    def closures(self, width: int) -> list[int]:
-        """`close(X)` for every mask X of `width` bits, indexed by X.
-
-        The table is filled in binary-counting order from the closure of
-        X minus its lowest bit e: when that closure holds e it is X's
-        closure too, and otherwise only the arcs that e enables are
-        visited.
-        """
-        out = [self.close()]
-        for x in range(1, 1 << width):
-            low = x & -x
-            below = out[x ^ low]
-            out.append(below if below & low else self.close(below | low, low))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # saturation

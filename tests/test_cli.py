@@ -156,6 +156,29 @@ def test_check_axioms_pass_and_fail(capsys):
     assert "error:" in err
 
 
+def test_check_axioms_past_the_table_ceiling_exits_2_at_once(tmp_path):
+    # 2^30 images would take gigabytes; under a 1 GB address-space cap a
+    # table built anyway ends in a MemoryError traceback, not a machine-wide grab
+    names = [f"e{i:02d}" for i in range(30)]
+    chain = tmp_path / "chain30.system"
+    chain.write_text(
+        "language: " + " ".join(names) + "\n"
+        + "".join(f"rule step: {a} => {b}\n" for a, b in zip(names, names[1:]))
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "conseq", "check-axioms", "--system", str(chain), "--bound", "30"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        "error: language has 30 elements; a table of all 2^30 subsets is refused above 22 elements\n"
+    )
+
+
 def test_meet_and_sup(capsys):
     both = f"{PAIRS},{SINGLE}"
     code, out, _ = run(capsys, "meet", "--systems", both, "--hyp", "a")

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conseq import engine
+from conseq import rules
 from conseq.cli import main
 from conseq.csystems import closed_systems
 from conseq.engine import bounded_consequences, min_derivation_size, saturate
@@ -528,13 +528,13 @@ GROUNDED_ONCE = {
 @pytest.mark.parametrize("query", GROUNDED_ONCE)
 def test_each_query_grounds_its_system_once(monkeypatch, capsys, query):
     built = []
-    init = engine.MaskSystem.__init__
+    init = rules.MaskSystem.__init__
 
     def counted(grounding, *args):
         built.append(args)
         init(grounding, *args)
 
-    monkeypatch.setattr(engine.MaskSystem, "__init__", counted)
+    monkeypatch.setattr(rules.MaskSystem, "__init__", counted)
     GROUNDED_ONCE[query]()
     capsys.readouterr()
     assert len(built) == 1

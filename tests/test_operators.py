@@ -2,10 +2,13 @@
 and the equivalence between trigger operators and their generated rule
 systems."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conseq import operators
 from conseq.engine import intersect_rulewise, intersect_systems, union_systems
 from conseq.errors import UsageError
 from conseq.language import (
@@ -17,10 +20,12 @@ from conseq.language import (
     all_subsets,
 )
 from conseq.operators import (
+    MAX_TABLE_ELEMENTS,
     AdjoinIfContains,
     AdjoinIfIntersects,
     BoundedOperator,
     Identity,
+    MeetOperator,
     RuleOperator,
     TableOperator,
     Unit,
@@ -433,3 +438,83 @@ def test_counterexample_reproduces_rejects_unknown_axioms():
         counterexample_reproduces(
             Identity(), AxiomCounterexample("shiny", (_sub("a"),))
         )
+
+
+# ---------------------------------------------------------------------------
+# the ceiling on 2^n image tables
+
+
+def _chain(n):
+    names = tuple(Element(f"e{i:02d}") for i in range(n))
+    steps = TupleRule("step", 2, tuple(zip(names, names[1:])))
+    return RuleSystem("chain", ExplicitLanguage(names), (steps,))
+
+
+def test_tables_past_the_ceiling_are_refused_before_anything_is_allocated(monkeypatch):
+    def no_table(op, language):
+        raise AssertionError(f"{op!r} built a table over {len(language)} elements")
+
+    for kind in (RuleOperator, BoundedOperator, MeetOperator):
+        monkeypatch.setattr(kind, "_image_masks", no_table)
+    n = 40  # an unguarded [None] * 2^40 fails at once rather than filling memory
+    system = _chain(n)
+    language, op = system.language, RuleOperator(system)
+    refusals = {
+        "table": lambda: TableOperator(language, {}),
+        "tabulate": lambda: tabulate(op, language),
+        "check_axioms": lambda: check_axioms(op, language, bound=n),
+        "equal_ops": lambda: equal_ops(op, op, language, bound=n),
+        "sup_w": lambda: sup_w([op], language, bound=n),
+        "meet": lambda: tabulate(meet([op, BoundedOperator(system, 2)]), language),
+    }
+    expected = (
+        f"language has {n} elements; a table of all 2^{n} subsets is refused "
+        f"above {MAX_TABLE_ELEMENTS} elements"
+    )
+    tracemalloc.start()
+    try:
+        for name, refuse in refusals.items():
+            with pytest.raises(UsageError) as info:
+                refuse()
+            assert str(info.value) == expected, name
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_the_ceiling_admits_a_table_of_exactly_its_size(monkeypatch):
+    monkeypatch.setattr(operators, "MAX_TABLE_ELEMENTS", 4)
+    system = _chain(4)
+    frozen = tabulate(RuleOperator(system), system.language)
+    assert check_axioms(frozen, system.language).ok
+    wider = _chain(5)
+    with pytest.raises(UsageError, match="2\\^5 subsets is refused above 4 elements"):
+        tabulate(RuleOperator(wider), wider.language)
+    with pytest.raises(UsageError, match="2\\^5 subsets is refused above 4 elements"):
+        TableOperator(wider.language, {})
+
+
+def test_checks_of_tabulated_operands_build_each_operand_table_once(monkeypatch):
+    built = []
+    image_masks = BoundedOperator._image_masks
+
+    def counted(op, language):
+        built.append(op)
+        return image_masks(op, language)
+
+    monkeypatch.setattr(BoundedOperator, "_image_masks", counted)
+    chain = _chain(6)
+    language = chain.language
+    names = language.elements
+    joins = TupleRule("join", 3, tuple(zip(names, names[1:], names[2:])))
+    first = BoundedOperator(chain, 2)
+    second = BoundedOperator(RuleSystem("joins", language, (joins,)), 3)
+    tables = [tabulate(first, language), tabulate(second, language)]
+    assert built == [first, second]
+    reports = [check_axioms(meet(tables), language) for _ in range(3)]
+    reports.append(check_axioms(cup_join(*tables), language))
+    assert built == [first, second]
+    assert reports[0] == reports[1] == reports[2] == check_axioms(meet([first, second]), language)
+    assert reports[3] == check_axioms(cup_join(first, second), language)
+    assert built == [first, second] * 3

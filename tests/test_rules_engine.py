@@ -23,7 +23,13 @@ from conseq.engine import (
     union_systems,
 )
 from conseq.errors import DomainError, UsageError
-from conseq.language import Element, ExplicitLanguage, FiniteSubset, all_subsets
+from conseq.language import (
+    Element,
+    EnumeratedLanguage,
+    ExplicitLanguage,
+    FiniteSubset,
+    all_subsets,
+)
 from conseq.operators import RuleOperator, TableOperator, check_axioms, equal_ops
 from conseq.rules import (
     Apply,
@@ -144,12 +150,87 @@ def test_system_checks_each_distinct_tuple_element_once(monkeypatch):
     repeated = TupleRule("r", 3, ((X1, X2, A), (X2, X1, A), (A, A, B), (X1, A, B)))
     monkeypatch.setattr(ExplicitLanguage, "__contains__", counted)
     RuleSystem("s", LANG4, (repeated,))
-    assert asked == [X1, X2, A, B]
+    assert asked == []  # grounding numbers each element through `positions`, no membership pass
     y = Element("y")
     outsider = TupleRule("r", 2, ((A, B), (X1, y), (y, A), (Element("z"), A)))
     with pytest.raises(DomainError) as info:
         RuleSystem("s", LANG4, (outsider,))
     assert str(info.value) == "system s: rule r mentions y outside the language"
+
+
+def _two_pass_construction_error(name, language, rules):
+    """The error a system's construction must raise, or None: the
+    validation systems ran before grounding became their membership
+    check.  Ids first; then, rule by rule, an axiom set's language or
+    each distinct tuple element in first-seen order."""
+    if len({r.rule_id for r in rules}) != len(rules):
+        ids = [r.rule_id for r in rules]
+        return UsageError(f"system {name}: rule ids must be unique: {ids}")
+    for rule in rules:
+        if isinstance(rule, UnaryRule):
+            if rule.axioms.language != language:
+                return DomainError(f"system {name}: axioms of {rule.rule_id} use another language")
+        else:
+            for e in dict.fromkeys(itertools.chain.from_iterable(rule.tuples)):
+                if e not in language:
+                    return DomainError(
+                        f"system {name}: rule {rule.rule_id} mentions {e} outside the language"
+                    )
+    return None
+
+
+# members of both test languages, and names each language refuses:
+# another prefix, a leading zero, a bare prefix, non-ASCII digits
+_EXPLICIT_NAMES = ("a", "b", "c", "f1", "f2")
+_ENUMERATED_NAMES = ("f0", "f1", "f2", "f10", "f123456789012")
+_OUTSIDERS = ("y", "g1", "f01", "f", "f²", "a1")
+
+
+@st.composite
+def systems_with_injected_faults(draw):
+    if draw(st.booleans()):
+        language = ExplicitLanguage.of_tokens(_EXPLICIT_NAMES)
+        members, others = _EXPLICIT_NAMES, (ExplicitLanguage.of_tokens("ab"), EnumeratedLanguage("f"))
+    else:
+        language = EnumeratedLanguage("f")
+        members, others = _ENUMERATED_NAMES, (EnumeratedLanguage("g"), ExplicitLanguage.of_tokens(["f1"]))
+    outsider_rate = draw(st.sampled_from((0.0, 0.05, 0.3)))
+    ids = ("r0", "r1", "r2", "r3")
+
+    def name():
+        if draw(st.floats(0, 1)) < outsider_rate:
+            return draw(st.sampled_from(_OUTSIDERS))
+        return draw(st.sampled_from(members))
+
+    rules = []
+    for i in range(draw(st.integers(0, 4))):
+        rule_id = draw(st.sampled_from(ids)) if draw(st.integers(0, 9)) == 0 else ids[i]
+        if draw(st.integers(0, 3)) == 0:
+            over = draw(st.sampled_from(others)) if draw(st.floats(0, 1)) < outsider_rate else language
+            picked = draw(st.lists(st.sampled_from(members), max_size=3))
+            picked = [n for n in picked if Element(n) in over]
+            rules.append(UnaryRule(rule_id, FiniteSubset.of(over, picked)))
+        else:
+            arity = draw(st.integers(2, 4))
+            count = draw(st.integers(0, 4))
+            tuples = tuple(tuple(Element(name()) for _ in range(arity)) for _ in range(count))
+            rules.append(TupleRule(rule_id, arity, tuples))
+    return language, tuple(rules)
+
+
+@settings(deadline=None, max_examples=300)
+@given(systems_with_injected_faults())
+def test_construction_raises_what_the_two_pass_validation_raised(drawn):
+    language, rules = drawn
+    expected = _two_pass_construction_error("s", language, rules)
+    if expected is None:
+        system = RuleSystem("s", language, rules)
+        assert system.grounded.language == language
+        return
+    with pytest.raises((DomainError, UsageError)) as info:
+        RuleSystem("s", language, rules)
+    assert type(info.value) is type(expected)
+    assert str(info.value) == str(expected)
 
 
 def test_rule_lookup_by_id_leaves_equality_hashing_and_repr_alone():
