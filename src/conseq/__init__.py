@@ -3,9 +3,10 @@
 The pieces fit together like this: `language` gives elements, explicit
 and enumerated languages, and finite/cofinite subsets; `rules` defines
 relations and rule systems; `engine` runs numbered-step deduction
-(saturation, derivation checking, step bounds, canonical systems);
+(saturation, derivation checking, step bounds);
 `operators` treats closure operators as values with meet, weak join,
-and axiom checking; `csystems` works with closed-set families;
+and axiom checking, and builds the rule systems that replay them
+(canonical and trigger systems); `csystems` works with closed-set families;
 `propositional` instantiates the machinery for implication/negation
 formulas with several restricted axiom sets; `scenarios` packages the
 worked examples; `cli` exposes everything on the command line.
@@ -37,7 +38,6 @@ from .rules import (
 from .engine import (
     SaturationResult,
     bounded_consequences,
-    canonical_system,
     check_derivation,
     intersect_rulewise,
     intersect_systems,
@@ -58,6 +58,7 @@ from .operators import (
     RuleOperator,
     TableOperator,
     Unit,
+    canonical_system,
     check_axioms,
     counterexample_reproduces,
     cup_join,
@@ -100,7 +101,6 @@ __all__ = [
     "rules_extensionally_equal",
     "SaturationResult",
     "bounded_consequences",
-    "canonical_system",
     "check_derivation",
     "intersect_rulewise",
     "intersect_systems",
@@ -119,6 +119,7 @@ __all__ = [
     "RuleOperator",
     "TableOperator",
     "Unit",
+    "canonical_system",
     "check_axioms",
     "counterexample_reproduces",
     "cup_join",

@@ -22,7 +22,7 @@ from .engine import (
 )
 from .errors import ConseqError, UsageError
 from .fileformat import load_system
-from .language import Element, FiniteSubset, Subset
+from .language import Element, FiniteSubset
 from .operators import DEFAULT_BOUND, RuleOperator, check_axioms, meet, sup_w
 from .rules import RuleSystem
 from .scenarios import run_scenario, scenario_ids
@@ -33,12 +33,9 @@ def _parse_hypotheses(system: RuleSystem, text: str) -> FiniteSubset:
     return FiniteSubset.of(system.language, tokens)
 
 
-def _print_subset(subset: Subset) -> None:
-    if isinstance(subset, FiniteSubset):
-        for e in subset.members:
-            print(e.name)
-    else:
-        print(str(subset))
+def _print_subset(subset: FiniteSubset) -> None:
+    for e in subset.members:
+        print(e.name)
 
 
 def _load_many(paths: str) -> list[RuleSystem]:

@@ -25,14 +25,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DomainError, UsageError
-from .language import (
-    Element,
-    ExplicitLanguage,
-    FiniteSubset,
-    all_subsets,
-    bit_indices,
-    require_same_language,
-)
+from .language import Element, FiniteSubset, bit_indices, require_same_language
 from .rules import (
     Apply,
     CheckResult,
@@ -311,43 +304,6 @@ def bounded_mask(
         if _min_steps(start, grounded.arcs, 1 << i, steps) is not None:
             reachable |= 1 << i
     return reachable
-
-
-# ---------------------------------------------------------------------------
-# canonical systems
-
-
-def canonical_system(op, language: ExplicitLanguage, name: str = "canonical") -> RuleSystem:
-    """The rule system whose saturation replays `op` exactly.
-
-    One axiom set holds op(empty), and for every non-empty subset F of
-    the language (premises in sorted order) the k-premise relation
-    holds a tuple per element of op(F).  Construction is refused unless
-    `op` passes `check_axioms` over the whole language, because
-    saturation of the result always satisfies the closure axioms.
-    """
-    from .operators import check_axioms, tabulate  # operators imports this module
-
-    if not isinstance(language, ExplicitLanguage):
-        raise UsageError("canonical systems need an explicit finite language")
-    table = tabulate(op, language)
-    cex = check_axioms(table, language, bound=len(language.elements)).counterexample
-    if cex is not None:
-        at = ", ".join(str(s) for s in cex.subsets)
-        raise UsageError(f"operator is not {cex.axiom} at {at}; refusing")
-
-    subsets = list(all_subsets(language))
-    rules: list[Rule] = [UnaryRule("axioms", table.apply(FiniteSubset.empty(language)))]
-    n = len(language.elements)
-    for k in range(1, n + 1):
-        tuples: list[tuple[Element, ...]] = []
-        for x in subsets:
-            if len(x.members) != k:
-                continue
-            for e in table.apply(x):
-                tuples.append(x.members + (e,))
-        rules.append(TupleRule(f"from{k}", k + 1, tuple(tuples)))
-    return RuleSystem(name, language, tuple(rules))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Three failure kinds are kept apart so callers (and the CLI exit-code
 mapping) can tell them apart:
 
 * DomainError  -- an argument is outside the mathematical domain of the
-  operation (element not in the language, mismatched languages, partial
-  valuation).
+  operation (element not in the language, mismatched languages,
+  negative atom index).
 * UsageError   -- the call itself is malformed or unsupported (step
   cap below 1, exhaustiveness bound exceeded, unknown scenario id).
 * InputSyntaxError -- text failed to parse; carries a position so the

@@ -219,51 +219,46 @@ class BoundedOperator(Operator):
         return f"BoundedOperator({self.system.name}, steps={self.steps})"
 
 
-def _overlaps(a: Subset, b: Subset) -> bool:
-    if isinstance(a, FiniteSubset):
-        return any(e in b for e in a)
-    if isinstance(b, FiniteSubset):
-        return any(e in a for e in b)
-    return True  # two cofinite subsets of a denumerable language always meet
-
-
-class AdjoinIfIntersects(Operator):
-    """Adds `extra` to any input that meets `trigger`; otherwise the
+class _AdjoinIf(Operator):
+    """Adds `extra` to any input on which `_fires` holds; otherwise the
     input passes through untouched."""
 
     def __init__(self, extra: FiniteSubset, trigger: Subset):
-        require_same_language(extra.language, trigger.language, "AdjoinIfIntersects")
+        require_same_language(extra.language, trigger.language, type(self).__name__)
         self.extra = extra
         self.trigger = trigger
         self.language = extra.language
 
+    def _fires(self, subset: Subset) -> bool:
+        raise NotImplementedError
+
     def apply(self, subset: Subset) -> Subset:
         require_same_language(self.language, subset.language, "apply")
-        if _overlaps(subset, self.trigger):
+        if self._fires(subset):
             return subset.union(self.extra)
         return subset
 
     def __repr__(self) -> str:
-        return f"AdjoinIfIntersects(extra={self.extra}, trigger={self.trigger})"
+        return f"{type(self).__name__}(extra={self.extra}, trigger={self.trigger})"
 
 
-class AdjoinIfContains(Operator):
+class AdjoinIfIntersects(_AdjoinIf):
+    """Adds `extra` to any input that meets `trigger`; otherwise the
+    input passes through untouched."""
+
+    def _fires(self, subset: Subset) -> bool:
+        if isinstance(subset, FiniteSubset):
+            return any(e in self.trigger for e in subset)
+        if isinstance(self.trigger, FiniteSubset):
+            return any(e in subset for e in self.trigger)
+        return True  # two cofinite subsets of a denumerable language always meet
+
+
+class AdjoinIfContains(_AdjoinIf):
     """Adds `extra` to any input that contains all of `trigger`."""
 
-    def __init__(self, extra: FiniteSubset, trigger: Subset):
-        require_same_language(extra.language, trigger.language, "AdjoinIfContains")
-        self.extra = extra
-        self.trigger = trigger
-        self.language = extra.language
-
-    def apply(self, subset: Subset) -> Subset:
-        require_same_language(self.language, subset.language, "apply")
-        if self.trigger.is_subset_of(subset):
-            return subset.union(self.extra)
-        return subset
-
-    def __repr__(self) -> str:
-        return f"AdjoinIfContains(extra={self.extra}, trigger={self.trigger})"
+    def _fires(self, subset: Subset) -> bool:
+        return self.trigger.is_subset_of(subset)
 
 
 class MeetOperator(Operator):
@@ -470,7 +465,37 @@ def tabulate(op: Operator, language: ExplicitLanguage) -> TableOperator:
 
 
 # ---------------------------------------------------------------------------
-# generated systems for the trigger operators
+# rule systems that replay an operator
+
+
+def canonical_system(op, language: ExplicitLanguage) -> RuleSystem:
+    """The rule system whose saturation replays `op` exactly.
+
+    One axiom set holds op(empty), and for every non-empty subset F of
+    the language (premises in sorted order) the k-premise relation
+    holds a tuple per element of op(F); each relation lists its subsets
+    in binary-counting order, read off `op`'s image table in one pass.
+    Construction is refused unless `op` passes `check_axioms` over the
+    whole language, because saturation of the result always satisfies
+    the closure axioms.
+    """
+    if not isinstance(language, ExplicitLanguage):
+        raise UsageError("canonical systems need an explicit finite language")
+    table = tabulate(op, language)
+    cex = check_axioms(table, language, bound=len(language.elements)).counterexample
+    if cex is not None:
+        at = ", ".join(str(s) for s in cex.subsets)
+        raise UsageError(f"operator is not {cex.axiom} at {at}; refusing")
+
+    images = table._images
+    tuples: list[list[tuple[Element, ...]]] = [[] for _ in language.elements]
+    for x in range(1, len(images)):
+        premises = FiniteSubset._of_mask(language, x).members
+        image = FiniteSubset._of_mask(language, images[x])
+        tuples[len(premises) - 1] += (premises + (e,) for e in image)
+    axioms = UnaryRule("axioms", FiniteSubset._of_mask(language, images[0]))
+    relations = (TupleRule(f"from{k}", k + 1, tuple(t)) for k, t in enumerate(tuples, start=1))
+    return RuleSystem("canonical", language, (axioms, *relations))
 
 
 def overlap_trigger_system(

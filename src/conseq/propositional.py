@@ -225,22 +225,8 @@ class Valuation:
     def of(cls, mapping: Mapping[int, bool]) -> "Valuation":
         return cls(tuple(mapping.items()))
 
-    def value_of(self, index: int) -> bool:
-        for i, b in self.assignment:
-            if i == index:
-                return b
-        raise DomainError(f"valuation does not assign atom P{index}")
-
     def __str__(self) -> str:
         return "{" + ", ".join(f"P{i}={'true' if b else 'false'}" for i, b in self.assignment) + "}"
-
-
-def eval_wff(w: Wff, valuation: Valuation) -> bool:
-    if isinstance(w, Atom):
-        return valuation.value_of(w.index)
-    if isinstance(w, Neg):
-        return not eval_wff(w.operand, valuation)
-    return (not eval_wff(w.antecedent, valuation)) or eval_wff(w.consequent, valuation)
 
 
 def _holds(w: Wff, shift: Mapping[int, int], mask: int) -> bool:
@@ -577,9 +563,7 @@ def _as_pool(formulas: Iterable[Wff]) -> Pool:
     )
 
 
-def pd_system(
-    variant: str, pool: Sequence[Wff], *, n: int | None = None, name: str | None = None
-) -> RuleSystem:
+def pd_system(variant: str, pool: Sequence[Wff], *, n: int | None = None) -> RuleSystem:
     """Build a deductive system over an explicit formula pool.
 
     standard       axioms R1, R2, R3; unrestricted detachment
@@ -636,8 +620,7 @@ def pd_system(
         "axioms", FiniteSubset(language, tuple(element_of[w] for w in axiom_wffs))
     )
     mp = TupleRule("mp", 3, tuple((element_of[w], element_of[a], element_of[c]) for w, a, c in triples))
-    system_name = name or (variant if n is None else f"{variant}-{n}")
-    return RuleSystem(system_name, language, (axioms, mp))
+    return RuleSystem(variant if n is None else f"{variant}-{n}", language, (axioms, mp))
 
 
 def formula_subset(system: RuleSystem, wffs: Iterable[Wff]) -> FiniteSubset:

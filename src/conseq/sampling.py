@@ -53,15 +53,9 @@ def random_closure_family(
     n = len(elements)
     masks = {(1 << n) - 1}
     for _ in range(rng.randint(0, max_generators)):
-        masks.add(rng.randrange(1 << n))
-    grew = True
-    while grew:
-        grew = False
-        for a in list(masks):
-            for b in list(masks):
-                if (a & b) not in masks:
-                    masks.add(a & b)
-                    grew = True
+        # an intersection-closed family stays closed: (g & a) & b == g & (a & b)
+        generator = rng.randrange(1 << n)
+        masks |= {generator & m for m in masks}
     subsets = []
     for mask in sorted(masks, key=lambda m: (bin(m).count("1"), m)):
         members = tuple(elements[i] for i in range(n) if (mask >> i) & 1)

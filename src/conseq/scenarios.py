@@ -14,7 +14,6 @@ from typing import Callable, Sequence
 from . import propositional as pd
 from .csystems import closed_systems, join_uplus, meet_cap
 from .engine import (
-    canonical_system,
     check_derivation,
     intersect_rulewise,
     intersect_systems,
@@ -37,6 +36,7 @@ from .operators import (
     BoundedOperator,
     Identity,
     RuleOperator,
+    canonical_system,
     check_axioms,
     cup_join,
     equal_ops,

@@ -9,7 +9,6 @@ import itertools
 
 from conseq.csystems import closed_systems, join_uplus, meet_cap
 from conseq.engine import (
-    canonical_system,
     check_derivation,
     intersect_rulewise,
     intersect_systems,
@@ -33,6 +32,7 @@ from conseq.operators import (
     Identity,
     RuleOperator,
     TableOperator,
+    canonical_system,
     check_axioms,
     cup_join,
     equal_ops,

@@ -486,6 +486,17 @@ def test_missing_system_file_exits_2(capsys, tmp_path, command):
     assert err.splitlines() == [f"error: cannot read system file {path!r}: No such file or directory"]
 
 
+def test_system_file_that_is_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin1.system"
+    path.write_bytes(b"language: a \xe9\n")
+    code, out, err = run(capsys, "saturate", "--system", str(path), "--hyp", "a")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: system file {str(path)!r} is not UTF-8 text: invalid continuation byte"
+    ]
+
+
 @pytest.mark.parametrize("command", ["meet", "sup"])
 @pytest.mark.parametrize("systems", ["", ",", " , "])
 def test_empty_systems_list_exits_2(capsys, command, systems):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conseq import operators
+from conseq import canonical_system, operators
 from conseq.engine import intersect_rulewise, intersect_systems, union_systems
-from conseq.errors import UsageError
+from conseq.errors import DomainError, UsageError
 from conseq.language import (
     CofiniteSubset,
     Element,
@@ -180,6 +180,62 @@ def test_trigger_degenerate_cases():
     generated = superset_trigger_system(extra, empty)
     assert generated.rule("always").axioms == extra
     assert equal_ops(always, RuleOperator(generated), language)
+
+
+def test_canonical_system_lists_its_rules_by_size_then_counting_order():
+    language = small_language(3)
+    family = [
+        FiniteSubset.of(language, names)
+        for names in (["e1"], ["e0", "e1"], ["e1", "e2"], ["e0", "e1", "e2"])
+    ]
+    system = canonical_system(from_closure_family(family, language), language)
+    assert system.name == "canonical"
+    assert [r.rule_id for r in system.rules] == ["axioms", "from1", "from2", "from3"]
+    assert str(system.rule("axioms").axioms) == "{e1}"
+    listed = {
+        r.rule_id: (r.arity, [" ".join(e.name for e in t) for t in r.tuples])
+        for r in system.rules[1:]
+    }
+    assert listed == {
+        "from1": (2, ["e0 e0", "e0 e1", "e1 e1", "e2 e1", "e2 e2"]),
+        "from2": (
+            3,
+            ["e0 e1 e0", "e0 e1 e1", "e0 e2 e0", "e0 e2 e1", "e0 e2 e2", "e1 e2 e1", "e1 e2 e2"],
+        ),
+        "from3": (4, ["e0 e1 e2 e0", "e0 e1 e2 e1", "e0 e1 e2 e2"]),
+    }
+
+
+def test_overlap_trigger_meets_cofinite_inputs_and_triggers():
+    language = EnumeratedLanguage("f")
+    f = [language.element(i) for i in range(4)]
+    extra = FiniteSubset(language, (f[0],))
+    cofinite_trigger = AdjoinIfIntersects(extra, CofiniteSubset(language, (f[1],)))
+    assert str(cofinite_trigger.apply(FiniteSubset(language, (f[1],)))) == "{f1}"
+    assert str(cofinite_trigger.apply(FiniteSubset(language, (f[2],)))) == "{f0,f2}"
+    # two cofinite subsets of a denumerable language always meet
+    assert str(cofinite_trigger.apply(CofiniteSubset(language, (f[0],)))) == "L"
+    finite_trigger = AdjoinIfIntersects(extra, FiniteSubset(language, (f[3],)))
+    missing_trigger = CofiniteSubset(language, (f[0], f[3]))
+    assert str(finite_trigger.apply(missing_trigger)) == "L-{f0,f3}"
+    assert str(finite_trigger.apply(CofiniteSubset(language, (f[0],)))) == "L"
+
+
+def test_trigger_operators_name_themselves_in_reprs_and_language_errors():
+    language = EnumeratedLanguage("f")
+    extra = FiniteSubset(language, (language.element(0),))
+    trigger = CofiniteSubset(language, (language.element(1),))
+    other = FiniteSubset.empty(ExplicitLanguage.of_tokens(["a"]))
+    mismatch = "mismatched languages EnumeratedLanguage(prefix:f) and ExplicitLanguage(a)"
+    for cls in (AdjoinIfIntersects, AdjoinIfContains):
+        name = cls.__name__
+        assert repr(cls(extra, trigger)) == f"{name}(extra={{f0}}, trigger=L-{{f1}})"
+        with pytest.raises(DomainError) as built:
+            cls(extra, other)
+        assert str(built.value) == f"{name}: {mismatch}"
+        with pytest.raises(DomainError) as applied:
+            cls(extra, trigger).apply(other)
+        assert str(applied.value) == f"apply: {mismatch}"
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +485,22 @@ def test_check_axioms_enforces_the_exhaustiveness_bound():
         leq(Identity(), Unit(), wide)
     with pytest.raises(UsageError):
         equal_ops(Identity(), Identity(), wide)
+
+
+def test_counterexample_reproduces_a_finite_character_failure():
+    from conseq.operators import AxiomCounterexample
+
+    # inputs of one element gain d; so op({a,b}) = {a,b} misses op({a}) = {a,d}
+    grow_singletons = TableOperator(
+        LANG,
+        {s: (s.union(_sub("d")) if len(s.members) == 1 else s) for s in all_subsets(LANG)},
+    )
+    assert counterexample_reproduces(
+        grow_singletons, AxiomCounterexample("finite_character", (_sub("a", "b"),))
+    )
+    assert not counterexample_reproduces(
+        Identity(), AxiomCounterexample("finite_character", (_sub("a", "b"),))
+    )
 
 
 def test_counterexample_reproduces_rejects_unknown_axioms():

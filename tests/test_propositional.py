@@ -34,7 +34,6 @@ from conseq.propositional import (
     bridge_axiom,
     certificate_first,
     certificate_non_derivable,
-    eval_wff,
     falsifying_valuation,
     formula_subset,
     h_transform,
@@ -232,13 +231,31 @@ def test_atoms_and_subformulas():
 # semantics
 
 
+def value_of(valuation, index):
+    """The truth value a valuation assigns to atom `index`, found by a
+    scan of its sorted assignment."""
+    for i, b in valuation.assignment:
+        if i == index:
+            return b
+    raise DomainError(f"valuation does not assign atom P{index}")
+
+
+def eval_wff(w, valuation):
+    """The definitional evaluator: each atom looked up in the valuation."""
+    if isinstance(w, Atom):
+        return value_of(valuation, w.index)
+    if isinstance(w, Neg):
+        return not eval_wff(w.operand, valuation)
+    return (not eval_wff(w.antecedent, valuation)) or eval_wff(w.consequent, valuation)
+
+
 def test_valuation_api():
     v = Valuation.of({1: True, 0: False})
     assert str(v) == "{P0=false, P1=true}"
-    assert v.value_of(1) and not v.value_of(0)
+    assert value_of(v, 1) and not value_of(v, 0)
     assert v == Valuation(((0, False), (1, True)))
     with pytest.raises(DomainError):
-        v.value_of(7)
+        value_of(v, 7)
 
 
 def test_falsifying_valuation_is_first_in_counting_order():

@@ -5,6 +5,7 @@ enumerator that literally tries every numbered step sequence.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from conseq import engine
 from conseq.engine import (
     bounded_consequences,
-    canonical_system,
     check_derivation,
     intersect_rulewise,
     intersect_systems,
@@ -30,7 +30,13 @@ from conseq.language import (
     FiniteSubset,
     all_subsets,
 )
-from conseq.operators import RuleOperator, TableOperator, check_axioms, equal_ops
+from conseq.operators import (
+    RuleOperator,
+    TableOperator,
+    canonical_system,
+    check_axioms,
+    equal_ops,
+)
 from conseq.rules import (
     Apply,
     Derivation,
@@ -41,6 +47,43 @@ from conseq.rules import (
     rules_extensionally_equal,
 )
 from conseq.sampling import random_closure_family, random_system, seeded, small_language
+
+
+def _pairwise_closure_family(rng, language, *, max_generators=4):
+    """The definitional `random_closure_family`: draw every generator,
+    then add pairwise intersections until none is new."""
+    elements = list(language.elements)
+    n = len(elements)
+    masks = {(1 << n) - 1}
+    for _ in range(rng.randint(0, max_generators)):
+        masks.add(rng.randrange(1 << n))
+    grew = True
+    while grew:
+        grew = False
+        for a in list(masks):
+            for b in list(masks):
+                if (a & b) not in masks:
+                    masks.add(a & b)
+                    grew = True
+    subsets = []
+    for mask in sorted(masks, key=lambda m: (bin(m).count("1"), m)):
+        members = tuple(elements[i] for i in range(n) if (mask >> i) & 1)
+        subsets.append(FiniteSubset(language, members))
+    return tuple(subsets)
+
+
+def test_random_closure_family_matches_the_pairwise_fixpoint():
+    for n in range(1, 8):
+        language = small_language(n)
+        for max_generators in (0, 1, 4, 9):
+            for seed in range(400):
+                expected = _pairwise_closure_family(
+                    random.Random(seed), language, max_generators=max_generators
+                )
+                got = random_closure_family(
+                    random.Random(seed), language, max_generators=max_generators
+                )
+                assert got == expected, (n, max_generators, seed)
 
 
 def random_operator_table(rng, language):
@@ -526,6 +569,23 @@ def test_check_derivation_axiom_inserts_respect_pool():
     assert not check_derivation(system, FiniteSubset.empty(LANG4), wrong_source)
 
 
+def test_check_derivation_names_misused_rules():
+    system = RuleSystem(
+        "mixed",
+        LANG4,
+        (UnaryRule("ax", FiniteSubset.of(LANG4, ["a"])), TupleRule("r", 2, ((A, B),))),
+    )
+    empty = FiniteSubset.empty(LANG4)
+    cases = {
+        (Insert(B, "r"),): "step 1: rule r is not an axiom set",
+        (Insert(B, "ax"),): "step 1: b is not an axiom of ax",
+        (Insert(A, "ax"), Apply("ax", (1,), B)): "step 2: ax takes no premises",
+    }
+    for steps, reason in cases.items():
+        result = check_derivation(system, empty, Derivation(steps))
+        assert not result and result.reason == reason
+
+
 def test_derivation_render_is_numbered():
     proof = Derivation((Insert(X1), Apply("to-b", (1,), B)))
     assert proof.render() == "1. x1  [hypothesis]\n2. b  [to-b from 1]"
@@ -709,6 +769,18 @@ def test_intersect_rulewise_pairs_positionally():
         s1, RuleSystem("three", LANG4, (TupleRule("w", 3, ((X1, X2, A),)),))
     )
     assert mismatched.rules[0].tuples == ()
+
+
+def test_intersect_rulewise_pairs_axiom_sets_and_mixed_kinds():
+    axioms_ab = RuleSystem("one", LANG4, (UnaryRule("u", FiniteSubset.of(LANG4, ["a", "b"])),))
+    axioms_b = RuleSystem("two", LANG4, (UnaryRule("v", FiniteSubset.of(LANG4, ["b", "x1"])),))
+    pairs = RuleSystem("three", LANG4, (TupleRule("p", 2, ((A, B),)),))
+    both = intersect_rulewise(axioms_ab, axioms_b).rules
+    assert [(r.rule_id, str(r.axioms)) for r in both] == [("u&v", "{b}")]
+    tuple_first = intersect_rulewise(pairs, axioms_ab).rules
+    assert [(r.rule_id, r.arity, r.tuples) for r in tuple_first] == [("p&u", 2, ())]
+    unary_first = intersect_rulewise(axioms_ab, pairs).rules
+    assert [(type(r), r.rule_id, str(r.axioms)) for r in unary_first] == [(UnaryRule, "u&p", "{}")]
 
 
 @settings(deadline=None, max_examples=30)
