@@ -41,12 +41,18 @@ def run(argv):
     return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def main() -> int:
+def output_lines():
+    """One JSON line per run, in the order printed."""
     catalog = json.loads(CATALOG.read_text(encoding="utf-8"))
     for extra in ([], ["--max-steps", "2"]):
         for query in catalog["queries"]:
             argv = query_argv(query, catalog["pool_cap"], catalog["size_cap"]) + extra
-            print(json.dumps(run(argv), sort_keys=True), flush=True)
+            yield json.dumps(run(argv), sort_keys=True)
+
+
+def main() -> int:
+    for line in output_lines():
+        print(line, flush=True)
     return 0
 
 

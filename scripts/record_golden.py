@@ -2,9 +2,11 @@
 """Record the golden CLI outputs and scenario reports the tests compare with.
 
 Writes tests/data/golden/cli.json (argv, exit code and stdout of each
-command below, run from the repository root) and
+command below, run from the repository root),
 tests/data/golden/scenarios/<id>.txt (the seed-0 report of every
-scenario).  Run it only when an output is meant to change:
+scenario) and tests/data/golden/pd_catalog_outputs.jsonl (what
+scripts/pd_catalog_outputs.py prints).  Run it only when an output is
+meant to change:
 
     PYTHONPATH=src python3 scripts/record_golden.py
 """
@@ -17,6 +19,7 @@ from pathlib import Path
 
 from conseq.cli import main
 from conseq.scenarios import run_scenario, scenario_ids
+from pd_catalog_outputs import output_lines
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden"
@@ -143,6 +146,8 @@ def main_record():
     for scenario_id in scenario_ids():
         report = run_scenario(scenario_id, seed=0).render()
         (scenarios / f"{scenario_id}.txt").write_text(report + "\n", encoding="utf-8")
+    lines = "".join(line + "\n" for line in output_lines())
+    (GOLDEN / "pd_catalog_outputs.jsonl").write_text(lines, encoding="utf-8")
 
 
 if __name__ == "__main__":

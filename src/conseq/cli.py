@@ -141,55 +141,31 @@ def _cmd_pd_h(args: argparse.Namespace) -> int:
 
 
 def _cmd_pd_search(args: argparse.Namespace) -> int:
-    """Print a derivation of the goal over the query's pool, or evidence
-    that it is not derivable.
-
-    The pool is built first, so every cap, bridge and pool-overflow
-    error comes out as the search would give it.  Then the
-    hypotheses-to-goal chain's truth table runs if it has at most
-    MAX_DEPTH hypotheses and its 2^k valuations (k distinct atoms) are
-    no more than the pool's formulas: every variant is sound, so a
-    falsifier certifies the goal as not derivable, and nothing is
-    grounded or saturated.  Otherwise the pool is saturated, and a goal
-    outside the closure gets `certificate_non_derivable`'s evidence.
-    """
+    """Print `pd.query`'s answer: the goal's derivation, or the evidence
+    that it is not derivable."""
     if args.max_steps is not None:
         check_step_cap(args.max_steps)
     hypotheses = _parse_formulas(args.hyp) if args.hyp else []
     goal = pd.parse(args.goal)
-    pool = pd.query_pool(
+    answer = pd.query(
         args.variant, hypotheses, goal, n=args.n, size_cap=args.size_cap, max_pool=args.pool_cap
     )
-    certificate = pd.certificate_first(hypotheses, goal, pool)
-    if certificate is None:
-        search = pd.saturate_pool(args.variant, pool, hypotheses, n=args.n)
+    if isinstance(answer, pd.PoolSearch):
         goal_element = pd.wff_element(goal)
-        if goal_element in search.result.closure:
-            if args.max_steps is not None:
-                size = min_derivation_size(
-                    search.system, search.hypotheses, goal_element, cap=args.max_steps
-                )
-                if size is None:
-                    print(f"derivable, but not within {args.max_steps} steps")
-                    return 1
-                print(f"minimal steps: {size}")
-            print(search.result.witnesses[goal_element].render())
-            return 0
-        certificate = pd.certificate_non_derivable(
-            args.variant,
-            hypotheses,
-            goal,
-            n=args.n,
-            size_cap=args.size_cap,
-            max_pool=args.pool_cap,
-            search=search,
-        )
-    if isinstance(certificate, pd.Certified):
-        print(f"not derivable: {pd.wff_to_text(certificate.transform)} is falsified by {certificate.valuation}")
+        if args.max_steps is not None:
+            size = min_derivation_size(answer.system, answer.hypotheses, goal_element, cap=args.max_steps)
+            if size is None:
+                print(f"derivable, but not within {args.max_steps} steps")
+                return 1
+            print(f"minimal steps: {size}")
+        print(answer.result.witnesses[goal_element].render())
+        return 0
+    if isinstance(answer, pd.Certified):
+        print(f"not derivable: {pd.wff_to_text(answer.transform)} is falsified by {answer.valuation}")
     else:
         print(
             "not derived: search exhausted a pool of "
-            f"{certificate.pool_size} formulas (size cap {certificate.size_cap}); "
+            f"{answer.pool_size} formulas (size cap {answer.size_cap}); "
             "evidence only, not a proof"
         )
     return 1

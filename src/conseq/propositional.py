@@ -8,8 +8,11 @@ generic saturation engine applies unchanged.  Each schema is written
 once, as a shape that recognizes its instances, fills them and bounds
 their printed size.  The pool closure fills shapes in semi-naive rounds
 and returns, with the pool, each shape's fills: exactly its instances in
-the pool, so a system over that pool filters them per variant instead of
-recognizing them again.
+the pool.  A variant is one row of a table: a filter per shape on those
+instances, whether the bridge axiom of its index joins them, and whether
+detachment is restricted to that index.  `query` answers a query in the
+one order the command line uses: pool, truth table, saturation, then
+bounded evidence.
 
 Formula syntax: atoms are ``P`` plus a decimal index, negation is
 ``~``, implication is infix ``->`` and every implication is
@@ -23,7 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, Mapping, Sequence, Union
+from typing import (
+    TYPE_CHECKING, AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+)
 
 from .errors import DomainError, InputSyntaxError, UsageError
 from .language import Element, ExplicitLanguage, FiniteSubset
@@ -327,16 +332,12 @@ def bridge_axiom(n: int) -> Wff:
 
 @dataclass(frozen=True)
 class Schema:
-    """A named axiom or detachment schema, possibly index-restricted."""
+    """A detachment schema, possibly index-restricted."""
 
     kind: str
     index: int | None = None
 
 
-R1 = Schema("r1")
-R2 = Schema("r2")
-R3 = Schema("r3")
-R3_POSITIVE = Schema("r3-positive")
 MP = Schema("mp")
 
 
@@ -347,82 +348,32 @@ def mp_restricted(n: int) -> Schema:
     return Schema("mp-restricted", n)
 
 
-def axioms_without_atom0(m: int) -> Schema:
-    """Axiom instances that avoid atom 0 entirely, plus the single
-    bridge axiom of index m."""
-    if m < 1:
-        raise UsageError("the bridge index starts at 1")
-    return Schema("axioms-without-atom0", m)
+def instantiate_schema(schema: Schema, pool: AbstractSet[Wff] | Pool) -> frozenset[tuple[Wff, Wff, Wff]]:
+    """All instances of a detachment schema whose coordinates lie in the
+    pool, as (implication, antecedent, consequent) triples.
 
-
-def _positive(w: Wff) -> bool:
-    """Whether an R3 instance is kept by R3_POSITIVE: its negation-erased
-    transform is a tautology."""
-    return is_tautology(h_transform(w))
-
-
-def _avoids_atom0(w: Wff) -> bool:
-    return 0 not in atoms(w)
-
-
-# Per axiom schema: the shapes it draws instances from, and the filter
-# those instances must pass (None keeps them all).
-_AXIOM_SCHEMATA = {
-    "r1": (("r1",), None),
-    "r2": (("r2",), None),
-    "r3": (("r3",), None),
-    "r3-positive": (("r3",), _positive),
-    "axioms-without-atom0": (tuple(_SHAPES), _avoids_atom0),
-}
-
-
-def _axiom_instances(
-    schema: Schema, instances: Mapping[str, Iterable[Wff]], pool: AbstractSet[Wff]
-) -> set[Wff]:
-    """The instances of an axiom schema in the pool, given each shape's
-    instances in it; axioms_without_atom0 adds its bridge axiom when the
-    pool holds it."""
-    kinds, keep = _AXIOM_SCHEMATA[schema.kind]
-    found = {w for kind in kinds for w in instances[kind] if keep is None or keep(w)}
-    if schema.kind == "axioms-without-atom0" and bridge_axiom(schema.index) in pool:
-        found.add(bridge_axiom(schema.index))
-    return found
-
-
-def instantiate_schema(schema: Schema, pool: AbstractSet[Wff] | Pool) -> frozenset[tuple[Wff, ...]]:
-    """All instances of a schema whose coordinates lie in the pool.
-
-    Axiom schemata yield 1-tuples, recognized by matching every pool
-    formula against their shapes; detachment schemata yield
-    (implication, antecedent, consequent) triples.  Detachment checks
-    that an implication's parts are in the pool, except in a `Pool`,
-    which is subformula-closed by construction.
+    An implication's parts are checked to be in the pool, except in a
+    `Pool`, which is subformula-closed by construction.
     """
-    if schema.kind in _AXIOM_SCHEMATA:
-        instances = {
-            kind: [w for w in pool if _match(_SHAPES[kind], w, {})]
-            for kind in _AXIOM_SCHEMATA[schema.kind][0]
-        }
-        return frozenset((w,) for w in _axiom_instances(schema, instances, pool))
-    if schema.kind in ("mp", "mp-restricted"):
-        closed = isinstance(pool, Pool)
-        triples = set()
-        for w in pool:
-            if not isinstance(w, Impl):
-                continue
-            if not closed and (w.antecedent not in pool or w.consequent not in pool):
-                continue
-            # restricted detachment drops P<i> -> P0 for every i >= 1 but its index
-            if (
-                schema.kind == "mp-restricted"
-                and isinstance(w.antecedent, Atom)
-                and w.consequent == Atom(0)
-                and w.antecedent.index not in (0, schema.index)
-            ):
-                continue
-            triples.add((w, w.antecedent, w.consequent))
-        return frozenset(triples)
-    raise UsageError(f"unknown schema {schema.kind}")
+    if schema.kind not in ("mp", "mp-restricted"):
+        raise UsageError(f"unknown schema {schema.kind}")
+    closed = isinstance(pool, Pool)
+    triples = set()
+    for w in pool:
+        if not isinstance(w, Impl):
+            continue
+        if not closed and (w.antecedent not in pool or w.consequent not in pool):
+            continue
+        # restricted detachment drops P<i> -> P0 for every i >= 1 but its index
+        if (
+            schema.kind == "mp-restricted"
+            and isinstance(w.antecedent, Atom)
+            and w.consequent == Atom(0)
+            and w.antecedent.index not in (0, schema.index)
+        ):
+            continue
+        triples.add((w, w.antecedent, w.consequent))
+    return frozenset(triples)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +441,7 @@ def subformula_closure(
     are refused, subformulas are shorter and fills stay within it), and
     the last round adds nothing, so every instance whose binding lies in
     the final pool was filled; the fills of a shape are its instances in
-    the pool, as `instantiate_schema` would recognize them.
+    the pool, as `_match` recognizes them.
     """
     pool: set[Wff] = set()
     for w in seeds:
@@ -534,15 +485,53 @@ def subformula_closure(
 # deductive systems
 
 
-VARIANTS = ("standard", "restricted-mp", "missing-atom", "positive")
+def _positive(w: Wff) -> bool:
+    """Whether the positive variant keeps an R3 instance: its
+    negation-erased transform is a tautology."""
+    return is_tautology(h_transform(w))
 
 
-def _check_variant(variant: str, n: int | None) -> None:
-    """Refuse an unknown variant, and a parametrized one without an index n >= 1."""
-    if variant not in VARIANTS:
+def _avoids_atom0(w: Wff) -> bool:
+    return 0 not in atoms(w)
+
+
+class _Variant(NamedTuple):
+    """What a variant adds to the shapes' instances and detachment.
+
+    `keep` holds, per shape in `_SHAPES` order, the filter its recorded
+    instances must pass to be axioms (None keeps them all).  `bridge`:
+    the bridge axiom of index n joins the axioms when the pool holds it.
+    `restricted`: detachment drops the atom-to-P0 steps of every index
+    but n.  A variant with either takes an index n.
+    """
+
+    keep: tuple[Callable[[Wff], bool] | None, ...]
+    bridge: bool
+    restricted: bool
+
+    @property
+    def indexed(self) -> bool:
+        return self.bridge or self.restricted
+
+
+_VARIANTS = {
+    "standard": _Variant((None, None, None), bridge=False, restricted=False),
+    "restricted-mp": _Variant((None, None, None), bridge=False, restricted=True),
+    "missing-atom": _Variant((_avoids_atom0,) * 3, bridge=True, restricted=False),
+    "positive": _Variant((None, None, _positive), bridge=True, restricted=False),
+}
+VARIANTS = tuple(_VARIANTS)
+
+
+def _variant(variant: str, n: int | None) -> _Variant:
+    """The table row of `variant`; refuses an unknown variant, and an
+    indexed one without an index n >= 1."""
+    row = _VARIANTS.get(variant)
+    if row is None:
         raise UsageError(f"unknown variant {variant}; expected one of {', '.join(VARIANTS)}")
-    if variant != "standard" and (n is None or n < 1):
+    if row.indexed and (n is None or n < 1):
         raise UsageError(f"variant {variant} needs an index n >= 1")
+    return row
 
 
 def _as_pool(formulas: Iterable[Wff]) -> Pool:
@@ -559,59 +548,53 @@ def _as_pool(formulas: Iterable[Wff]) -> Pool:
                 )
     return Pool(
         ordered,
-        {s.kind: tuple(w for (w,) in instantiate_schema(s, members)) for s in (R1, R2, R3)},
+        {kind: tuple(w for w in ordered if _match(shape, w, {})) for kind, shape in _SHAPES.items()},
     )
 
 
 def pd_system(variant: str, pool: Sequence[Wff], *, n: int | None = None) -> RuleSystem:
     """Build a deductive system over an explicit formula pool.
 
-    standard       axioms R1, R2, R3; unrestricted detachment
-    restricted-mp  axioms R1, R2, R3; detachment minus atom-to-P0
+    standard       axioms: the R1, R2 and R3 instances; unrestricted
+                   detachment
+    restricted-mp  axioms as standard; detachment minus atom-to-P0
                    steps other than index n
-    missing-atom   the instances of axioms_without_atom0(n): axioms
-                   avoiding P0, plus the bridge axiom of index n;
-                   unrestricted detachment
-    positive       axioms R1, R2, R3_POSITIVE (R3 instances whose
-                   negation-erased transform is a tautology), plus the
-                   bridge axiom of index n; unrestricted detachment
+    missing-atom   axioms: the instances avoiding P0, plus the bridge
+                   axiom of index n; unrestricted detachment
+    positive       axioms: the R1 and R2 instances, the R3 instances
+                   whose negation-erased transform is a tautology, and
+                   the bridge axiom of index n; unrestricted detachment
 
-    The pool must be non-empty; it becomes the language, one element per
-    formula (named by its token).  A `Pool` from `subformula_closure` is
-    taken as it is: already sorted, distinct and closed, with each
-    shape's instances recorded.  Any other pool must be
-    subformula-closed (checking every member's immediate parts
-    suffices, by induction) and is made a `Pool`, its shapes' instances
-    recognized by `instantiate_schema`.  Each variant then filters the
-    shapes' instances by the predicates `instantiate_schema` applies.
-    Both relations are grounded here, once, over the whole pool: the
-    axiom instances become an axiom set, and the detachment triples
-    (implication, antecedent, consequent) a 3-ary tuple rule "mp",
-    sorted by their elements' names so tuple numbers, and with them
-    witnesses, do not depend on set order.
+    Each line is one row of the variant table.  The pool must be
+    non-empty; it becomes the language, one element per formula (named
+    by its token).  A `Pool` from `subformula_closure` is taken as it
+    is: already sorted, distinct and closed, with each shape's instances
+    recorded.  Any other pool must be subformula-closed (checking every
+    member's immediate parts suffices, by induction) and is made a
+    `Pool`, each member matched against each shape.  The variant's row
+    then filters each shape's instances.  Both relations are grounded
+    here, once, over the whole pool: the axiom instances become an axiom
+    set, and the detachment triples (implication, antecedent,
+    consequent) a 3-ary tuple rule "mp", sorted by their elements' names
+    so tuple numbers, and with them witnesses, do not depend on set
+    order.
     """
-    _check_variant(variant, n)
-    if variant == "standard" and n is not None:
-        raise UsageError("variant standard takes no index")
+    row = _variant(variant, n)
+    if n is not None and not row.indexed:
+        raise UsageError(f"variant {variant} takes no index")
     if not isinstance(pool, Pool):
         pool = _as_pool(pool)
     if not pool:
         raise UsageError("the formula pool must be non-empty")
     element_of = {w: wff_element(w) for w in pool}
 
-    if variant == "missing-atom":
-        axiom_schemata = (axioms_without_atom0(n),)
-    elif variant == "positive":
-        axiom_schemata = (R1, R2, R3_POSITIVE)
-    else:
-        axiom_schemata = (R1, R2, R3)
-    axiom_wffs = set().union(
-        *(_axiom_instances(schema, pool.instances, element_of.keys()) for schema in axiom_schemata)
-    )
-    if variant == "positive" and bridge_axiom(n) in element_of:
+    axiom_wffs = {
+        w for kind, keep in zip(_SHAPES, row.keep) for w in pool.instances[kind] if keep is None or keep(w)
+    }
+    if row.bridge and bridge_axiom(n) in element_of:
         axiom_wffs.add(bridge_axiom(n))
 
-    detachment = MP if variant != "restricted-mp" else mp_restricted(n)
+    detachment = mp_restricted(n) if row.restricted else MP
     # each triple's implication is its own, so sorting by its name sorts by all three names
     triples = sorted(instantiate_schema(detachment, pool), key=lambda t: t[0]._token)
 
@@ -663,9 +646,9 @@ def query_pool(
     for flag, cap in (("--size-cap", size_cap), ("--pool-cap", max_pool)):
         if cap < 1:
             raise UsageError(f"{flag} must be at least 1, not {cap}")
-    _check_variant(variant, n)
+    row = _variant(variant, n)
     seeds = list(hypotheses) + [goal]
-    if variant in ("missing-atom", "positive"):
+    if row.bridge:
         bridge = bridge_axiom(n)
         needed = len(wff_token(bridge))
         if needed > size_cap:
@@ -684,35 +667,14 @@ def saturate_pool(
     `query_pool` of a query with these hypotheses.
 
     The system takes its axioms from the instances the closure filled,
-    so detachment is the one schema instantiated.  The standard variant
-    ignores n.
+    so detachment is the one schema instantiated.  A variant that takes
+    no index ignores n.
     """
     from .engine import saturate  # local import keeps module layering flat
 
-    system = pd_system(variant, pool, n=None if variant == "standard" else n)
+    system = pd_system(variant, pool, n=n if _variant(variant, n).indexed else None)
     hyp_subset = formula_subset(system, hypotheses)
     return PoolSearch(system, hyp_subset, saturate(system, hyp_subset))
-
-
-def search_pool(
-    variant: str,
-    hypotheses: Sequence[Wff],
-    goal: Wff,
-    *,
-    n: int | None = None,
-    size_cap: int = DEFAULT_SIZE_CAP,
-    max_pool: int = DEFAULT_MAX_POOL,
-) -> PoolSearch:
-    """Saturate `hypotheses` in the variant's system over the pool that
-    the query seeds: `saturate_pool` over `query_pool`, whose errors it
-    raises.
-
-    It always grounds and saturates.  `pd search` builds the pool first
-    and runs `certificate_first` before it saturates, which skips both
-    for a falsified chain; this search is that shortcut's reference.
-    """
-    pool = query_pool(variant, hypotheses, goal, n=n, size_cap=size_cap, max_pool=max_pool)
-    return saturate_pool(variant, pool, hypotheses, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -805,16 +767,17 @@ def certificate_non_derivable(
     an unknown variant and a parametrized one without n >= 1 are refused.
 
     The truth table runs first here, whatever its size, and no pool is
-    built for a falsified chain.  `pd search` builds its pool first,
-    tries `certificate_first`, and calls this only after a saturation
-    that missed the goal.
+    built for a falsified chain.  `query` builds its pool first, tries
+    `certificate_first`, and calls this only after a saturation that
+    missed the goal.
 
-    `search`, when given, must be `search_pool` of this same query and
-    caps; it is used in place of saturating the pool again.
+    `search`, when given, must be `saturate_pool` over the `query_pool`
+    of this same query and caps; it is used in place of saturating the
+    pool again.
     """
     if goal in set(hypotheses):
         raise UsageError("the goal is already a hypothesis; nothing to certify")
-    _check_variant(variant, n)
+    _variant(variant, n)
     if len(hypotheses) > MAX_DEPTH:
         raise UsageError(
             f"a non-derivability certificate takes at most {MAX_DEPTH} hypotheses, "
@@ -826,7 +789,8 @@ def certificate_non_derivable(
         return certificate
 
     if search is None:
-        search = search_pool(variant, hypotheses, goal, n=n, size_cap=size_cap, max_pool=max_pool)
+        pool = query_pool(variant, hypotheses, goal, n=n, size_cap=size_cap, max_pool=max_pool)
+        search = saturate_pool(variant, pool, hypotheses, n=n)
     closure = search.result.closure
     if wff_element(goal) in closure:
         raise UsageError("the goal is derivable within the caps; nothing to certify")
@@ -835,4 +799,37 @@ def certificate_non_derivable(
         pool_size=len(search.system.language),
         size_cap=size_cap,
         closure_size=len(closure.members),
+    )
+
+
+def query(
+    variant: str,
+    hypotheses: Sequence[Wff],
+    goal: Wff,
+    *,
+    n: int | None = None,
+    size_cap: int = DEFAULT_SIZE_CAP,
+    max_pool: int = DEFAULT_MAX_POOL,
+) -> PoolSearch | Certified | BoundedEvidence:
+    """Answer a query: the saturation whose closure holds the goal, or
+    evidence that the goal is not derivable.
+
+    The pool is built first, so every cap, bridge and pool-overflow
+    error comes out as the search would give it.  Then the
+    hypotheses-to-goal chain's truth table runs if it has at most
+    MAX_DEPTH hypotheses and its 2^k valuations (k distinct atoms) are
+    no more than the pool's formulas: every variant is sound, so a
+    falsifier certifies the goal as not derivable, and nothing is
+    grounded or saturated.  Otherwise the pool is saturated, and a goal
+    outside the closure gets `certificate_non_derivable`'s evidence.
+    """
+    pool = query_pool(variant, hypotheses, goal, n=n, size_cap=size_cap, max_pool=max_pool)
+    certificate = certificate_first(hypotheses, goal, pool)
+    if certificate is not None:
+        return certificate
+    search = saturate_pool(variant, pool, hypotheses, n=n)
+    if wff_element(goal) in search.result.closure:
+        return search
+    return certificate_non_derivable(
+        variant, hypotheses, goal, n=n, size_cap=size_cap, max_pool=max_pool, search=search
     )

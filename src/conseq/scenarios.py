@@ -342,12 +342,11 @@ def _scenario_meet_family(seed: int, trials: int) -> list[Assertion]:
 def _derivable_with_verified_witness(
     variant: str, hypotheses: list[pd.Wff], goal: pd.Wff, n: int
 ) -> bool:
-    search = pd.search_pool(variant, hypotheses, goal, n=n, size_cap=22, max_pool=1200)
-    goal_element = pd.wff_element(goal)
-    if goal_element not in search.result.closure:
+    answer = pd.query(variant, hypotheses, goal, n=n, size_cap=22, max_pool=1200)
+    if not isinstance(answer, pd.PoolSearch):
         return False
-    witness = search.result.witnesses[goal_element]
-    return bool(check_derivation(search.system, search.hypotheses, witness))
+    witness = answer.result.witnesses[pd.wff_element(goal)]
+    return bool(check_derivation(answer.system, answer.hypotheses, witness))
 
 
 def _scenario_restricted_detachment(seed: int, trials: int) -> list[Assertion]:

@@ -376,13 +376,19 @@ def test_pd_search_builds_and_saturates_its_pool_once(capsys, monkeypatch, argv,
     assert calls["axioms"] == 0
 
 
+def search_pool(variant, hypotheses, goal, *, n=None, size_cap=22, max_pool=400):
+    """The query's saturation, with no truth table tried first."""
+    pool = pd.query_pool(variant, hypotheses, goal, n=n, size_cap=size_cap, max_pool=max_pool)
+    return pd.saturate_pool(variant, pool, hypotheses, n=n)
+
+
 def _search_first(variant, n, hypotheses, goal, size_cap, pool_cap, max_steps):
     """`pd search` searching its pool before it looks at the truth table:
     (exit code, stdout, stderr)."""
     try:
         if max_steps is not None:
             check_step_cap(max_steps)
-        search = pd.search_pool(variant, hypotheses, goal, n=n, size_cap=size_cap, max_pool=pool_cap)
+        search = search_pool(variant, hypotheses, goal, n=n, size_cap=size_cap, max_pool=pool_cap)
         goal_element = pd.wff_element(goal)
         if goal_element in search.result.closure:
             out = ""
@@ -507,27 +513,16 @@ def test_empty_systems_list_exits_2(capsys, command, systems):
 
 
 def test_bridge_axiom_longer_than_the_size_cap_is_named(capsys):
-    code, out, err = run(
-        capsys,
-        "pd",
-        "search",
-        "--variant",
-        "positive",
-        "--n",
-        "1",
-        "--hyp",
-        "(~P0 -> ~P1), P1",
-        "--goal",
-        "P0",
-        "--size-cap",
-        "18",
-    )
-    assert code == 2
-    assert out == ""
-    assert err.splitlines() == [
-        "error: the positive variant adds the bridge axiom ((~P0 -> ~P1) -> (P1 -> P0)) "
-        "to the pool, which needs --size-cap 22 or more, not 18"
-    ]
+    # one flag of the variant table adds the bridge for both variants
+    for variant in ("positive", "missing-atom"):
+        argv = ["--variant", variant, "--n", "1", "--hyp", "(~P0 -> ~P1), P1", "--goal", "P0"]
+        code, out, err = run(capsys, "pd", "search", *argv, "--size-cap", "18")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: the {variant} variant adds the bridge axiom ((~P0 -> ~P1) -> (P1 -> P0)) "
+            "to the pool, which needs --size-cap 22 or more, not 18"
+        ]
 
 
 @pytest.mark.parametrize(
@@ -760,10 +755,25 @@ def test_printed_pd_search_witnesses_replay(capsys, query):
     argv += ["--n", str(query["n"])] if query["n"] is not None else []
     code, out, _ = run(capsys, *argv)
     assert code == 0, out
-    search = pd.search_pool(query["variant"], hypotheses, goal, n=query["n"], **caps)
+    search = search_pool(query["variant"], hypotheses, goal, n=query["n"], **caps)
     derivation = printed_witness(out, pd.wff_element(goal))
     result = check_derivation(search.system, search.hypotheses, derivation)
     assert result, (result.reason, out)
+
+
+def test_pd_query_answers_each_catalog_query_with_its_outcome():
+    caps = {"size_cap": PD_CATALOG["size_cap"], "max_pool": PD_CATALOG["pool_cap"]}
+    assert caps == {"size_cap": 22, "max_pool": 1200}
+    answered = Counter()
+    for query in PD_CATALOG["queries"]:
+        hypotheses, goal = [pd.parse(h) for h in query["hyps"]], pd.parse(query["goal"])
+        answer = pd.query(query["variant"], hypotheses, goal, n=query["n"], **caps)
+        expected = {"derived": pd.PoolSearch, "certified": pd.Certified, "bounded": pd.BoundedEvidence}
+        assert type(answer) is expected[query["outcome"]], query
+        if query["outcome"] == "bounded":
+            assert answer.pool_size == query["pool"], query
+        answered[query["outcome"]] += 1
+    assert sum(answered.values()) == len(PD_CATALOG["queries"]) == 480
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,6 @@ from conseq.errors import DomainError, InputSyntaxError, UsageError
 from conseq.propositional import (
     MAX_DEPTH,
     MP,
-    R1,
-    R2,
-    R3,
-    R3_POSITIVE,
     VARIANTS,
     Atom,
     BoundedEvidence,
@@ -27,10 +23,10 @@ from conseq.propositional import (
     Impl,
     Neg,
     Pool,
+    PoolSearch,
     Schema,
     Valuation,
     atoms,
-    axioms_without_atom0,
     bridge_axiom,
     certificate_first,
     certificate_non_derivable,
@@ -42,13 +38,16 @@ from conseq.propositional import (
     mp_restricted,
     parse,
     pd_system,
-    search_pool,
+    query,
+    query_pool,
+    saturate_pool,
     subformula_closure,
     subformulas,
     wff_element,
     wff_to_text,
     wff_token,
 )
+from conseq.rules import UnaryRule
 
 P0, P1, P2 = Atom(0), Atom(1), Atom(2)
 
@@ -319,6 +318,75 @@ def test_h_transform_erases_negations():
 # schemata
 
 
+# The axiom schemata as first written, the oracle for the variant table:
+# each schema names the shapes it draws instances from and the filter they
+# must pass, and its instances in a pool are recognized by matching every
+# pool formula against those shapes.
+
+R1 = Schema("r1")
+R2 = Schema("r2")
+R3 = Schema("r3")
+R3_POSITIVE = Schema("r3-positive")
+
+
+def axioms_without_atom0(m):
+    """Axiom instances that avoid atom 0 entirely, plus the single
+    bridge axiom of index m."""
+    if m < 1:
+        raise UsageError("the bridge index starts at 1")
+    return Schema("axioms-without-atom0", m)
+
+
+_AXIOM_SCHEMATA = {
+    "r1": (("r1",), None),
+    "r2": (("r2",), None),
+    "r3": (("r3",), None),
+    "r3-positive": (("r3",), lambda w: is_tautology(h_transform(w))),
+    "axioms-without-atom0": (("r1", "r2", "r3"), lambda w: 0 not in atoms(w)),
+}
+
+
+def _axiom_instances(schema, instances, pool):
+    """The instances of an axiom schema in the pool, given each shape's
+    instances in it; axioms_without_atom0 adds its bridge axiom when the
+    pool holds it."""
+    kinds, keep = _AXIOM_SCHEMATA[schema.kind]
+    found = {w for kind in kinds for w in instances[kind] if keep is None or keep(w)}
+    if schema.kind == "axioms-without-atom0" and bridge_axiom(schema.index) in pool:
+        found.add(bridge_axiom(schema.index))
+    return found
+
+
+def instantiate_axiom_schema(schema, pool):
+    """All instances of an axiom schema in the pool, as 1-tuples."""
+    shapes, match = conseq.propositional._SHAPES, conseq.propositional._match
+    kinds = _AXIOM_SCHEMATA[schema.kind][0]
+    instances = {kind: [w for w in pool if match(shapes[kind], w, {})] for kind in kinds}
+    return frozenset((w,) for w in _axiom_instances(schema, instances, pool))
+
+
+def oracle_axioms(variant, pool, n):
+    """The axioms of `pd_system(variant, pool, n=n)` as first written."""
+    if variant == "missing-atom":
+        schemata = (axioms_without_atom0(n),)
+    elif variant == "positive":
+        schemata = (R1, R2, R3_POSITIVE)
+    else:
+        schemata = (R1, R2, R3)
+    found = {w for schema in schemata for (w,) in instantiate_axiom_schema(schema, frozenset(pool))}
+    if variant == "positive" and bridge_axiom(n) in pool:
+        found.add(bridge_axiom(n))
+    return found
+
+
+def axiom_wffs(system):
+    return {element_wff(e) for e in system.rule("axioms").axioms}
+
+
+def _closed(*wffs):
+    return tuple(set().union(*(subformulas(w) for w in wffs)))
+
+
 def test_axiom_schema_instantiation():
     r1 = Impl(P0, Impl(P1, P0))
     r2 = Impl(
@@ -326,14 +394,26 @@ def test_axiom_schema_instantiation():
     )
     r3 = Impl(Impl(Neg(P0), Neg(P1)), Impl(P1, P0))
     pool = frozenset({r1, r2, r3, P0, P1, Impl(P0, P1)})
-    assert instantiate_schema(R1, pool) == frozenset({(r1,)})
-    assert instantiate_schema(R2, pool) == frozenset({(r2,)})
-    assert instantiate_schema(R3, pool) == frozenset({(r3,)})
+    assert instantiate_axiom_schema(R1, pool) == frozenset({(r1,)})
+    assert instantiate_axiom_schema(R2, pool) == frozenset({(r2,)})
+    assert instantiate_axiom_schema(R3, pool) == frozenset({(r3,)})
     # r3's negation-erased transform is not a tautology, so the
     # positive schema rejects it
-    assert instantiate_schema(R3_POSITIVE, pool) == frozenset()
+    assert instantiate_axiom_schema(R3_POSITIVE, pool) == frozenset()
     taut_r3 = Impl(Impl(Neg(P0), Neg(P0)), Impl(P0, P0))
-    assert instantiate_schema(R3_POSITIVE, pool | {taut_r3}) == frozenset({(taut_r3,)})
+    assert instantiate_axiom_schema(R3_POSITIVE, pool | {taut_r3}) == frozenset({(taut_r3,)})
+    # the variants' axiom sets recognize the same instances in a closed
+    # pool (r3 is the bridge axiom of index 1, so index 2 leaves it out)
+    closed = _closed(r1, r2, r3)
+    assert axiom_wffs(pd_system("standard", closed)) == {r1, r2, r3}
+    assert axiom_wffs(pd_system("positive", closed, n=2)) == {r1, r2}
+    closed = _closed(r1, r2, r3, taut_r3)
+    assert axiom_wffs(pd_system("standard", closed)) == {r1, r2, r3, taut_r3}
+    assert axiom_wffs(pd_system("positive", closed, n=2)) == {r1, r2, taut_r3}
+    # the axiom schemata are no schemata of `instantiate_schema`
+    for kind in ("r1", "r2", "r3", "r3-positive", "axioms-without-atom0"):
+        with pytest.raises(UsageError, match=f"unknown schema {kind}"):
+            instantiate_schema(Schema(kind), pool)
 
 
 def test_detachment_instantiation_and_restriction():
@@ -369,11 +449,15 @@ def test_axioms_without_atom0_keep_only_the_bridge():
         {with_zero, without_zero, bridge_axiom(2)}
         | subformulas(bridge_axiom(2))
     )
-    kept = {w for (w,) in instantiate_schema(axioms_without_atom0(2), pool)}
+    kept = {w for (w,) in instantiate_axiom_schema(axioms_without_atom0(2), pool)}
     assert kept == {without_zero, bridge_axiom(2)}
     # a bridge of a different index is just an R3 instance with atom 0
-    kept1 = {w for (w,) in instantiate_schema(axioms_without_atom0(1), pool)}
+    kept1 = {w for (w,) in instantiate_axiom_schema(axioms_without_atom0(1), pool)}
     assert kept1 == {without_zero}
+    # and so is it for the missing-atom variant over the closed pool
+    closed = _closed(*pool)
+    assert axiom_wffs(pd_system("missing-atom", closed, n=2)) == {without_zero, bridge_axiom(2)}
+    assert axiom_wffs(pd_system("missing-atom", closed, n=1)) == {without_zero}
 
 
 def test_schema_index_validation():
@@ -383,6 +467,8 @@ def test_schema_index_validation():
         mp_restricted(0)
     with pytest.raises(UsageError):
         axioms_without_atom0(0)
+    with pytest.raises(UsageError, match="needs an index n >= 1"):
+        pd_system("missing-atom", (P0,), n=0)
     with pytest.raises(UsageError):
         instantiate_schema(Schema("shiny"), frozenset({P0}))
 
@@ -517,11 +603,38 @@ def test_closure_records_the_instances_recognition_finds(seeds, size_cap, max_po
     for schema in (R1, R2, R3):
         recorded = pool.instances[schema.kind]
         assert len(set(recorded)) == len(recorded)
-        assert {(w,) for w in recorded} == instantiate_schema(schema, members)
+        assert {(w,) for w in recorded} == instantiate_axiom_schema(schema, members)
     # the closure's record and recognition over a plain tuple ground the same system
     for variant in VARIANTS:
         for n in [None] if variant == "standard" else [1, 2]:
             assert pd_system(variant, pool, n=n) == pd_system(variant, tuple(pool), n=n)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(wffs(max_depth=2), min_size=1, max_size=3),
+    st.integers(min_value=4, max_value=22),
+    st.sampled_from([None, 1, 2, 3]),
+)
+@example([Impl(Neg(P0), Neg(P1)), P1, P0], 22, 1)
+@example([Impl(Neg(P0), Neg(P0)), P1], 22, 2)
+def test_variant_axioms_match_the_schema_oracle(seeds, size_cap, bridge):
+    # a drawn bridge axiom widens the cap to fit it; its index is the variant's n or another
+    if bridge is not None:
+        seeds, size_cap = seeds + [bridge_axiom(bridge)], 22
+    try:
+        pool = subformula_closure(seeds, size_cap, max_pool=400)
+    except UsageError:
+        return
+    for variant in VARIANTS:
+        for n in (1, 2):
+            expected = oracle_axioms(variant, pool, n)
+            index = None if variant == "standard" else n
+            for given_pool in (pool, tuple(pool)):
+                system = pd_system(variant, given_pool, n=index)
+                assert system.rule("axioms") == UnaryRule(
+                    "axioms", formula_subset(system, expected)
+                ), (variant, n)
 
 
 # ---------------------------------------------------------------------------
@@ -771,6 +884,12 @@ def test_pd_system_neither_parses_nor_collects_subformulas(monkeypatch):
 # certificates
 
 
+def search_pool(variant, hypotheses, goal, *, n=None, size_cap=22, max_pool=400):
+    """The query's saturation, with no truth table tried first."""
+    pool = query_pool(variant, hypotheses, goal, n=n, size_cap=size_cap, max_pool=max_pool)
+    return saturate_pool(variant, pool, hypotheses, n=n)
+
+
 def test_certificate_semantic_route():
     result = certificate_non_derivable(
         "standard", [Impl(P2, P0)], Impl(P1, P0)
@@ -861,6 +980,17 @@ def test_a_falsified_chain_keeps_its_goal_out_of_the_closure(variant, n, hypothe
     if first is not None:
         assert falsified
         assert first == certificate_non_derivable(variant, hypotheses, goal, n=n)
+    # the query tries that table first and answers as the search does otherwise
+    answer = query(variant, hypotheses, goal, n=n, size_cap=size_cap, max_pool=400)
+    if first is not None:
+        assert answer == first
+    elif wff_element(goal) in search.result.closure:
+        assert isinstance(answer, PoolSearch)
+        assert answer.result.closure == search.result.closure
+    else:
+        assert answer == certificate_non_derivable(
+            variant, hypotheses, goal, n=n, size_cap=size_cap, max_pool=400, search=search
+        )
 
 
 def test_certificate_first_runs_the_truth_table_only_within_the_pool(monkeypatch):
