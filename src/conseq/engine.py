@@ -4,9 +4,9 @@ Saturation computes everything derivable from a hypothesis set: start
 from the hypotheses and all axioms, then keep applying rule tuples
 whose premises are already present.  It runs in rounds over the
 system's one grounding (`RuleSystem.grounded`, a `MaskSystem` built
-with the system, checking every tuple element, and shared by every
-call), whose arcs (one per grounded tuple) are numbered in rule order,
-then tuple order; the hypotheses enter as one more mask.  A round's
+with the system and shared by every call), whose arcs (one per
+grounded tuple) are numbered in rule order, then tuple order; the
+hypotheses enter as one more mask.  A round's
 candidates are the arcs that use an element derived in the previous
 round, visited in number order.  A candidate fires when its conclusion
 is new and all its premises are present, counting those derived

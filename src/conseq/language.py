@@ -49,6 +49,13 @@ class Element(tuple):
             raise DomainError(f"element name may not contain '=>': {name!r}")
         return tuple.__new__(cls, (name,))
 
+    @classmethod
+    def _of_names(cls, names: Iterable[str]) -> tuple["Element", ...]:
+        """The elements with these names, which the caller vouches pass
+        the name checks: nothing is validated."""
+        new = tuple.__new__
+        return tuple([new(cls, (name,)) for name in names])
+
     name = property(itemgetter(0))
 
     def __getnewargs__(self) -> tuple[str]:

@@ -146,8 +146,8 @@ class RuleOperator(Operator):
     system's language.
 
     Every image is forward chaining on ints over the system's one
-    grounding (`RuleSystem.grounded`, built with the system, checking
-    every tuple element), with X as one more mask.
+    grounding (`RuleSystem.grounded`, built with the system), with X
+    as one more mask.
     The image table over P(language) is `MaskSystem.closures`, filled in
     binary-counting order from the image of X minus its lowest element
     e: when that image holds e it is X's image too, and otherwise only

@@ -24,15 +24,15 @@ tokens may not contain whitespace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import attrgetter, itemgetter
 from typing import (
     TYPE_CHECKING, AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 )
 
 from .errors import DomainError, InputSyntaxError, UsageError
-from .language import Element, ExplicitLanguage, FiniteSubset
-from .rules import RuleSystem, TupleRule, UnaryRule
+from .language import Element, ExplicitLanguage, FiniteSubset, bit_indices
+from .rules import MaskSystem, RuleSystem, TupleRule, UnaryRule
 
 if TYPE_CHECKING:
     from .engine import SaturationResult
@@ -48,9 +48,20 @@ if TYPE_CHECKING:
 # is unchanged; hashes of int tuples are not salted per process, so a
 # pickled formula's stored hash stays valid where it is unpickled.  The
 # token is the whitespace-free rendering, the formula's element name.
+# The nodes stay frozen slotted dataclasses, but `__init__` is written by
+# hand: it stores each slot by calling the slot descriptor's `__set__`,
+# which the frozen `__setattr__` never sees, one call per slot in place of
+# the generated `__init__` plus a `__post_init__` of `object.__setattr__`
+# calls, the closure's main cost per node.  Equality, repr, pickling and
+# the refusal of assignment stay the dataclass's own.
 
 
-@dataclass(frozen=True, slots=True)
+def _slot_setters(cls: type) -> tuple:
+    """The `__set__` of each slot descriptor of a slotted dataclass, in field order."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Atom:
     """The atom P<index>; stores its hash, `hash((index,))`, and its token."""
 
@@ -58,17 +69,18 @@ class Atom:
     _hash: int = field(init=False, repr=False, compare=False)
     _token: str = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
+    def __init__(self, index: int) -> None:
+        if index < 0:
             raise DomainError("atom indices start at 0")
-        object.__setattr__(self, "_hash", hash((self.index,)))
-        object.__setattr__(self, "_token", f"P{self.index}")
+        _set_index(self, index)
+        _set_atom_hash(self, hash((index,)))
+        _set_atom_token(self, f"P{index}")
 
     def __hash__(self) -> int:
         return self._hash
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Neg:
     """The negation ~operand; stores its hash, `hash((operand,))`, and its token."""
 
@@ -76,15 +88,16 @@ class Neg:
     _hash: int = field(init=False, repr=False, compare=False)
     _token: str = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.operand,)))
-        object.__setattr__(self, "_token", f"~{self.operand._token}")
+    def __init__(self, operand: "Wff") -> None:
+        _set_operand(self, operand)
+        _set_neg_hash(self, hash((operand,)))
+        _set_neg_token(self, f"~{operand._token}")
 
     def __hash__(self) -> int:
         return self._hash
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Impl:
     """The implication (antecedent -> consequent); stores its hash,
     `hash((antecedent, consequent))`, and its token."""
@@ -94,13 +107,19 @@ class Impl:
     _hash: int = field(init=False, repr=False, compare=False)
     _token: str = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.antecedent, self.consequent)))
-        object.__setattr__(self, "_token", f"({self.antecedent._token}->{self.consequent._token})")
+    def __init__(self, antecedent: "Wff", consequent: "Wff") -> None:
+        _set_antecedent(self, antecedent)
+        _set_consequent(self, consequent)
+        _set_impl_hash(self, hash((antecedent, consequent)))
+        _set_impl_token(self, f"({antecedent._token}->{consequent._token})")
 
     def __hash__(self) -> int:
         return self._hash
 
+
+_set_index, _set_atom_hash, _set_atom_token = _slot_setters(Atom)
+_set_operand, _set_neg_hash, _set_neg_token = _slot_setters(Neg)
+_set_antecedent, _set_consequent, _set_impl_hash, _set_impl_token = _slot_setters(Impl)
 
 Wff = Union[Atom, Neg, Impl]
 
@@ -348,9 +367,10 @@ def mp_restricted(n: int) -> Schema:
     return Schema("mp-restricted", n)
 
 
-def instantiate_schema(schema: Schema, pool: AbstractSet[Wff] | Pool) -> frozenset[tuple[Wff, Wff, Wff]]:
+def instantiate_schema(schema: Schema, pool: AbstractSet[Wff] | Pool) -> tuple[tuple[Wff, Wff, Wff], ...]:
     """All instances of a detachment schema whose coordinates lie in the
-    pool, as (implication, antecedent, consequent) triples.
+    pool, as (implication, antecedent, consequent) triples, one per
+    implication, in pool order.
 
     An implication's parts are checked to be in the pool, except in a
     `Pool`, which is subformula-closed by construction.
@@ -358,7 +378,7 @@ def instantiate_schema(schema: Schema, pool: AbstractSet[Wff] | Pool) -> frozens
     if schema.kind not in ("mp", "mp-restricted"):
         raise UsageError(f"unknown schema {schema.kind}")
     closed = isinstance(pool, Pool)
-    triples = set()
+    triples = []
     for w in pool:
         if not isinstance(w, Impl):
             continue
@@ -372,8 +392,8 @@ def instantiate_schema(schema: Schema, pool: AbstractSet[Wff] | Pool) -> frozens
             and w.antecedent.index not in (0, schema.index)
         ):
             continue
-        triples.add((w, w.antecedent, w.consequent))
-    return frozenset(triples)
+        triples.append((w, w.antecedent, w.consequent))
+    return tuple(triples)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +429,10 @@ class Pool(tuple):
         pool = super().__new__(cls, formulas)
         pool.instances = instances
         return pool
+
+    def __getnewargs__(self) -> tuple[tuple[Wff, ...], Mapping[str, tuple[Wff, ...]]]:
+        # copies and unpickled pools go through __new__, which needs both
+        return tuple(self), self.instances
 
 
 DEFAULT_MAX_POOL = 400
@@ -492,7 +516,8 @@ def _positive(w: Wff) -> bool:
 
 
 def _avoids_atom0(w: Wff) -> bool:
-    return 0 not in atoms(w)
+    # an index prints with no leading zero, so only atom 0 puts '0' right after a 'P'
+    return "P0" not in w._token
 
 
 class _Variant(NamedTuple):
@@ -572,12 +597,16 @@ def pd_system(variant: str, pool: Sequence[Wff], *, n: int | None = None) -> Rul
     recorded.  Any other pool must be subformula-closed (checking every
     member's immediate parts suffices, by induction) and is made a
     `Pool`, each member matched against each shape.  The variant's row
-    then filters each shape's instances.  Both relations are grounded
-    here, once, over the whole pool: the axiom instances become an axiom
-    set, and the detachment triples (implication, antecedent,
-    consequent) a 3-ary tuple rule "mp", sorted by their elements' names
-    so tuple numbers, and with them witnesses, do not depend on set
-    order.
+    then filters each shape's instances.
+
+    The system is grounded here, once, over the whole pool, with no
+    second pass through `rules.ground`: a pool is in token order, which
+    is the language's name order, so pool formula i is bit i.  Each
+    formula's element is built once, unchecked, since a token passes
+    every name check.  The axiom instances become one mask, and an axiom
+    set; the detachment triples (implication, antecedent, consequent),
+    in pool order, become a 3-ary tuple rule "mp" and one arc each, so
+    tuple numbers, and with them witnesses, do not depend on set order.
     """
     row = _variant(variant, n)
     if n is not None and not row.indexed:
@@ -586,24 +615,42 @@ def pd_system(variant: str, pool: Sequence[Wff], *, n: int | None = None) -> Rul
         pool = _as_pool(pool)
     if not pool:
         raise UsageError("the formula pool must be non-empty")
-    element_of = {w: wff_element(w) for w in pool}
+    tokens = [w._token for w in pool]
+    bit = {token: i for i, token in enumerate(tokens)}
+    language = ExplicitLanguage(Element._of_names(tokens))
+    elements = language.elements
 
-    axiom_wffs = {
-        w for kind, keep in zip(_SHAPES, row.keep) for w in pool.instances[kind] if keep is None or keep(w)
-    }
-    if row.bridge and bridge_axiom(n) in element_of:
-        axiom_wffs.add(bridge_axiom(n))
+    insertable = 0
+    for kind, keep in zip(_SHAPES, row.keep):
+        for w in pool.instances[kind]:
+            if keep is None or keep(w):
+                insertable |= 1 << bit[w._token]
+    if row.bridge and (i := bit.get(bridge_axiom(n)._token)) is not None:
+        insertable |= 1 << i
+    axioms = UnaryRule("axioms", FiniteSubset(language, tuple(elements[i] for i in bit_indices(insertable))))
 
     detachment = mp_restricted(n) if row.restricted else MP
-    # each triple's implication is its own, so sorting by its name sorts by all three names
-    triples = sorted(instantiate_schema(detachment, pool), key=lambda t: t[0]._token)
+    tuples, arcs, users = [], [], {}
+    for w, a, c in instantiate_schema(detachment, pool):
+        i, j, k = bit[w._token], bit[a._token], bit[c._token]
+        users.setdefault(i, []).append(len(arcs))
+        users.setdefault(j, []).append(len(arcs))
+        arcs.append((1 << i | 1 << j, 1 << k))
+        tuples.append((elements[i], elements[j], elements[k]))
+    mp = TupleRule("mp", 3, tuple(tuples))
 
-    language = ExplicitLanguage(tuple(element_of.values()))
-    axioms = UnaryRule(
-        "axioms", FiniteSubset(language, tuple(element_of[w] for w in axiom_wffs))
+    grounded = MaskSystem(
+        language,
+        elements,
+        language.positions,
+        dict.fromkeys(axioms.axioms.members, ("axiom", "axioms")),
+        insertable,
+        arcs,
+        [("mp", t) for t in mp.tuples],
+        users,
     )
-    mp = TupleRule("mp", 3, tuple((element_of[w], element_of[a], element_of[c]) for w, a, c in triples))
-    return RuleSystem(variant if n is None else f"{variant}-{n}", language, (axioms, mp))
+    name = variant if n is None else f"{variant}-{n}"
+    return RuleSystem._of_grounding(name, language, (axioms, mp), grounded)
 
 
 def formula_subset(system: RuleSystem, wffs: Iterable[Wff]) -> FiniteSubset:

@@ -15,6 +15,7 @@ decided by `engine.check_derivation`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence, Union
 
 from .errors import DomainError, UsageError
@@ -89,8 +90,10 @@ class RuleSystem:
     are empty relations.
 
     `by_id` maps each rule id to its rule, for `rule` and `has_rule`;
-    `grounded` is the system's one grounding (`MaskSystem`), built with
-    the system, checking every tuple element.  Neither is a dataclass
+    `grounded` is the system's one grounding (`MaskSystem`).  The
+    constructor builds it with the system by the generic per-rule loop
+    (`ground`), checking every tuple element; `_of_grounding` takes one
+    its caller has built from numbered parts.  Neither is a dataclass
     field, so equality, hashing and repr see only the three fields.
     """
 
@@ -99,12 +102,22 @@ class RuleSystem:
     rules: tuple[Rule, ...] = ()
 
     def __post_init__(self) -> None:
-        by_id = {r.rule_id: r for r in self.rules}
-        if len(by_id) != len(self.rules):
-            ids = [r.rule_id for r in self.rules]
-            raise UsageError(f"system {self.name}: rule ids must be unique: {ids}")
-        object.__setattr__(self, "by_id", by_id)
-        object.__setattr__(self, "grounded", MaskSystem(self))
+        object.__setattr__(self, "by_id", _rules_by_id(self.name, self.rules))
+        object.__setattr__(self, "grounded", ground(self))
+
+    @classmethod
+    def _of_grounding(
+        cls, name: str, language: Language, rules: tuple[Rule, ...], grounded: "MaskSystem"
+    ) -> "RuleSystem":
+        """The system of these parts, grounded as `grounded`, which the
+        caller vouches is the grounding `ground` would build for it: only
+        the rule ids are checked."""
+        system = object.__new__(cls)
+        system.__dict__.update(
+            name=name, language=language, rules=rules,
+            by_id=_rules_by_id(name, rules), grounded=grounded,
+        )
+        return system
 
     def rule(self, rule_id: str) -> Rule:
         try:
@@ -116,92 +129,67 @@ class RuleSystem:
         return rule_id in self.by_id
 
 
+def _rules_by_id(name: str, rules: tuple[Rule, ...]) -> dict[str, Rule]:
+    by_id = {r.rule_id: r for r in rules}
+    if len(by_id) != len(rules):
+        raise UsageError(f"system {name}: rule ids must be unique: {[r.rule_id for r in rules]}")
+    return by_id
+
+
 # ---------------------------------------------------------------------------
 # grounding: reduce a system to axiom bits plus numbered arcs
 
 
 class MaskSystem:
-    """A system grounded once onto bit masks, built with the system,
-    checking every tuple element; every later call reuses it.  That is
-    the system's only membership check: the first axiom set over another
-    language or tuple element outside it, in rule order, then element
-    order, is a `DomainError`.
+    """A system grounded once onto bit masks; every call reuses it.
 
-    Every element the grounding reaches gets one bit.  Over an explicit
-    language that bit is the element's position in the language, so a
-    subset's `mask` is already in this numbering and the widest mask has
-    one bit per element.  Over an enumerated language the elements are
-    numbered densely, in grounding order, so a mask is as wide as the
-    elements seen, never as wide as an enumeration index; `encode` gives
-    an element it has not seen the next free bit.  `elements` lists the
-    numbered elements by bit and `bits` is its inverse.
+    It is built from its numbered parts.  Every element the grounding
+    reaches gets one bit.  Over an explicit language that bit is the
+    element's position in the language, so a subset's `mask` is already
+    in this numbering and the widest mask has one bit per element.  Over
+    an enumerated language the elements are numbered densely, in
+    grounding order, so a mask is as wide as the elements seen, never as
+    wide as an enumeration index; `encode` gives an element it has not
+    seen the next free bit.  `elements` lists the numbered elements by
+    bit and `bits` is its inverse.
 
     The axioms form the `insertable` mask; `inserted` keeps their
     justifications in rule order.  Hypotheses are no part of the
     grounding: each call encodes its own as a mask.  Every grounded
-    tuple becomes one arc (premise mask, conclusion bit), in system
-    order, `sources` keeps its rule id and tuple, and `conclusions` is
-    the union of the arcs' conclusion bits.  One index maps each premise
-    bit to the numbers of the arcs that use it, read by two
-    forward-chaining loops over these Horn clauses (Dowling & Gallier
-    1984): `close` in any order, `engine.saturate` in witness order.
-    Arcs and the index never change after grounding.
+    tuple is one arc (premise mask, conclusion bit), in system order,
+    `sources` keeps its rule id and tuple, and `conclusions` is the
+    union of the arcs' conclusion bits.  One index maps each premise bit
+    to the numbers of the arcs that use it, read by two forward-chaining
+    loops over these Horn clauses (Dowling & Gallier 1984): `close` in
+    any order, `engine.saturate` in witness order.  Arcs and the index
+    never change after grounding.
+
+    Two producers build the parts: `ground`, the generic per-rule loop
+    every `RuleSystem` constructor runs, and `propositional.pd_system`,
+    whose bit i is pool formula i.
     """
 
-    def __init__(self, system: RuleSystem):
-        self.language = system.language
-        if isinstance(self.language, ExplicitLanguage):
-            self.elements: Sequence[Element] = self.language.elements
-            self.bits: Mapping[Element, int] = self.language.positions
-            bit_of = self.language.positions.__getitem__
-        else:
-            self.elements, self.bits = [], {}
-            bit_of = self._bit_of
-        inserted: dict[Element, tuple] = {}
-        arcs: list[tuple[int, int]] = []
-        sources: list[tuple[str, tuple[Element, ...]]] = []
-        users: dict[int, list[int]] = {}
-        insertable = conclusions = 0
-        for rule in system.rules:
-            rule_id = rule.rule_id
-            if isinstance(rule, UnaryRule):
-                if rule.axioms.language != self.language:
-                    raise DomainError(
-                        f"system {system.name}: axioms of {rule_id} use another language"
-                    )
-                for e in rule.axioms:
-                    inserted.setdefault(e, ("axiom", rule_id))
-                    insertable |= 1 << bit_of(e)
-                continue
-            for t in rule.tuples:
-                try:
-                    positions = list(map(bit_of, t))
-                except KeyError as outside:
-                    raise DomainError(
-                        f"system {system.name}: rule {rule_id} mentions "
-                        f"{outside.args[0]} outside the language"
-                    ) from None
-                conclusion = 1 << positions.pop()
-                premises = 0
-                for i in positions:
-                    premises |= 1 << i
-                    users.setdefault(i, []).append(len(arcs))
-                arcs.append((premises, conclusion))
-                sources.append((rule_id, t))
-                conclusions |= conclusion
+    def __init__(
+        self,
+        language: Language,
+        elements: Sequence[Element],
+        bits: Mapping[Element, int],
+        inserted: dict[Element, tuple],
+        insertable: int,
+        arcs: list[tuple[int, int]],
+        sources: list[tuple[str, tuple[Element, ...]]],
+        users: dict[int, list[int]],
+    ):
+        self.language, self.elements, self.bits = language, elements, bits
         self.inserted, self.insertable = inserted, insertable
-        self.arcs, self.sources, self.conclusions = arcs, sources, conclusions
-        self._users = users
+        self.arcs, self.sources, self._users = arcs, sources, users
+        conclusions = 0
+        for _, conclusion in arcs:
+            conclusions |= conclusion
+        self.conclusions = conclusions
 
     def _bit_of(self, e: Element) -> int:
-        """The bit of `e` over an enumerated language, numbering it if new."""
-        i = self.bits.get(e)
-        if i is None:
-            if e not in self.language:
-                raise KeyError(e)  # as an explicit language's `positions` does
-            i = self.bits[e] = len(self.elements)
-            self.elements.append(e)
-        return i
+        return _number(self.language, self.elements, self.bits, e)
 
     def encode(self, subset: FiniteSubset) -> int:
         """The mask of `subset`, which must be over the system's language.
@@ -259,6 +247,61 @@ class MaskSystem:
             below = out[x ^ low]
             out.append(below if below & low else self.close(below | low, low))
         return out
+
+
+def _number(language: Language, elements: list[Element], bits: dict[Element, int], e: Element) -> int:
+    """The bit of `e` over an enumerated language, numbering it if new."""
+    i = bits.get(e)
+    if i is None:
+        if e not in language:
+            raise KeyError(e)  # as an explicit language's `positions` does
+        i = bits[e] = len(elements)
+        elements.append(e)
+    return i
+
+
+def ground(system: RuleSystem) -> MaskSystem:
+    """The grounding of `system` by one pass over its rules, in rule
+    order, then element order, checking every tuple element.  That is
+    the system's only membership check: the first axiom set over another
+    language or tuple element outside it is a `DomainError`."""
+    language = system.language
+    if isinstance(language, ExplicitLanguage):
+        elements, bits = language.elements, language.positions
+        bit_of = bits.__getitem__
+    else:
+        elements, bits = [], {}
+        bit_of = partial(_number, language, elements, bits)
+    inserted: dict[Element, tuple] = {}
+    arcs: list[tuple[int, int]] = []
+    sources: list[tuple[str, tuple[Element, ...]]] = []
+    users: dict[int, list[int]] = {}
+    insertable = 0
+    for rule in system.rules:
+        rule_id = rule.rule_id
+        if isinstance(rule, UnaryRule):
+            if rule.axioms.language != language:
+                raise DomainError(f"system {system.name}: axioms of {rule_id} use another language")
+            for e in rule.axioms:
+                inserted.setdefault(e, ("axiom", rule_id))
+                insertable |= 1 << bit_of(e)
+            continue
+        for t in rule.tuples:
+            try:
+                positions = list(map(bit_of, t))
+            except KeyError as outside:
+                raise DomainError(
+                    f"system {system.name}: rule {rule_id} mentions "
+                    f"{outside.args[0]} outside the language"
+                ) from None
+            conclusion = 1 << positions.pop()
+            premises = 0
+            for i in positions:
+                premises |= 1 << i
+                users.setdefault(i, []).append(len(arcs))
+            arcs.append((premises, conclusion))
+            sources.append((rule_id, t))
+    return MaskSystem(language, elements, bits, inserted, insertable, arcs, sources, users)
 
 
 # ---------------------------------------------------------------------------

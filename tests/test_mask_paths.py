@@ -522,6 +522,9 @@ GROUNDED_ONCE = {
     "pd-search-max-steps": lambda: main(
         ["pd", "search", "--hyp", "(P1 -> P0), P1", "--goal", "P0", "--size-cap", "8", "--max-steps", "5"]
     ),
+    "pd-search-derived": lambda: main(["pd", "search", "--hyp", "(P1 -> P0), P1", "--goal", "P0"]),
+    # the chain is a tautology, so the pool is saturated and bounded evidence reuses that search
+    "pd-search-bounded": lambda: main(["pd", "search", "--hyp", "P0", "--goal", "(P1 -> P1)"]),
 }
 
 

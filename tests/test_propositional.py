@@ -1,10 +1,11 @@
 """Implicational formulas, their semantics, the axiom schemata, and
 non-derivability certificates."""
 
+import copy
 import pickle
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 
 import pytest
 from hypothesis import example, given, settings
@@ -47,7 +48,8 @@ from conseq.propositional import (
     wff_to_text,
     wff_token,
 )
-from conseq.rules import UnaryRule
+from conseq.language import Element
+from conseq.rules import RuleSystem, UnaryRule
 
 P0, P1, P2 = Atom(0), Atom(1), Atom(2)
 
@@ -175,6 +177,11 @@ def test_stored_hash_is_the_field_tuple_hash(w):
     assert hash(parsed) == hash(w)
     assert pickle.loads(pickle.dumps(w)) == w
     assert hash(pickle.loads(pickle.dumps(w))) == hash(w)
+    for copied in (copy.copy(w), copy.deepcopy(w)):
+        assert copied == w and hash(copied) == hash(w)
+    for f in fields(w):
+        with pytest.raises(FrozenInstanceError):
+            setattr(w, f.name, getattr(w, f.name))
 
 
 def _printed(w):
@@ -422,24 +429,29 @@ def test_detachment_instantiation_and_restriction():
     other = Impl(P0, P1)
     pool = frozenset({impl1, impl2, other, P0, P1, P2})
     full = instantiate_schema(MP, pool)
-    assert full == frozenset(
+    assert len(full) == 3 and frozenset(full) == frozenset(
         {(impl1, P1, P0), (impl2, P2, P0), (other, P0, P1)}
     )
     # index-1 restriction drops only the atom-to-P0 step at index 2
     limited = instantiate_schema(mp_restricted(1), pool)
-    assert limited == frozenset({(impl1, P1, P0), (other, P0, P1)})
+    assert len(limited) == 2 and frozenset(limited) == frozenset({(impl1, P1, P0), (other, P0, P1)})
     # consequences must also be in the pool
-    assert instantiate_schema(MP, frozenset({impl1, P1})) == frozenset()
+    assert instantiate_schema(MP, frozenset({impl1, P1})) == ()
 
 
 def test_detachment_trusts_a_pool_to_be_subformula_closed():
     pool = subformula_closure([Impl(P2, P0), Impl(P1, P0), P1], 10)
-    assert instantiate_schema(MP, pool) == instantiate_schema(MP, frozenset(pool))
-    assert instantiate_schema(mp_restricted(1), pool) == instantiate_schema(mp_restricted(1), frozenset(pool))
+    # one triple per implication of the pool, in pool order
+    assert instantiate_schema(MP, pool) == tuple((w, w.antecedent, w.consequent) for w in pool if isinstance(w, Impl))
+    for schema in (MP, mp_restricted(1)):
+        triples = instantiate_schema(schema, pool)
+        positions = [pool.index(w) for w, _, _ in triples]
+        assert positions == sorted(set(positions))
+        assert frozenset(triples) == frozenset(instantiate_schema(schema, frozenset(pool)))
     # a Pool's parts are not looked up; any other collection's are
     unclosed = (Impl(P1, P0),)
-    assert instantiate_schema(MP, Pool(unclosed, {})) == frozenset({(Impl(P1, P0), P1, P0)})
-    assert instantiate_schema(MP, unclosed) == frozenset()
+    assert instantiate_schema(MP, Pool(unclosed, {})) == ((Impl(P1, P0), P1, P0),)
+    assert instantiate_schema(MP, unclosed) == ()
 
 
 def test_axioms_without_atom0_keep_only_the_bridge():
@@ -608,6 +620,50 @@ def test_closure_records_the_instances_recognition_finds(seeds, size_cap, max_po
     for variant in VARIANTS:
         for n in [None] if variant == "standard" else [1, 2]:
             assert pd_system(variant, pool, n=n) == pd_system(variant, tuple(pool), n=n)
+
+
+def _assert_generic_grounding(system, pool):
+    """`system`'s grounding, built by `pd_system` with bit i for pool
+    formula i, is the one the generic per-rule loop builds for its rules."""
+    generic_system = RuleSystem(system.name, system.language, system.rules)
+    assert system == generic_system and hash(system) == hash(generic_system)
+    assert system.by_id == generic_system.by_id
+    built, generic = system.grounded, generic_system.grounded
+    assert built.language == generic.language
+    assert tuple(built.elements) == tuple(generic.elements) and built.bits == generic.bits
+    assert built.insertable == generic.insertable
+    assert built.conclusions == generic.conclusions
+    assert list(built.inserted.items()) == list(generic.inserted.items())
+    assert built.arcs == generic.arcs
+    assert built.sources == generic.sources
+    assert list(built._users.items()) == list(generic._users.items())
+    # the elements pd_system builds unchecked are the checked ones, bit i for pool formula i
+    assert [type(e) for e in built.elements] == [Element] * len(pool)
+    assert list(built.elements) == [Element(wff_token(w)) for w in pool]
+
+
+@closure_cases
+def test_pd_grounding_is_the_generic_grounding(seeds, size_cap, max_pool):
+    try:
+        pool = subformula_closure(seeds, size_cap, max_pool=max_pool)
+    except UsageError:
+        return
+    for variant in VARIANTS:
+        for n in (1, 2):
+            index = None if variant == "standard" else n
+            for given_pool in (pool, tuple(pool)):
+                _assert_generic_grounding(pd_system(variant, given_pool, n=index), pool)
+
+
+def test_a_pool_survives_copy_and_pickle():
+    pool = subformula_closure([bridge_axiom(1), P2], 22)
+    assert pool.instances["r1"] and pool.instances["r3"]
+    for round_trip in (copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))):
+        again = round_trip(pool)
+        assert type(again) is Pool
+        assert tuple(again) == tuple(pool)
+        assert again.instances == pool.instances
+        assert pd_system("positive", again, n=1) == pd_system("positive", pool, n=1)
 
 
 @settings(deadline=None, max_examples=60)
