@@ -254,6 +254,7 @@ def min_derivation_size(
     check_step_cap(cap)
     if goal not in system.language:
         raise DomainError(f"goal {goal} is not in the language")
+    require_same_language(system.language, hypotheses.language, "min_derivation_size")
     grounded = system.grounded
     start = grounded.encode(hypotheses) | grounded.insertable
     goal_bit = grounded.bits.get(goal)
@@ -270,6 +271,7 @@ def bounded_consequences(
     (`RuleSystem.grounded`) with the hypotheses as one more mask."""
     if steps < 1:
         raise UsageError("the step bound must be at least 1")
+    require_same_language(system.language, hypotheses.language, "bounded_consequences")
     grounded = system.grounded
     return grounded.decode(bounded_mask(system, grounded.encode(hypotheses), steps))
 

@@ -319,54 +319,62 @@ class PointwiseUnion(Operator):
 
 
 class ClosureFamilyOperator(Operator):
-    """X maps to the intersection of all family members containing X.
-
-    The family must contain the whole language, which makes the
-    intersection non-empty and the operator extensive, monotone and
-    idempotent by construction.
+    """X maps to the intersection of all closed sets containing X: the
+    family's distinct members, held as masks in `_family_order` and read
+    as `closed_sets`.  The family must contain the whole language, which
+    makes the operator extensive, monotone and idempotent by construction.
+    `apply` scans the members once.  The image table starts with each
+    member at its own index and the whole language elsewhere; then, for
+    each element e, every entry X without e is ANDed with entry X+e.
     """
 
     def __init__(self, language: ExplicitLanguage, family: Sequence[FiniteSubset]):
         if not isinstance(language, ExplicitLanguage):
             raise UsageError("closure families need an explicit finite language")
-        members = dict.fromkeys(family)
-        for m in members:
-            require_same_language(language, m.language, "closure family member")
-        top = FiniteSubset(language, language.elements)
-        if top not in members:
+        masks = set()
+        for member in family:
+            require_same_language(language, member.language, "closure family member")
+            masks.add(member.mask)
+        if (1 << len(language.elements)) - 1 not in masks:
             raise UsageError("a closure family must contain the whole language")
         self.language = language
-        self.family = tuple(sorted(members, key=lambda s: _family_order(s.mask)))
-        self._top = top.mask
+        self._masks = sorted(masks, key=_family_order)
 
-    def _image(self, mask: int) -> int:
-        out = self._top
-        for member in self.family:
-            if not mask & ~member.mask:
-                out &= member.mask
-        return out
+    @classmethod
+    def _fixed_by(cls, language: ExplicitLanguage, tables: Sequence[list[int]], refusal: str):
+        """The one fixed-point scan: the masks every table fixes, which must include the top."""
+        first, *rest = tables
+        family = [x for x, image in enumerate(first) if image == x and all(t[x] == x for t in rest)]
+        if family[-1:] != [len(first) - 1]:  # every bit set
+            raise UsageError(refusal)
+        op = cls.__new__(cls)
+        op.language, op._masks = language, sorted(family, key=_family_order)
+        return op
+
+    @property
+    def closed_sets(self) -> tuple[FiniteSubset, ...]:
+        return tuple(FiniteSubset._of_mask(self.language, m) for m in self._masks)
 
     def apply(self, subset: Subset) -> FiniteSubset:
         if not isinstance(subset, FiniteSubset):
             raise UsageError("closure-family operators take finite subsets")
         require_same_language(self.language, subset.language, "apply")
-        return FiniteSubset._of_mask(self.language, self._image(subset.mask))
+        x, out = subset.mask, self._masks[-1]
+        for member in self._masks:
+            if not x & ~member:
+                out &= member
+        return FiniteSubset._of_mask(self.language, out)
 
     def _image_masks(self, language: ExplicitLanguage) -> list[int]:
         require_same_language(self.language, language, "apply")
-        return [self._image(x) for x in range(1 << len(self.language.elements))]
-
-
-class SupremumOperator(ClosureFamilyOperator):
-    """Least upper bound of a family, computed from closed sets.
-
-    The closed sets of the bound are exactly the subsets closed under
-    every constituent; X maps to the least such set containing X.
-    """
-
-    @property
-    def closed_sets(self) -> tuple[FiniteSubset, ...]:
-        return self.family
+        images = [self._masks[-1]] * (1 << len(language.elements))
+        for member in self._masks:
+            images[member] = member
+        for bit in (1 << e for e in range(len(language.elements))):
+            for x in range(bit, len(images)):
+                if x & bit:
+                    images[x ^ bit] &= images[x]
+        return images
 
 
 class MeetFamily(Operator):
@@ -411,44 +419,36 @@ def cup_join(left: Operator, right: Operator) -> PointwiseUnion:
 
 def sup_w(
     operands: Sequence[Operator], language: ExplicitLanguage, *, bound: int = DEFAULT_BOUND
-) -> SupremumOperator:
+) -> ClosureFamilyOperator:
     """Least upper bound of `operands` over a finite language.
 
-    Computed definitionally: the closed sets are the subsets that every
-    constituent fixes, and inputs are closed within that family.
+    Computed definitionally: its closed sets are the subsets that every
+    constituent fixes, and X maps to the least of them containing X.
     """
     if not operands:
         raise UsageError("sup needs at least one operand")
     _require_small_language(language, bound)
     tables = [_image_table(op, language) for op in operands]
-    top = len(tables[0]) - 1  # every bit set
-    family = [x for x in range(top + 1) if all(t[x] == x for t in tables)]
-    if family[-1:] != [top]:
-        raise UsageError("constituents do not all fix the whole language")
-    return SupremumOperator(language, [FiniteSubset._of_mask(language, x) for x in family])
+    refusal = "constituents do not all fix the whole language"
+    return ClosureFamilyOperator._fixed_by(language, tables, refusal)
 
 
 def closed_family(
     op: Operator, language: ExplicitLanguage, *, bound: int = DEFAULT_BOUND
 ) -> tuple[FiniteSubset, ...]:
     """The image of P(language) under `op`, ordered by size, then
-    member by member.  Every image must be a fixed point and the whole
-    language must be among them."""
+    member by member.  Every image must be a fixed point, so the images
+    are the fixed points, and the whole language must be among them."""
     _require_small_language(language, bound)
     images = _image_table(op, language)
-    closed: dict[int, None] = {}
     for image in images:
-        if image not in closed:
-            if images[image] != image:
-                raise UsageError(
-                    f"{FiniteSubset._of_mask(language, image)} is an image but not a fixed point; "
-                    "the operator is not idempotent"
-                )
-            closed[image] = None
-    top = len(images) - 1  # every bit set
-    if top not in closed:
-        raise UsageError("the whole language is not closed; not a consequence operator")
-    return tuple(FiniteSubset._of_mask(language, m) for m in sorted(closed, key=_family_order))
+        if images[image] != image:
+            raise UsageError(
+                f"{FiniteSubset._of_mask(language, image)} is an image but not a fixed point; "
+                "the operator is not idempotent"
+            )
+    refusal = "the whole language is not closed; not a consequence operator"
+    return ClosureFamilyOperator._fixed_by(language, [images], refusal).closed_sets
 
 
 def from_closure_family(

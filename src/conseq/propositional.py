@@ -31,7 +31,7 @@ from typing import (
 )
 
 from .errors import DomainError, InputSyntaxError, UsageError
-from .language import Element, ExplicitLanguage, FiniteSubset, bit_indices
+from .language import Element, ExplicitLanguage, FiniteSubset
 from .rules import MaskSystem, RuleSystem, TupleRule, UnaryRule
 
 if TYPE_CHECKING:
@@ -603,10 +603,11 @@ def pd_system(variant: str, pool: Sequence[Wff], *, n: int | None = None) -> Rul
     second pass through `rules.ground`: a pool is in token order, which
     is the language's name order, so pool formula i is bit i.  Each
     formula's element is built once, unchecked, since a token passes
-    every name check.  The axiom instances become one mask, and an axiom
-    set; the detachment triples (implication, antecedent, consequent),
-    in pool order, become a 3-ary tuple rule "mp" and one arc each, so
-    tuple numbers, and with them witnesses, do not depend on set order.
+    every name check.  The axiom instances become one mask, which is
+    also the axiom set, since bit i is pool formula i; the detachment
+    triples (implication, antecedent, consequent), in pool order,
+    become a 3-ary tuple rule "mp" and one arc each, so tuple numbers,
+    and with them witnesses, do not depend on set order.
     """
     row = _variant(variant, n)
     if n is not None and not row.indexed:
@@ -627,7 +628,7 @@ def pd_system(variant: str, pool: Sequence[Wff], *, n: int | None = None) -> Rul
                 insertable |= 1 << bit[w._token]
     if row.bridge and (i := bit.get(bridge_axiom(n)._token)) is not None:
         insertable |= 1 << i
-    axioms = UnaryRule("axioms", FiniteSubset(language, tuple(elements[i] for i in bit_indices(insertable))))
+    axioms = UnaryRule("axioms", FiniteSubset._of_mask(language, insertable))
 
     detachment = mp_restricted(n) if row.restricted else MP
     tuples, arcs, users = [], [], {}

@@ -330,6 +330,16 @@ def test_pd_search_reports_bounded_evidence(capsys):
     assert "evidence only, not a proof" in out
 
 
+def test_pd_search_step_cap_that_binds(capsys):
+    # P0 takes three steps: both hypotheses, then detachment
+    argv = ["--hyp", "(P1 -> P0), P1", "--goal", "P0", "--size-cap", "8"]
+    assert run(capsys, "pd", "search", *argv, "--max-steps", "2") == (
+        1, "derivable, but not within 2 steps\n", ""
+    )
+    code, out, _ = run(capsys, "pd", "search", *argv, "--max-steps", "3")
+    assert (code, out.splitlines()[0]) == (0, "minimal steps: 3")
+
+
 SEARCHED = {"subformula_closure": 1, "saturate": 1, "mp": 1}
 
 

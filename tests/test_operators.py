@@ -590,3 +590,53 @@ def test_checks_of_tabulated_operands_build_each_operand_table_once(monkeypatch)
     assert reports[0] == reports[1] == reports[2] == check_axioms(meet([first, second]), language)
     assert reports[3] == check_axioms(cup_join(first, second), language)
     assert built == [first, second] * 3
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+
+F = EnumeratedLanguage("f")
+F_SYSTEM = RuleSystem("f", F, ())
+COFINITE = CofiniteSubset.full(F)
+
+
+class _ReturnsCofinite:
+    """An apply-only operator whose answer is not a finite subset."""
+
+    def apply(self, subset):
+        return COFINITE
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: TableOperator(F, {}), UsageError,
+         "table-backed operators need an explicit finite language"),
+        (lambda: operators.ClosureFamilyOperator(F, []), UsageError,
+         "closure families need an explicit finite language"),
+        (lambda: canonical_system(Identity(), F), UsageError,
+         "canonical systems need an explicit finite language"),
+        (lambda: RuleOperator(F_SYSTEM).apply(COFINITE), UsageError,
+         "rule-backed operators take finite subsets"),
+        (lambda: BoundedOperator(F_SYSTEM, 2).apply(COFINITE), UsageError,
+         "step-bounded operators take finite subsets"),
+        (lambda: tabulate(Identity(), LANG).apply(COFINITE), UsageError,
+         "table-backed operators take finite subsets"),
+        (lambda: from_closure_family([_sub("a", "b", "c", "d")], LANG).apply(COFINITE), UsageError,
+         "closure-family operators take finite subsets"),
+        (lambda: check_axioms(_ReturnsCofinite(), LANG), DomainError,
+         "operator returned a non-finite subset over a finite language"),
+        (lambda: F.element(-1), DomainError, "enumeration index must be non-negative"),
+    ],
+    ids=[
+        "table-enumerated", "closure-family-enumerated", "canonical-enumerated",
+        "rule-apply-cofinite", "bounded-apply-cofinite", "table-apply-cofinite",
+        "closure-family-apply-cofinite", "apply-only-non-finite",
+        "negative-enumeration-index",
+    ],
+)
+def test_refusals_give_their_messages(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message

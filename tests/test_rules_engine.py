@@ -512,6 +512,29 @@ def test_witnesses_are_replayed_on_lookup_only(monkeypatch):
     assert replayed == [B]
 
 
+def test_witnesses_refuse_an_element_that_was_not_derived():
+    result = saturate(step_system(), FiniteSubset.of(LANG4, ["x1"]))
+    assert A not in result.witnesses
+    with pytest.raises(KeyError) as raised:
+        result.witnesses[A]
+    assert raised.value.args == (A,)
+
+
+def test_language_mismatches_name_the_function_called():
+    system = step_system()
+    other = FiniteSubset.empty(ExplicitLanguage.of_tokens(["z"]))
+    mismatch = "mismatched languages ExplicitLanguage(a,b,x1,x2) and ExplicitLanguage(z)"
+    calls = {
+        "saturate": lambda: saturate(system, other),
+        "bounded_consequences": lambda: bounded_consequences(system, other, steps=2),
+        "min_derivation_size": lambda: min_derivation_size(system, other, A, cap=3),
+    }
+    for name, call in calls.items():
+        with pytest.raises(DomainError) as raised:
+            call()
+        assert str(raised.value) == f"{name}: {mismatch}"
+
+
 # ---------------------------------------------------------------------------
 # derivation checking
 
