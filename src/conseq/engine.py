@@ -103,28 +103,34 @@ def saturate(system: RuleSystem, hypotheses: FiniteSubset) -> SaturationResult:
 
 def _replay(goal: Element, justification: dict[Element, tuple]) -> Derivation:
     """Rebuild a numbered derivation of `goal` from the justification
-    map; its steps follow the map's insertion order."""
-    support: set[Element] = set()
+    map: collect the elements it rests on, then number them in one pass
+    over the map, whose order puts each premise before its conclusion.
+    Steps skip their dataclass constructors, which check nothing."""
+    support = {goal}
     stack = [goal]
     while stack:
-        e = stack.pop()
-        if e in support:
-            continue
-        support.add(e)
-        j = justification[e]
+        j = justification[stack.pop()]
         if j[0] == "apply":
-            stack.extend(j[2])
-    ordered = [e for e in justification if e in support]
-    step_no = {e: i for i, e in enumerate(ordered, start=1)}
+            for p in j[2]:
+                if p not in support:
+                    support.add(p)
+                    stack.append(p)
+    step_no: dict[Element, int] = {}
     steps = []
-    for e in ordered:
-        j = justification[e]
-        if j[0] == "hyp":
-            steps.append(Insert(e))
-        elif j[0] == "axiom":
-            steps.append(Insert(e, j[1]))
-        else:
-            steps.append(Apply(j[1], tuple(step_no[p] for p in j[2]), e))
+    new = object.__new__
+    for e, j in justification.items():
+        if e in support:
+            kind = j[0]
+            if kind == "apply":
+                step = new(Apply)
+                step.__dict__.update(
+                    rule_id=j[1], premise_steps=tuple(map(step_no.__getitem__, j[2])), conclusion=e
+                )
+            else:
+                step = new(Insert)
+                step.__dict__.update(element=e, source=None if kind == "hyp" else j[1])
+            steps.append(step)
+            step_no[e] = len(steps)
     return Derivation(tuple(steps))
 
 

@@ -12,6 +12,12 @@ Rule lines with the same id accumulate tuples in file order and must
 agree on the number of premises.  Loading then saving a saved file
 reproduces it byte for byte.
 
+The common line takes one split: a rule line without a comment whose
+second token is `<id>:`, whose last but one is `=>`, and whose other
+tokens are all in the name table (below), for a new rule id or one
+with the same premise count.  Every other line, and every error, takes
+the full parse, which reads such a line the same way.
+
 Tokens resolve through one name table, a dict from token to element
 local to each load.  Over an explicit language it starts as the
 language's own elements, so a token in the language costs one lookup;
@@ -55,6 +61,23 @@ def loads_system(text: str, *, name: str = "system") -> RuleSystem:
     declared: dict[str, tuple[str, list]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        # the common line, "rule <id>: <premises> => <conclusion>" over known
+        # tokens, in one split; a line this cannot take gets the full parse
+        parts = raw.split()
+        if len(parts) > 4 and parts[0] == "rule" and parts[-2] == "=>" and "#" not in raw:
+            rule_id = parts[1][:-1]
+            if parts[1][-1] == ":" and rule_id and ":" not in rule_id:
+                del parts[-2]  # no name holds '=>', so this is the only arrow
+                row = tuple(map(names.get, parts[2:]))
+                if None not in row:
+                    seen = declared.get(rule_id)
+                    if seen is None:
+                        declared[rule_id] = ("rule", [row])
+                        continue
+                    if seen[0] == "rule" and len(seen[1][0]) == len(row):
+                        seen[1].append(row)
+                        continue
+
         where = f"line {lineno}"
         line = _strip_comment(raw).strip()
         if not line:

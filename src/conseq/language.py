@@ -39,6 +39,11 @@ class Element(tuple):
     __slots__ = ()
 
     def __new__(cls, name: str) -> "Element":
+        """The element named `name`, refused with a `DomainError` that
+        names the rule it breaks.  An alphanumeric name is accepted at
+        once: it is non-empty and holds no whitespace, '#' or '='."""
+        if name.isalnum():
+            return tuple.__new__(cls, (name,))
         if not name:
             raise DomainError("element name must be non-empty")
         if _WHITESPACE.search(name):

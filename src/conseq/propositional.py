@@ -510,9 +510,12 @@ def subformula_closure(
 
 
 def _positive(w: Wff) -> bool:
-    """Whether the positive variant keeps an R3 instance: its
-    negation-erased transform is a tautology."""
-    return is_tautology(h_transform(w))
+    """Whether the positive variant keeps an R3 instance
+    `((~X -> ~Y) -> (Y -> X))`: its negation-erased transform is a
+    tautology.  That transform, `((X' -> Y') -> (Y' -> X'))`, is false
+    exactly when Y' is true and X' false, so it is a tautology exactly
+    when `(Y' -> X')`, the transform of the consequent, is one."""
+    return is_tautology(h_transform(w.consequent))
 
 
 def _avoids_atom0(w: Wff) -> bool:

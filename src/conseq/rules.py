@@ -277,6 +277,7 @@ def ground(system: RuleSystem) -> MaskSystem:
     sources: list[tuple[str, tuple[Element, ...]]] = []
     users: dict[int, list[int]] = {}
     insertable = 0
+    add_user, add_arc, add_source = users.setdefault, arcs.append, sources.append
     for rule in system.rules:
         rule_id = rule.rule_id
         if isinstance(rule, UnaryRule):
@@ -288,19 +289,19 @@ def ground(system: RuleSystem) -> MaskSystem:
             continue
         for t in rule.tuples:
             try:
-                positions = list(map(bit_of, t))
+                *positions, last = map(bit_of, t)
             except KeyError as outside:
                 raise DomainError(
                     f"system {system.name}: rule {rule_id} mentions "
                     f"{outside.args[0]} outside the language"
                 ) from None
-            conclusion = 1 << positions.pop()
+            arc = len(arcs)
             premises = 0
             for i in positions:
                 premises |= 1 << i
-                users.setdefault(i, []).append(len(arcs))
-            arcs.append((premises, conclusion))
-            sources.append((rule_id, t))
+                add_user(i, []).append(arc)
+            add_arc((premises, 1 << last))
+            add_source((rule_id, t))
     return MaskSystem(language, elements, bits, inserted, insertable, arcs, sources, users)
 
 
@@ -364,7 +365,7 @@ class Derivation:
                 origin = "hypothesis" if step.source is None else f"axiom {step.source}"
                 lines.append(f"{i}. {step.element}  [{origin}]")
             else:
-                refs = ",".join(str(k) for k in step.premise_steps)
+                refs = ",".join(map(str, step.premise_steps))
                 lines.append(f"{i}. {step.conclusion}  [{step.rule_id} from {refs}]")
         return "\n".join(lines)
 

@@ -9,7 +9,7 @@ those round-trip semantically, not byte for byte.
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conseq.engine import union_systems
@@ -424,3 +424,66 @@ def _canonical_texts(draw):
 @given(_canonical_texts())
 def test_canonical_texts_round_trip_byte_for_byte(text):
     assert dumps_system(loads_system(text)) == text
+
+
+
+# ---------------------------------------------------------------------------
+# canonical texts bent just off the loader's one-split line form: a bent
+# line must get the same outcome as from the per-token loader, error
+# type, message and line number included
+
+# every break str.splitlines splits on
+_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+_GAPS = (" ", "  ", "\t", "\u00a0", "\u3000")
+_COMMENTS = ("#", " # note", "\t#x => y", "# rule r: a => b")
+_BENDS = ("id", "count", "colon", "arrow", "gap", "comment")
+
+
+@st.composite
+def _bent_canonical_texts(draw):
+    lines = draw(_canonical_texts()).splitlines()
+    names = lines[0].split()[1:]
+    if names != ["enumerated", "f"] and draw(st.booleans()):
+        # a ':' inside an element name, on every line that names it
+        old = draw(st.sampled_from(names))
+        new = draw(st.sampled_from((f"{old}:", f":{old}", f"{old}:x")))
+        lines = [" ".join(new if t == old else t for t in line.split(" ")) for line in lines]
+    ids = [line.split(" ")[1][:-1] for line in lines[1:]]
+    text = ""
+    for line in lines:
+        tokens = line.split(" ")
+        bends = draw(st.lists(st.sampled_from(_BENDS), max_size=2))
+        if "id" in bends and tokens[0] != "language:":
+            # an id reused across axiom and rule lines, an empty one, or
+            # one that holds a ':' or '#'
+            tokens[1] = draw(st.sampled_from(ids + ["", "r:x", ":r", "r#", "#"])) + ":"
+        if "count" in bends and "=>" in tokens:
+            # a premise more, or one fewer, than the rule's other lines
+            if draw(st.booleans()):
+                tokens.insert(2, tokens[2])
+            else:
+                del tokens[2]
+        gap = draw(st.sampled_from(_GAPS)) if "gap" in bends else " "
+        line = gap.join(tokens)
+        if "colon" in bends:
+            line = line.replace(": ", draw(st.sampled_from((":", " :", " : "))), 1)
+        if "arrow" in bends:
+            line = line.replace(" => ", draw(st.sampled_from(("=>", " =>", "=> "))))
+        if "comment" in bends:
+            line += draw(st.sampled_from(_COMMENTS))
+        text += line + draw(st.sampled_from(_BREAKS))
+    return text
+
+
+@settings(deadline=None, max_examples=400)
+@given(_bent_canonical_texts())
+@example("language: a b\nrule r#: a => b\n")
+@example("language: a b\nrule #: a => b\n")
+@example("language: a b\nrule : a => b\n")
+@example("language: a b\nrule r:x: a => b\n")
+@example("language: a b\naxioms r: a\nrule r: a => b\n")
+@example("language: a b\nrule r: a => b\nrule r: a b => a\n")
+@example("language: a b:\nrule r: b: => a\r\nrule r:a => b: # c\x85rule r: a\u00a0=> b")
+@example("language: enumerated f\nrule r: f0 => f1\u2028rule r: f1\u3000f0 => f2\n")
+def test_bent_canonical_lines_load_as_the_per_token_loader_loads_them(text):
+    assert _outcome(loads_system, text) == _outcome(_per_token_loads, text)

@@ -89,6 +89,50 @@ def test_element_names_without_reserved_text_are_accepted_and_hash_once(name, ot
             round_trip(forged)
 
 
+_WHITESPACE = re.compile(r"\s")
+
+
+def _checked_element(name):
+    """`Element(name)` as first written, the oracle for its alphanumeric
+    shortcut: every name runs the regex and both scans."""
+    if not name:
+        raise DomainError("element name must be non-empty")
+    if _WHITESPACE.search(name):
+        raise DomainError(f"element name may not contain whitespace: {name!r}")
+    if "#" in name:
+        raise DomainError(f"element name may not contain '#': {name!r}")
+    if "=>" in name:
+        raise DomainError(f"element name may not contain '=>': {name!r}")
+    return (name,)
+
+
+def test_alphanumeric_code_points_hold_nothing_a_name_refuses():
+    for c in map(chr, range(sys.maxunicode + 1)):
+        if c.isalnum():
+            assert not c.isspace() and c not in "#=>" and not _WHITESPACE.search(c), hex(ord(c))
+
+
+def _element_outcome(build, name):
+    try:
+        return build(name)
+    except DomainError as exc:
+        return str(exc)
+
+
+_any_names = st.text(
+    alphabet=st.characters() | st.sampled_from(["a", "Z", "7", "é", "٣", "#", "=", ">", " ", "\t", "\u3000"]),
+    max_size=6,
+)
+
+
+@settings(deadline=None, max_examples=500)
+@given(_any_names)
+def test_elements_match_the_fully_checked_constructor(name):
+    built = _element_outcome(Element, name)
+    assert built == _element_outcome(_checked_element, name)
+    assert type(built) is (Element if isinstance(built, tuple) else str)
+
+
 def test_unpickled_elements_hash_like_fresh_ones():
     # str hashes are salted per process: an Element pickled under another
     # hash seed must not bring its stored hash along.

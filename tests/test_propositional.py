@@ -2,10 +2,12 @@
 non-derivability certificates."""
 
 import copy
+import json
 import pickle
 import re
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass, fields
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -51,6 +53,7 @@ from conseq.propositional import (
 from conseq.language import Element
 from conseq.rules import RuleSystem, UnaryRule
 
+ROOT = Path(__file__).resolve().parent.parent
 P0, P1, P2 = Atom(0), Atom(1), Atom(2)
 
 
@@ -421,6 +424,31 @@ def test_axiom_schema_instantiation():
     for kind in ("r1", "r2", "r3", "r3-positive", "axioms-without-atom0"):
         with pytest.raises(UsageError, match=f"unknown schema {kind}"):
             instantiate_schema(Schema(kind), pool)
+
+
+def test_positive_r3_filter_matches_the_whole_instances_truth_table_on_catalog_pools():
+    # the filter as first written, a truth table of the whole erased
+    # instance, is the oracle over every positive-variant catalog pool
+    catalog = json.loads((ROOT / "perfbench" / "pd_catalog.json").read_text(encoding="utf-8"))
+    pools = set()
+    for q in catalog["queries"]:
+        if q["variant"] == "positive":
+            hyps, goal = [parse(h) for h in q["hyps"]], parse(q["goal"])
+            caps = {"size_cap": catalog["size_cap"], "max_pool": catalog["pool_cap"]}
+            pools.add(query_pool("positive", hyps, goal, n=q["n"], **caps))
+    instances = {w for pool in pools for w in pool.instances["r3"]}
+    keep = conseq.propositional._VARIANTS["positive"].keep[2]
+    assert {keep(w) for w in instances} == {True, False}
+    for w in instances:
+        assert keep(w) == is_tautology(h_transform(w)), wff_to_text(w)
+
+
+@settings(deadline=None, max_examples=200)
+@given(wffs(), wffs())
+def test_positive_r3_filter_matches_the_whole_instances_truth_table(x, y):
+    w = Impl(Impl(Neg(x), Neg(y)), Impl(y, x))
+    keep = conseq.propositional._VARIANTS["positive"].keep[2]
+    assert keep(w) == is_tautology(h_transform(w))
 
 
 def test_detachment_instantiation_and_restriction():

@@ -4,7 +4,9 @@ The minimal-derivation search is cross-checked against a brute-force
 enumerator that literally tries every numbered step sequence.
 """
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -510,6 +512,60 @@ def test_witnesses_are_replayed_on_lookup_only(monkeypatch):
     assert replayed == []
     assert result.witnesses[B].final_element() == B
     assert replayed == [B]
+
+
+def _replay_oracle(goal, justification):
+    """`engine._replay` as first written: walk the support, copy the
+    map's order filtered to it, number that copy, then build each step
+    through its dataclass constructor."""
+    support = set()
+    stack = [goal]
+    while stack:
+        e = stack.pop()
+        if e in support:
+            continue
+        support.add(e)
+        j = justification[e]
+        if j[0] == "apply":
+            stack.extend(j[2])
+    ordered = [e for e in justification if e in support]
+    step_no = {e: i for i, e in enumerate(ordered, start=1)}
+    steps = []
+    for e in ordered:
+        j = justification[e]
+        if j[0] == "hyp":
+            steps.append(Insert(e))
+        elif j[0] == "axiom":
+            steps.append(Insert(e, j[1]))
+        else:
+            steps.append(Apply(j[1], tuple(step_no[p] for p in j[2]), e))
+    return Derivation(tuple(steps))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=63),
+)
+def test_replayed_witnesses_match_the_constructor_built_oracle(seed, size, mask):
+    language = small_language(size)
+    system = random_system(seeded(seed, "replay"), language, max_rules=4, max_tuples=8)
+    hypotheses = FiniteSubset(
+        language, tuple(e for i, e in enumerate(language.elements) if mask >> i & 1)
+    )
+    witnesses = saturate(system, hypotheses).witnesses
+    for element, witness in witnesses.items():
+        expected = _replay_oracle(element, witnesses._justification)
+        assert [(type(s), vars(s)) for s in witness.steps] == [
+            (type(s), vars(s)) for s in expected.steps
+        ]
+        assert witness == expected
+        outcome = check_derivation(system, hypotheses, witness)
+        assert outcome, outcome.reason
+        for again in (pickle.loads(pickle.dumps(witness)), copy.deepcopy(witness)):
+            assert again == witness
+            assert [type(s) for s in again.steps] == [type(s) for s in witness.steps]
 
 
 def test_witnesses_refuse_an_element_that_was_not_derived():
