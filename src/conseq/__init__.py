@@ -6,7 +6,8 @@ relations and rule systems; `engine` runs numbered-step deduction
 (saturation, derivation checking, step bounds);
 `operators` treats closure operators as values with meet, weak join,
 and axiom checking, and builds the rule systems that replay them
-(canonical and trigger systems); `csystems` works with closed-set families;
+(canonical and trigger systems); `csystems` lists an operator's closed
+sets as a tuple of subsets and joins and meets them;
 `propositional` instantiates the machinery for implication/negation
 formulas with several restricted axiom sets; `scenarios` packages the
 worked examples; `cli` exposes everything on the command line.
@@ -72,7 +73,7 @@ from .operators import (
     superset_trigger_system,
     tabulate,
 )
-from .csystems import CSystemFamily, closed_systems, join_uplus, meet_cap
+from .csystems import closed_systems, join_uplus, meet_cap
 from .fileformat import dumps_system, load_system, loads_system, save_system
 from .scenarios import Assertion, ScenarioReport, run_scenario, scenario_ids
 
@@ -132,7 +133,6 @@ __all__ = [
     "sup_w",
     "superset_trigger_system",
     "tabulate",
-    "CSystemFamily",
     "closed_systems",
     "join_uplus",
     "meet_cap",

@@ -4,49 +4,40 @@ A subset is closed when the operator fixes it.  For a consequence
 operator the closed sets form a lattice: meet is plain intersection
 (closed again), and the join of two closed sets is the closure of
 their union, the least closed superset.  Their plain union usually is
-not closed, which is why the join has to re-close.
+not closed, which is why the join has to re-close.  `closed_systems`
+lists the closed sets as a plain tuple of subsets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
-
 from .errors import UsageError
 from .language import ExplicitLanguage, FiniteSubset
-from .operators import DEFAULT_BOUND, Operator, closed_family
+from .operators import (
+    DEFAULT_BOUND,
+    ClosureFamilyOperator,
+    Operator,
+    _image_table,
+    _require_small_language,
+)
 
 
-@dataclass(eq=False, frozen=True)
-class CSystemFamily:
-    """All closed sets of one operator over a finite language.
-
-    `member_set` holds the members as a frozenset, built once, for
-    membership tests.
-    """
-
-    operator: Operator
-    language: ExplicitLanguage
-    members: tuple[FiniteSubset, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "member_set", frozenset(self.members))
-
-    def __contains__(self, subset: FiniteSubset) -> bool:
-        return subset in self.member_set
-
-    def __iter__(self) -> Iterator[FiniteSubset]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def closed_systems(op: Operator, language: ExplicitLanguage, *, bound: int = DEFAULT_BOUND) -> CSystemFamily:
-    """The closed sets of `op` over a finite language, as
-    `operators.closed_family` collects, checks and orders them."""
-    members = closed_family(op, language, bound=bound)
-    return CSystemFamily(operator=op, language=language, members=members)
+def closed_systems(
+    op: Operator, language: ExplicitLanguage, *, bound: int = DEFAULT_BOUND
+) -> tuple[FiniteSubset, ...]:
+    """The closed sets of `op` as a tuple of subsets, ordered by size,
+    then member by member, as `sup_w([op], language).closed_sets` are.
+    They are the images of P(language) under `op`: every image must be
+    a fixed point, and the whole language must be among them."""
+    _require_small_language(language, bound)
+    images = _image_table(op, language)
+    for image in images:
+        if images[image] != image:
+            raise UsageError(
+                f"{FiniteSubset._of_mask(language, image)} is an image but not a fixed point; "
+                "the operator is not idempotent"
+            )
+    refusal = "the whole language is not closed; not a consequence operator"
+    return ClosureFamilyOperator._fixed_by(language, [images], refusal).closed_sets
 
 
 def _require_closed(op: Operator, subset: FiniteSubset, side: str) -> None:

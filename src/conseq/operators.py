@@ -433,24 +433,6 @@ def sup_w(
     return ClosureFamilyOperator._fixed_by(language, tables, refusal)
 
 
-def closed_family(
-    op: Operator, language: ExplicitLanguage, *, bound: int = DEFAULT_BOUND
-) -> tuple[FiniteSubset, ...]:
-    """The image of P(language) under `op`, ordered by size, then
-    member by member.  Every image must be a fixed point, so the images
-    are the fixed points, and the whole language must be among them."""
-    _require_small_language(language, bound)
-    images = _image_table(op, language)
-    for image in images:
-        if images[image] != image:
-            raise UsageError(
-                f"{FiniteSubset._of_mask(language, image)} is an image but not a fixed point; "
-                "the operator is not idempotent"
-            )
-    refusal = "the whole language is not closed; not a consequence operator"
-    return ClosureFamilyOperator._fixed_by(language, [images], refusal).closed_sets
-
-
 def from_closure_family(
     family: Iterable[FiniteSubset], language: ExplicitLanguage
 ) -> ClosureFamilyOperator:
@@ -498,9 +480,7 @@ def canonical_system(op, language: ExplicitLanguage) -> RuleSystem:
     return RuleSystem("canonical", language, (axioms, *relations))
 
 
-def overlap_trigger_system(
-    extra: FiniteSubset, trigger: FiniteSubset, name: str = "overlap"
-) -> RuleSystem:
+def overlap_trigger_system(extra: FiniteSubset, trigger: FiniteSubset) -> RuleSystem:
     """A rule system whose saturation replays AdjoinIfIntersects.
 
     Every trigger element concludes every extra element, one binary
@@ -509,14 +489,12 @@ def overlap_trigger_system(
     """
     require_same_language(extra.language, trigger.language, "overlap_trigger_system")
     if not extra.members or not trigger.members:
-        return RuleSystem(name, extra.language, ())
+        return RuleSystem("overlap", extra.language, ())
     pairs = tuple((y, x) for y in trigger for x in extra)
-    return RuleSystem(name, extra.language, (TupleRule("pair", 2, pairs),))
+    return RuleSystem("overlap", extra.language, (TupleRule("pair", 2, pairs),))
 
 
-def superset_trigger_system(
-    extra: FiniteSubset, trigger: FiniteSubset, name: str = "superset"
-) -> RuleSystem:
+def superset_trigger_system(extra: FiniteSubset, trigger: FiniteSubset) -> RuleSystem:
     """A rule system whose saturation replays AdjoinIfContains.
 
     All trigger elements together act as premises for each extra
@@ -526,12 +504,12 @@ def superset_trigger_system(
     """
     require_same_language(extra.language, trigger.language, "superset_trigger_system")
     if not extra.members:
-        return RuleSystem(name, extra.language, ())
+        return RuleSystem("superset", extra.language, ())
     if not trigger.members:
-        return RuleSystem(name, extra.language, (UnaryRule("always", extra),))
+        return RuleSystem("superset", extra.language, (UnaryRule("always", extra),))
     tuples = tuple(trigger.members + (x,) for x in extra)
     return RuleSystem(
-        name,
+        "superset",
         extra.language,
         (TupleRule("contains", len(trigger.members) + 1, tuples),),
     )

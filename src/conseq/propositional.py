@@ -721,7 +721,9 @@ def saturate_pool(
     so detachment is the one schema instantiated.  A variant that takes
     no index ignores n.
     """
-    from .engine import saturate  # local import keeps module layering flat
+    # Imported per call, not at module level, so that a patched
+    # `conseq.engine.saturate` is the one this call runs.
+    from .engine import saturate
 
     system = pd_system(variant, pool, n=n if _variant(variant, n).indexed else None)
     hyp_subset = formula_subset(system, hypotheses)

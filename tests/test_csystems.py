@@ -1,6 +1,8 @@
 """The lattice of closed sets of a single operator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conseq.csystems import closed_systems, join_uplus, meet_cap
 from conseq.errors import UsageError
@@ -12,9 +14,10 @@ from conseq.operators import (
     Unit,
     equal_ops,
     from_closure_family,
+    sup_w,
 )
 from conseq.rules import RuleSystem, TupleRule
-from conseq.sampling import random_system, seeded, small_language
+from conseq.sampling import random_closure_family, random_system, seeded, small_language
 
 LANG = ExplicitLanguage.of_tokens(["a", "b", "c", "d"])
 A, B, C, D = (Element(n) for n in "abcd")
@@ -107,19 +110,19 @@ def test_family_recovers_the_operator():
     for _ in range(20):
         op = RuleOperator(random_system(rng, language))
         family = closed_systems(op, language)
-        rebuilt = from_closure_family(family.members, language)
+        rebuilt = from_closure_family(family, language)
         assert equal_ops(op, rebuilt, language)
         # intersection-closed: meets of members stay inside
-        members = set(family.members)
-        for left in family.members:
-            for right in family.members:
+        members = set(family)
+        for left in family:
+            for right in family:
                 assert left.intersect(right) in members
 
 
 def test_joins_are_least_closed_supersets():
     op = RuleOperator(branching_system())
     family = closed_systems(op, LANG)
-    members = list(family.members)
+    members = list(family)
     for left in members:
         for right in members:
             join = join_uplus(op, left, right)
@@ -141,3 +144,17 @@ def test_family_bound_guard():
     with pytest.raises(UsageError):
         closed_systems(Identity(), wide)
     assert len(closed_systems(Identity(), wide, bound=7)) == 128
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(["rules", "family"]), st.integers(0, 10_000), st.integers(1, 6))
+def test_family_is_the_tuple_sup_w_gives(kind, seed, n):
+    language = small_language(n)
+    rng = seeded(seed, kind)
+    if kind == "rules":
+        op = RuleOperator(random_system(rng, language))
+    else:
+        op = from_closure_family(random_closure_family(rng, language), language)
+    family = closed_systems(op, language)
+    assert type(family) is tuple
+    assert family == sup_w([op], language).closed_sets
