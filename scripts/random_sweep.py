@@ -61,8 +61,9 @@ def main() -> int:
             print(f"trial {trial}: union-saturation != weak join", file=sys.stderr)
 
         family = closed_systems(op, language)
+        members = set(family)
         closed_ok = all(
-            x.intersect(y) in family and join_uplus(op, x, y) in family
+            x.intersect(y) in members and join_uplus(op, x, y) in members
             for x in family
             for y in family
         )

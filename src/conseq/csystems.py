@@ -16,6 +16,7 @@ from .operators import (
     DEFAULT_BOUND,
     ClosureFamilyOperator,
     Operator,
+    _closed_bitsets,
     _image_table,
     _require_small_language,
 )
@@ -26,9 +27,17 @@ def closed_systems(
 ) -> tuple[FiniteSubset, ...]:
     """The closed sets of `op` as a tuple of subsets, ordered by size,
     then member by member, as `sup_w([op], language).closed_sets` are.
-    They are the images of P(language) under `op`: every image must be
-    a fixed point, and the whole language must be among them."""
+
+    An operator with a closed-mask bitset (`Operator._closed_masks`: a
+    rule operator, or a family built from such bitsets) lists its set
+    bits.  Any other operator is read from its image table: the closed
+    sets are the images of P(language) under `op`, every image must be a
+    fixed point, and the whole language must be among them."""
     _require_small_language(language, bound)
+    refusal = "the whole language is not closed; not a consequence operator"
+    closed = _closed_bitsets([op], language)
+    if closed is not None:
+        return ClosureFamilyOperator._of_closed(language, closed[0], refusal).closed_sets
     images = _image_table(op, language)
     for image in images:
         if images[image] != image:
@@ -36,7 +45,6 @@ def closed_systems(
                 f"{FiniteSubset._of_mask(language, image)} is an image but not a fixed point; "
                 "the operator is not idempotent"
             )
-    refusal = "the whole language is not closed; not a consequence operator"
     return ClosureFamilyOperator._fixed_by(language, [images], refusal).closed_sets
 
 

@@ -199,6 +199,10 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# b"0" to the byte 0 and b"1" to the byte 1, for reading bin() digits as flags
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 @dataclass(frozen=True)
 class FiniteSubset:
     """A finite subset, stored sorted and duplicate-free.
@@ -233,8 +237,10 @@ class FiniteSubset:
         """The subset whose members are the set bits of `mask`, which the
         caller vouches are all in the language: nothing is validated,
         and nothing is sorted either, since bit order is name order."""
-        # bin() lists the bits highest first after '0b'; reversed, bit i is digit i
-        members = tuple(compress(language.elements, map(int, bin(mask)[:1:-1])))
+        # bin() lists the bits highest first after '0b'; reversed, bit i is
+        # digit i, and as bytes each digit becomes the byte 0 or 1
+        flags = bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)
+        members = tuple(compress(language.elements, flags))
         subset = object.__new__(cls)
         subset.__dict__.update(language=language, members=members, mask=mask)
         return subset

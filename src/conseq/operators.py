@@ -25,7 +25,6 @@ from .language import (
     Language,
     Subset,
     all_subsets,
-    bit_indices,
     full_subset,
     require_same_language,
 )
@@ -45,17 +44,49 @@ MAX_TABLE_ELEMENTS = 22
 # operator variants
 
 
-def _family_order(mask: int) -> tuple[int, tuple[int, ...]]:
+# '0' to '1' and '1' to '0', for `_family_order`
+_FLIP_DIGITS = str.maketrans("01", "10")
+
+
+def _family_order(mask: int) -> tuple[int, str]:
     """Sort key for families of subsets: by size, then member by member.
 
     Bit order is name order in an explicit language, so this is the
     order of (len(s.members), s.members) without comparing elements.
+    Of two masks of one size, the first is the one that holds the lowest
+    bit where they differ: the one whose binary digits, lowest first and
+    flipped, compare smaller.  Neither digit string is a prefix of the
+    other, since each ends at its mask's highest bit and the sizes agree.
     """
-    return mask.bit_count(), tuple(bit_indices(mask))
+    return mask.bit_count(), bin(mask)[:1:-1].translate(_FLIP_DIGITS)
+
+
+def _set_bits(bits: int) -> list[int]:
+    """The positions of the set bits of `bits`, lowest first, read off
+    its binary digits: one pass however wide `bits` is, where a big-int
+    operation per set bit would cost a pass each."""
+    digits = bin(bits)[:1:-1]
+    out, i = [], digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
 
 
 class Operator:
     """Total map on the subsets of one language."""
+
+    def _closed_masks(self, language: ExplicitLanguage) -> int | None:
+        """The operator's closed family over `language` as one int of 2^n
+        bits, bit X set when the operator fixes mask X, for an operator
+        that is a closure operator by construction; None otherwise.
+
+        A closure operator is fixed by its closed sets, so `closed_systems`,
+        `sup_w`, `leq` and `equal_ops` read these bitsets when every
+        operand has one, and its image table otherwise.  A rule operator
+        has one, and so has a closure family built from such bitsets.
+        """
+        return None
 
     def apply(self, subset: Subset) -> Subset:
         raise NotImplementedError
@@ -151,8 +182,10 @@ class RuleOperator(Operator):
     The image table over P(language) is `MaskSystem.closures`, filled in
     binary-counting order from the image of X minus its lowest element
     e: when that image holds e it is X's image too, and otherwise only
-    the arcs that e enables are visited.  Witnesses come from
-    `saturate` alone.
+    the arcs that e enables are visited.  The closed family, which
+    closed-set, sup and order queries read instead of that table, is
+    `MaskSystem.closed_masks`: a few big-int operations per arc.
+    Witnesses come from `saturate` alone.
     """
 
     def __init__(self, system: RuleSystem):
@@ -168,6 +201,10 @@ class RuleOperator(Operator):
     def _image_masks(self, language: ExplicitLanguage) -> list[int]:
         require_same_language(self.language, language, "apply")
         return self.system.grounded.closures(len(language.elements))
+
+    def _closed_masks(self, language: ExplicitLanguage) -> int:
+        require_same_language(self.language, language, "apply")
+        return self.system.grounded.closed_masks(len(language.elements))
 
     def __repr__(self) -> str:
         return f"RuleOperator({self.system.name})"
@@ -326,6 +363,13 @@ class ClosureFamilyOperator(Operator):
     `apply` scans the members once.  The image table starts with each
     member at its own index and the whole language elsewhere; then, for
     each element e, every entry X without e is ANDed with entry X+e.
+
+    A family handed to the constructor need not be closed under
+    intersection ({a}, {b} and the whole language also fix the empty
+    set), so its members need not be the operator's fixed points, and
+    it has no closed-mask bitset: queries read its image table.  A family
+    that `sup_w` or `closed_systems` builds from closed-mask bitsets is
+    known to be exactly the fixed points, and keeps that bitset.
     """
 
     def __init__(self, language: ExplicitLanguage, family: Sequence[FiniteSubset]):
@@ -339,17 +383,37 @@ class ClosureFamilyOperator(Operator):
             raise UsageError("a closure family must contain the whole language")
         self.language = language
         self._masks = sorted(masks, key=_family_order)
+        self._closed = None
+
+    @classmethod
+    def _of_masks(
+        cls, language: ExplicitLanguage, masks: Iterable[int], closed: int | None, refusal: str
+    ) -> "ClosureFamilyOperator":
+        """The family of the distinct `masks`, which must include the whole
+        language, else `refusal`; `closed` is their bitset when they are
+        known to be exactly the operator's fixed points, else None."""
+        ordered = sorted(masks, key=_family_order)
+        if ordered[-1:] != [(1 << len(language.elements)) - 1]:
+            raise UsageError(refusal)
+        op = cls.__new__(cls)
+        op.language, op._masks, op._closed = language, ordered, closed
+        return op
 
     @classmethod
     def _fixed_by(cls, language: ExplicitLanguage, tables: Sequence[list[int]], refusal: str):
-        """The one fixed-point scan: the masks every table fixes, which must include the top."""
+        """The one fixed-point scan: the masks every table fixes, which must
+        include the top.  Fixed points of operators that are not closure
+        operators need not be closed under intersection, so the family
+        keeps no bitset."""
         first, *rest = tables
         family = [x for x, image in enumerate(first) if image == x and all(t[x] == x for t in rest)]
-        if family[-1:] != [len(first) - 1]:  # every bit set
-            raise UsageError(refusal)
-        op = cls.__new__(cls)
-        op.language, op._masks = language, sorted(family, key=_family_order)
-        return op
+        return cls._of_masks(language, family, None, refusal)
+
+    @classmethod
+    def _of_closed(cls, language: ExplicitLanguage, closed: int, refusal: str):
+        """The family whose fixed points are the set bits of `closed`, the
+        closed-mask bitset of a closure operator."""
+        return cls._of_masks(language, _set_bits(closed), closed, refusal)
 
     @property
     def closed_sets(self) -> tuple[FiniteSubset, ...]:
@@ -364,6 +428,10 @@ class ClosureFamilyOperator(Operator):
             if not x & ~member:
                 out &= member
         return FiniteSubset._of_mask(self.language, out)
+
+    def _closed_masks(self, language: ExplicitLanguage) -> int | None:
+        require_same_language(self.language, language, "apply")
+        return self._closed
 
     def _image_masks(self, language: ExplicitLanguage) -> list[int]:
         require_same_language(self.language, language, "apply")
@@ -424,12 +492,22 @@ def sup_w(
 
     Computed definitionally: its closed sets are the subsets that every
     constituent fixes, and X maps to the least of them containing X.
+    When every operand has a closed-mask bitset (`Operator._closed_masks`)
+    the closed sets are the AND of those bitsets, an intersection of
+    intersection-closed families, and the result keeps it; otherwise
+    they are the masks that every operand's image table fixes.
     """
     if not operands:
         raise UsageError("sup needs at least one operand")
     _require_small_language(language, bound)
-    tables = [_image_table(op, language) for op in operands]
     refusal = "constituents do not all fix the whole language"
+    closed = _closed_bitsets(operands, language)
+    if closed is not None:
+        shared = closed[0]
+        for bits in closed[1:]:
+            shared &= bits
+        return ClosureFamilyOperator._of_closed(language, shared, refusal)
+    tables = [_image_table(op, language) for op in operands]
     return ClosureFamilyOperator._fixed_by(language, tables, refusal)
 
 
@@ -597,6 +675,21 @@ def _image_table(op: Operator, language: ExplicitLanguage) -> list[int]:
     return Operator._image_masks(op, language)
 
 
+def _closed_bitsets(ops: Sequence[Operator], language: ExplicitLanguage) -> list[int] | None:
+    """The closed-mask bitset of each of `ops` over `language`, or None as
+    soon as one has none, and the caller reads image tables instead.
+    Refuses what `_image_table` refuses, in the same order."""
+    all_subsets(language)  # refuses an enumerated language
+    _require_table_fits(language)
+    out = []
+    for op in ops:
+        closed = op._closed_masks(language) if isinstance(op, Operator) else None
+        if closed is None:
+            return None
+        out.append(closed)
+    return out
+
+
 def check_axioms(op: Operator, language: ExplicitLanguage, *, bound: int = DEFAULT_BOUND) -> AxiomReport:
     """Decide the four closure axioms exhaustively over P(language).
 
@@ -695,8 +788,18 @@ def counterexample_reproduces(op: Operator, cex: AxiomCounterexample) -> bool:
 def leq(
     first: Operator, second: Operator, language: ExplicitLanguage, *, bound: int = DEFAULT_BOUND
 ) -> bool:
-    """Pointwise order: first(X) inside second(X) for every X."""
+    """Pointwise order: first(X) inside second(X) for every X.
+
+    For two closure operators that holds exactly when every set closed
+    under `second` is closed under `first`, which is how operands that
+    both have closed-mask bitsets are compared; others compare their
+    image tables entry by entry.
+    """
     _require_small_language(language, bound)
+    closed = _closed_bitsets((first, second), language)
+    if closed is not None:
+        first_closed, second_closed = closed
+        return not second_closed & ~first_closed
     pairs = zip(_image_table(first, language), _image_table(second, language))
     return not any(a & ~b for a, b in pairs)
 
@@ -704,6 +807,14 @@ def leq(
 def equal_ops(
     first: Operator, second: Operator, language: ExplicitLanguage, *, bound: int = DEFAULT_BOUND
 ) -> bool:
-    """Pointwise equality: first(X) equals second(X) for every X."""
+    """Pointwise equality: first(X) equals second(X) for every X.
+
+    Two closure operators are equal exactly when their closed sets are,
+    so operands that both have closed-mask bitsets compare those; others
+    compare their image tables.
+    """
     _require_small_language(language, bound)
+    closed = _closed_bitsets((first, second), language)
+    if closed is not None:
+        return closed[0] == closed[1]
     return _image_table(first, language) == _image_table(second, language)

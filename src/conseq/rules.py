@@ -15,7 +15,7 @@ decided by `engine.check_derivation`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Mapping, Sequence, Union
 
 from .errors import DomainError, UsageError
@@ -162,7 +162,10 @@ class MaskSystem:
     to the numbers of the arcs that use it, read by two forward-chaining
     loops over these Horn clauses (Dowling & Gallier 1984): `close` in
     any order, `engine.saturate` in witness order.  Arcs and the index
-    never change after grounding.
+    never change after grounding.  Over masks of a given width, two
+    tables read the arcs: `closures`, the closure of every mask, and
+    `closed_masks`, the closed family as one int of 2^width bits, built
+    from the arcs alone with a few big-int ANDs per arc and premise.
 
     Two producers build the parts: `ground`, the generic per-rule loop
     every `RuleSystem` constructor runs, and `propositional.pd_system`,
@@ -247,6 +250,50 @@ class MaskSystem:
             below = out[x ^ low]
             out.append(below if below & low else self.close(below | low, low))
         return out
+
+    def closed_masks(self, width: int) -> int:
+        """The masks X of `width` bits that `close` fixes, as one int of
+        2^width bits whose bit X is set when X is closed.
+
+        X is closed when it holds every insertable bit and, for every
+        arc whose premises it holds, the arc's conclusion.  Starting from
+        the masks that hold the insertable bits, each arc clears the
+        closed masks that lack its conclusion and hold its premises: a
+        few ANDs with the bitsets of `_holding_masks` per arc and premise,
+        with no loop over the 2^width masks.
+        """
+        holding = _holding_masks(width)
+        insertable = self.insertable
+        closed = (1 << (1 << width)) - 1
+        for i in bit_indices(insertable):
+            closed &= holding[i]
+        for premises, conclusion in self.arcs:
+            if conclusion & (premises | insertable):
+                continue  # the conclusion is a premise or insertable: no mask breaks the arc
+            violated = closed & ~holding[conclusion.bit_length() - 1]
+            while premises:
+                low = premises & -premises
+                violated &= holding[low.bit_length() - 1]
+                premises ^= low
+            closed ^= violated
+        return closed
+
+
+@lru_cache(maxsize=4)
+def _holding_masks(width: int) -> tuple[int, ...]:
+    """For each bit i below `width`, the int of 2^width bits whose bit X
+    is set when mask X holds bit i: runs of 2^i clear then 2^i set bits,
+    built by doubling one block of two runs until it spans 2^width bits."""
+    size = 1 << width
+    out = []
+    for i in range(width):
+        run = 1 << i
+        block, span = ((1 << run) - 1) << run, run << 1
+        while span < size:
+            block |= block << span
+            span <<= 1
+        out.append(block)
+    return tuple(out)
 
 
 def _number(language: Language, elements: list[Element], bits: dict[Element, int], e: Element) -> int:

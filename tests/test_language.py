@@ -359,3 +359,19 @@ def test_subset_order_is_antisymmetric(s, t):
         assert s == t
     assert s.is_subset_of(s.union(t))
     assert s.intersect(t).is_subset_of(s)
+
+
+# Each width's language: elements w00, w01, ... in bit order.
+_WIDE_LANGUAGES = [ExplicitLanguage.of_tokens([f"w{i:02d}" for i in range(max(w, 1))]) for w in range(25)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 24).flatmap(lambda w: st.tuples(st.just(w), st.integers(0, (1 << w) - 1))))
+def test_subsets_of_masks_read_every_bit_as_the_digit_parse_does(drawn):
+    width, mask = drawn
+    language = _WIDE_LANGUAGES[width]
+    # the oracle: each reversed binary digit of the mask parsed with int()
+    expected = tuple(itertools.compress(language.elements, map(int, bin(mask)[:1:-1])))
+    subset = FiniteSubset._of_mask(language, mask)
+    assert subset.members == expected and subset.mask == mask
+    assert subset == FiniteSubset(language, expected)

@@ -9,6 +9,9 @@ bounded sets and minimal sizes must come out equal, on lawful operators
 step-bounded operators, random tables), and on composites whose
 operands fill their tables two ways: from a mask kernel or through
 `apply`, the latter also for an operand that is not an `Operator`.
+
+Closed-set, sup and order queries on operands with closed-mask bitsets
+are checked against those operands' image tables and their fixed points.
 """
 
 from pathlib import Path
@@ -20,20 +23,23 @@ from hypothesis import strategies as st
 from conseq import rules
 from conseq.cli import main
 from conseq.csystems import closed_systems
-from conseq.engine import bounded_consequences, min_derivation_size, saturate
+from conseq.engine import bounded_consequences, min_derivation_size, saturate, union_systems
 from conseq.errors import DomainError, UsageError
 from conseq.fileformat import load_system, loads_system
-from conseq.language import Element, FiniteSubset, all_subsets
+from conseq.language import Element, ExplicitLanguage, FiniteSubset, all_subsets
 from conseq.operators import (
     AdjoinIfContains,
     AdjoinIfIntersects,
     AxiomCounterexample,
     AxiomReport,
     BoundedOperator,
+    ClosureFamilyOperator,
     MeetOperator,
+    Operator,
     PointwiseUnion,
     RuleOperator,
     TableOperator,
+    _image_table,
     check_axioms,
     cup_join,
     equal_ops,
@@ -541,3 +547,128 @@ def test_each_query_grounds_its_system_once(monkeypatch, capsys, query):
     GROUNDED_ONCE[query]()
     capsys.readouterr()
     assert len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# closed-mask bitsets against the image tables
+
+
+def _family_of(language, masks):
+    return _family_sorted(FiniteSubset._of_mask(language, m) for m in masks)
+
+
+def table_closed_systems(table, language):
+    """The fixed points of one image table, refused as `closed_systems`
+    refuses a table that is not idempotent or does not fix the top."""
+    for image in table:
+        if table[image] != image:
+            raise UsageError(
+                f"{FiniteSubset._of_mask(language, image)} is an image but not a fixed point; "
+                "the operator is not idempotent"
+            )
+    if table[-1] != len(table) - 1:
+        raise UsageError("the whole language is not closed; not a consequence operator")
+    return _family_of(language, [x for x, image in enumerate(table) if image == x])
+
+
+def table_shared_fixed_points(tables, language):
+    return _family_of(language, [x for x in range(len(tables[0])) if all(t[x] == x for t in tables)])
+
+
+# Operators with a closed-mask bitset first, then those read from tables:
+# a sup with a step-bounded operand, a step-bounded operator, and closure
+# families from the constructor, intersection-closed or not.
+WITH_BITSETS = ("rules", "sup")
+CLOSED_KINDS = (*WITH_BITSETS, "sup-bounded", "bounded", "family", "glued-family")
+
+
+def closed_operand(kind, seed, language):
+    rng = seeded(seed, f"closed-{kind}")
+    n = len(language.elements)
+    if kind == "rules":
+        return RuleOperator(random_system(rng, language))
+    if kind == "sup":
+        operands = [RuleOperator(random_system(rng, language)) for _ in range(rng.randint(1, 3))]
+        return sup_w(operands, language, bound=n)
+    if kind == "sup-bounded":
+        operands = [RuleOperator(random_system(rng, language)), BoundedOperator(random_system(rng, language), 2)]
+        return sup_w(operands, language, bound=n)
+    if kind == "bounded":
+        return BoundedOperator(random_system(rng, language), rng.randint(1, 3))
+    if kind == "family":
+        return from_closure_family(random_closure_family(rng, language), language)
+    subsets = [FiniteSubset._of_mask(language, rng.randrange(1 << n)) for _ in range(rng.randint(0, 4))]
+    return from_closure_family(subsets + [FiniteSubset(language, language.elements)], language)
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    st.sampled_from(CLOSED_KINDS),
+    st.sampled_from(CLOSED_KINDS),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(1, 8),
+)
+def test_closed_mask_bitsets_answer_as_the_image_tables_do(first_kind, second_kind, seed, n):
+    language = small_language(n)
+    first = closed_operand(first_kind, seed, language)
+    second = closed_operand(second_kind, seed + 1, language)
+    again = closed_operand(first_kind, seed, language)  # an equal operator, built anew
+    sup = sup_w([first, second], language, bound=n)
+    ops = (first, second, again, sup)
+    tables = [_image_table(op, language) for op in ops]
+    for op, kind, table in zip(ops, (first_kind, second_kind, first_kind, None), tables):
+        closed = op._closed_masks(language)
+        if kind is not None:
+            assert (closed is not None) == (kind in WITH_BITSETS)
+        if closed is not None:
+            assert closed == sum(1 << x for x, image in enumerate(table) if image == x)
+        got = _outcome(lambda: closed_systems(op, language, bound=n))
+        assert got == _outcome(table_closed_systems, table, language)
+    assert sup.closed_sets == table_shared_fixed_points(tables[:2], language)
+    for i, j in ((0, 1), (1, 0), (0, 2), (0, 3), (3, 0), (1, 3), (3, 1)):
+        x, y = ops[i], ops[j]
+        assert leq(x, y, language, bound=n) == (not any(a & ~b for a, b in zip(tables[i], tables[j])))
+        assert equal_ops(x, y, language, bound=n) == (tables[i] == tables[j])
+
+
+def test_a_family_not_closed_under_intersection_is_read_from_its_table():
+    language = ExplicitLanguage.of_tokens(["a", "b", "c"])
+    empty, a, b, whole = (FiniteSubset.of(language, m) for m in ([], ["a"], ["b"], ["a", "b", "c"]))
+    glued = from_closure_family([a, b, whole], language)
+    assert glued._closed_masks(language) is None
+    assert glued.apply(empty) == empty
+    assert closed_systems(glued, language) == (empty, a, b, whole)
+    rules = RuleOperator(
+        loads_system("language: a b c\nrule join: a b => c\nrule left: c => a\nrule right: c => b\n")
+    )
+    assert closed_systems(rules, language) == (empty, a, b, whole)
+    assert equal_ops(glued, rules, language) and equal_ops(rules, glued, language)
+    assert leq(glued, rules, language) and leq(rules, glued, language)
+    # an idempotent table that fixes {a}, {b} and the whole language: the
+    # sup's members are those fixed points, but the sup fixes the empty set too
+    fixed = {a: a, b: b, whole: whole}
+    table = TableOperator(language, {s: fixed.get(s, a if s == empty else whole) for s in all_subsets(language)})
+    sup = sup_w([table], language)
+    assert sup.closed_sets == (a, b, whole) and sup._closed_masks(language) is None
+    assert equal_ops(sup, rules, language) and equal_ops(sup, glued, language)
+    assert not equal_ops(sup, table, language)
+
+
+def test_closed_set_sup_and_order_queries_on_rule_operators_build_no_image_table(monkeypatch):
+    def no_table(op, language):
+        raise AssertionError(f"{op!r} built an image table")
+
+    for kind in (Operator, RuleOperator, ClosureFamilyOperator):
+        monkeypatch.setattr(kind, "_image_masks", no_table)
+    language = small_language(6)
+    rng = seeded(0, "no-table")
+    first, second = (random_system(rng, language) for _ in range(2))
+    left, right = RuleOperator(first), RuleOperator(second)
+    union = RuleOperator(union_systems([first, second]))
+    family = closed_systems(left, language)
+    assert sup_w([left], language).closed_sets == family
+    sup = sup_w([left, right], language)
+    assert equal_ops(sup, union, language) and equal_ops(union, sup, language)
+    assert leq(left, sup, language) and leq(right, sup, language)
+    assert leq(sup, union, language) and leq(union, sup, language)
+    assert equal_ops(sup_w([left], language), left, language)
