@@ -5,9 +5,10 @@ and enumerated languages, and finite/cofinite subsets; `rules` defines
 relations and rule systems; `engine` runs numbered-step deduction
 (saturation, derivation checking, step bounds);
 `operators` treats closure operators as values with meet, weak join,
-and axiom checking, and builds the rule systems that replay them
-(canonical and trigger systems); `csystems` lists an operator's closed
-sets as a tuple of subsets and joins and meets them;
+axiom checking and one operator's closed sets (listed, joined and
+met; `csystems` keeps those three functions at their old path), and
+builds the rule systems that replay them (canonical and trigger
+systems);
 `propositional` instantiates the machinery for implication/negation
 formulas with several restricted axiom sets; `scenarios` packages the
 worked examples; `cli` exposes everything on the command line.
@@ -61,19 +62,21 @@ from .operators import (
     Unit,
     canonical_system,
     check_axioms,
+    closed_systems,
     counterexample_reproduces,
     cup_join,
     equal_ops,
     from_closure_family,
+    join_uplus,
     leq,
     meet,
+    meet_cap,
     overlap_trigger_system,
     prefix_adjoin_family,
     sup_w,
     superset_trigger_system,
     tabulate,
 )
-from .csystems import closed_systems, join_uplus, meet_cap
 from .fileformat import dumps_system, load_system, loads_system, save_system
 from .scenarios import Assertion, ScenarioReport, run_scenario, scenario_ids
 

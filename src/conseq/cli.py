@@ -12,7 +12,6 @@ import sys
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import propositional as pd
-from .csystems import closed_systems
 from .engine import (
     bounded_consequences,
     check_step_cap,
@@ -23,7 +22,7 @@ from .engine import (
 from .errors import ConseqError, UsageError
 from .fileformat import load_system
 from .language import Element, FiniteSubset
-from .operators import DEFAULT_BOUND, RuleOperator, check_axioms, meet, sup_w
+from .operators import DEFAULT_BOUND, RuleOperator, check_axioms, closed_systems, meet, sup_w
 from .rules import RuleSystem
 from .scenarios import run_scenario, scenario_ids
 

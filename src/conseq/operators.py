@@ -356,7 +356,7 @@ class PointwiseUnion(Operator):
 
 
 class ClosureFamilyOperator(Operator):
-    """X maps to the intersection of all closed sets containing X: the
+    """X maps to the intersection of the members containing X: the
     family's distinct members, held as masks in `_family_order` and read
     as `closed_sets`.  The family must contain the whole language, which
     makes the operator extensive, monotone and idempotent by construction.
@@ -364,12 +364,13 @@ class ClosureFamilyOperator(Operator):
     member at its own index and the whole language elsewhere; then, for
     each element e, every entry X without e is ANDed with entry X+e.
 
-    A family handed to the constructor need not be closed under
-    intersection ({a}, {b} and the whole language also fix the empty
-    set), so its members need not be the operator's fixed points, and
-    it has no closed-mask bitset: queries read its image table.  A family
-    that `sup_w` or `closed_systems` builds from closed-mask bitsets is
-    known to be exactly the fixed points, and keeps that bitset.
+    A family handed to the constructor, or a `sup_w` read from image
+    tables, need not be closed under intersection ({a}, {b} and the
+    whole language also fix the empty set), so its members need not be
+    the operator's fixed points, and it has no closed-mask bitset:
+    queries read its image table.  A family that `sup_w` or
+    `closed_systems` builds from closed-mask bitsets is exactly the
+    operator's fixed points, and keeps that bitset.
     """
 
     def __init__(self, language: ExplicitLanguage, family: Sequence[FiniteSubset]):
@@ -389,31 +390,15 @@ class ClosureFamilyOperator(Operator):
     def _of_masks(
         cls, language: ExplicitLanguage, masks: Iterable[int], closed: int | None, refusal: str
     ) -> "ClosureFamilyOperator":
-        """The family of the distinct `masks`, which must include the whole
-        language, else `refusal`; `closed` is their bitset when they are
-        known to be exactly the operator's fixed points, else None."""
+        """The family of `masks`, which must be distinct and include the
+        whole language, else `refusal`; `closed` is their bitset when they
+        are known to be exactly the operator's fixed points, else None."""
         ordered = sorted(masks, key=_family_order)
         if ordered[-1:] != [(1 << len(language.elements)) - 1]:
             raise UsageError(refusal)
         op = cls.__new__(cls)
         op.language, op._masks, op._closed = language, ordered, closed
         return op
-
-    @classmethod
-    def _fixed_by(cls, language: ExplicitLanguage, tables: Sequence[list[int]], refusal: str):
-        """The one fixed-point scan: the masks every table fixes, which must
-        include the top.  Fixed points of operators that are not closure
-        operators need not be closed under intersection, so the family
-        keeps no bitset."""
-        first, *rest = tables
-        family = [x for x, image in enumerate(first) if image == x and all(t[x] == x for t in rest)]
-        return cls._of_masks(language, family, None, refusal)
-
-    @classmethod
-    def _of_closed(cls, language: ExplicitLanguage, closed: int, refusal: str):
-        """The family whose fixed points are the set bits of `closed`, the
-        closed-mask bitset of a closure operator."""
-        return cls._of_masks(language, _set_bits(closed), closed, refusal)
 
     @property
     def closed_sets(self) -> tuple[FiniteSubset, ...]:
@@ -490,25 +475,26 @@ def sup_w(
 ) -> ClosureFamilyOperator:
     """Least upper bound of `operands` over a finite language.
 
-    Computed definitionally: its closed sets are the subsets that every
-    constituent fixes, and X maps to the least of them containing X.
-    When every operand has a closed-mask bitset (`Operator._closed_masks`)
-    the closed sets are the AND of those bitsets, an intersection of
-    intersection-closed families, and the result keeps it; otherwise
-    they are the masks that every operand's image table fixes.
+    Its members (`closed_sets`) are the subsets every operand fixes, and
+    X maps to the intersection of the members containing X.  They are its
+    fixed points when the operands are closure operators; otherwise their
+    intersections may be fixed points too.  When every operand has a
+    closed-mask bitset (`Operator._closed_masks`) the members are the AND
+    of those bitsets, and the result keeps it; otherwise they are the
+    masks that every operand's image table fixes.
     """
     if not operands:
         raise UsageError("sup needs at least one operand")
-    _require_small_language(language, bound)
     refusal = "constituents do not all fix the whole language"
-    closed = _closed_bitsets(operands, language)
+    closed = _closed_bitsets(operands, language, bound)
     if closed is not None:
         shared = closed[0]
         for bits in closed[1:]:
             shared &= bits
-        return ClosureFamilyOperator._of_closed(language, shared, refusal)
-    tables = [_image_table(op, language) for op in operands]
-    return ClosureFamilyOperator._fixed_by(language, tables, refusal)
+        return ClosureFamilyOperator._of_masks(language, _set_bits(shared), shared, refusal)
+    first, *rest = [_image_table(op, language) for op in operands]
+    family = [x for x, image in enumerate(first) if image == x and all(t[x] == x for t in rest)]
+    return ClosureFamilyOperator._of_masks(language, family, None, refusal)
 
 
 def from_closure_family(
@@ -675,11 +661,11 @@ def _image_table(op: Operator, language: ExplicitLanguage) -> list[int]:
     return Operator._image_masks(op, language)
 
 
-def _closed_bitsets(ops: Sequence[Operator], language: ExplicitLanguage) -> list[int] | None:
+def _closed_bitsets(ops: Sequence[Operator], language: ExplicitLanguage, bound: int) -> list[int] | None:
     """The closed-mask bitset of each of `ops` over `language`, or None as
     soon as one has none, and the caller reads image tables instead.
-    Refuses what `_image_table` refuses, in the same order."""
-    all_subsets(language)  # refuses an enumerated language
+    Refuses what `_require_small_language`, then `_require_table_fits`, refuses."""
+    _require_small_language(language, bound)
     _require_table_fits(language)
     out = []
     for op in ops:
@@ -795,8 +781,7 @@ def leq(
     both have closed-mask bitsets are compared; others compare their
     image tables entry by entry.
     """
-    _require_small_language(language, bound)
-    closed = _closed_bitsets((first, second), language)
+    closed = _closed_bitsets((first, second), language, bound)
     if closed is not None:
         first_closed, second_closed = closed
         return not second_closed & ~first_closed
@@ -813,8 +798,60 @@ def equal_ops(
     so operands that both have closed-mask bitsets compare those; others
     compare their image tables.
     """
-    _require_small_language(language, bound)
-    closed = _closed_bitsets((first, second), language)
+    closed = _closed_bitsets((first, second), language, bound)
     if closed is not None:
         return closed[0] == closed[1]
     return _image_table(first, language) == _image_table(second, language)
+
+
+# ---------------------------------------------------------------------------
+# the lattice of one operator's closed sets
+
+
+def closed_systems(
+    op: Operator, language: ExplicitLanguage, *, bound: int = DEFAULT_BOUND
+) -> tuple[FiniteSubset, ...]:
+    """The closed sets of `op` as a tuple of subsets, ordered by size,
+    then member by member, as `sup_w([op], language).closed_sets` are.
+
+    An operator with a closed-mask bitset (`Operator._closed_masks`: a
+    rule operator, or a family built from such bitsets) lists its set
+    bits.  Any other operator is read from its image table: every image
+    must be a fixed point, so the closed sets are the distinct images,
+    and the whole language must be among them."""
+    refusal = "the whole language is not closed; not a consequence operator"
+    closed = _closed_bitsets([op], language, bound)
+    if closed is not None:
+        (bits,) = closed
+        return ClosureFamilyOperator._of_masks(language, _set_bits(bits), bits, refusal).closed_sets
+    images = _image_table(op, language)
+    for image in images:
+        if images[image] != image:
+            raise UsageError(
+                f"{FiniteSubset._of_mask(language, image)} is an image but not a fixed point; "
+                "the operator is not idempotent"
+            )
+    return ClosureFamilyOperator._of_masks(language, set(images), None, refusal).closed_sets
+
+
+def _lattice_result(op: Operator, left: FiniteSubset, right: FiniteSubset, name: str, combine: Callable):
+    """`combine(left, right)` for two sets `op` fixes, refused unless `op`
+    fixes it too, as it does for a consequence operator."""
+    for side, subset in (("left", left), ("right", right)):
+        if op.apply(subset) != subset:
+            raise UsageError(f"{side} argument {subset} is not closed under the operator")
+    out = combine(left, right)
+    if op.apply(out) != out:
+        raise UsageError(f"{name} {out} is not closed; the operator is not a consequence operator")
+    return out
+
+
+def join_uplus(op: Operator, left: FiniteSubset, right: FiniteSubset) -> FiniteSubset:
+    """Join of two closed sets: the closure of their union (the plain union
+    usually is not closed), checked closed."""
+    return _lattice_result(op, left, right, "join", lambda x, y: op.apply(x.union(y)))
+
+
+def meet_cap(op: Operator, left: FiniteSubset, right: FiniteSubset) -> FiniteSubset:
+    """Meet of two closed sets: their intersection, checked closed."""
+    return _lattice_result(op, left, right, "intersection", lambda x, y: x.intersect(y))

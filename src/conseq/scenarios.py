@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import propositional as pd
-from .csystems import closed_systems, join_uplus, meet_cap
 from .engine import (
     check_derivation,
     intersect_rulewise,
@@ -38,10 +37,13 @@ from .operators import (
     RuleOperator,
     canonical_system,
     check_axioms,
+    closed_systems,
     cup_join,
     equal_ops,
     from_closure_family,
+    join_uplus,
     meet,
+    meet_cap,
     overlap_trigger_system,
     prefix_adjoin_family,
     sup_w,

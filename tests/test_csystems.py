@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conseq.csystems import closed_systems, join_uplus, meet_cap
 from conseq.errors import UsageError
+from conseq.fileformat import loads_system
 from conseq.language import Element, ExplicitLanguage, FiniteSubset, all_subsets
 from conseq.operators import (
     BoundedOperator,
@@ -158,3 +159,24 @@ def test_family_is_the_tuple_sup_w_gives(kind, seed, n):
     family = closed_systems(op, language)
     assert type(family) is tuple
     assert family == sup_w([op], language).closed_sets
+
+
+def test_join_refuses_a_closure_of_the_union_that_is_not_closed():
+    system = loads_system("language: a b c d\nrule mk: a b => c\nrule up: c => d\n")
+    language = system.language
+    op = BoundedOperator(system, 3)  # {a,b} reaches c in 3 steps; d needs a 4th
+    a, b = FiniteSubset.of(language, ["a"]), FiniteSubset.of(language, ["b"])
+    assert op.apply(a) == a and op.apply(b) == b
+    with pytest.raises(UsageError) as refused:
+        join_uplus(op, a, b)
+    assert str(refused.value) == "join {a,b,c} is not closed; the operator is not a consequence operator"
+    with pytest.raises(UsageError, match="not idempotent"):
+        closed_systems(op, language)
+
+
+def test_csystems_re_exports_the_functions_of_operators():
+    import conseq
+    from conseq import csystems, operators
+
+    for name in ("closed_systems", "join_uplus", "meet_cap"):
+        assert getattr(csystems, name) is getattr(operators, name) is getattr(conseq, name), name

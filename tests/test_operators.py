@@ -640,3 +640,37 @@ def test_refusals_give_their_messages(call, error, message):
     with pytest.raises(error) as raised:
         call()
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("kind", [RuleOperator, lambda system: Identity()], ids=["bitset", "table"])
+def test_closed_family_queries_refuse_in_order_before_building_anything(kind, monkeypatch):
+    def nothing_built(op, language):
+        raise AssertionError(f"{op!r} built a bitset or table over {len(language)} elements")
+
+    for owner, kernel in ((operators.Operator, "_image_masks"), (RuleOperator, "_image_masks"),
+                          (RuleOperator, "_closed_masks")):
+        monkeypatch.setattr(owner, kernel, nothing_built)
+    chain = _chain(40)
+    cases = [
+        (F_SYSTEM, {}, "exhaustive checks need an explicit finite language"),
+        (F_SYSTEM, {"bound": 40}, "exhaustive checks need an explicit finite language"),
+        (chain, {}, "language has 40 elements, over the exhaustiveness bound 6; "
+                    "raise the bound or check sampled subsets yourself"),
+        (chain, {"bound": 40}, "language has 40 elements; a table of all 2^40 subsets is refused "
+                               "above 22 elements"),
+    ]
+    for system, bound, message in cases:
+        op, language = kind(system), system.language
+        queries = {
+            "closed_systems": lambda: operators.closed_systems(op, language, **bound),
+            "sup_w": lambda: sup_w([op, op], language, **bound),
+            "leq": lambda: leq(op, op, language, **bound),
+            "equal_ops": lambda: equal_ops(op, op, language, **bound),
+        }
+        for name, query in queries.items():
+            with pytest.raises(UsageError) as refused:
+                query()
+            assert str(refused.value) == message, (name, bound)
+    with pytest.raises(UsageError) as refused:
+        sup_w([], F)
+    assert str(refused.value) == "sup needs at least one operand"
