@@ -67,7 +67,7 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
 def _cmd_saturate(args: argparse.Namespace) -> int:
     system = load_system(args.system)
     hypotheses = _parse_hypotheses(system, args.hyp)
-    _print_subset(saturate(system, hypotheses).closure)
+    _print_subset(system.grounded.image(hypotheses))
     return 0
 
 

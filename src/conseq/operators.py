@@ -486,13 +486,13 @@ def sup_w(
     if not operands:
         raise UsageError("sup needs at least one operand")
     refusal = "constituents do not all fix the whole language"
-    closed = _closed_bitsets(operands, language, bound)
-    if closed is not None:
-        shared = closed[0]
-        for bits in closed[1:]:
+    kernels, closed = _closed_or_tables(operands, language, bound)
+    if closed:
+        shared = kernels[0]
+        for bits in kernels[1:]:
             shared &= bits
         return ClosureFamilyOperator._of_masks(language, _set_bits(shared), shared, refusal)
-    first, *rest = [_image_table(op, language) for op in operands]
+    first, *rest = kernels
     family = [x for x, image in enumerate(first) if image == x and all(t[x] == x for t in rest)]
     return ClosureFamilyOperator._of_masks(language, family, None, refusal)
 
@@ -661,9 +661,11 @@ def _image_table(op: Operator, language: ExplicitLanguage) -> list[int]:
     return Operator._image_masks(op, language)
 
 
-def _closed_bitsets(ops: Sequence[Operator], language: ExplicitLanguage, bound: int) -> list[int] | None:
-    """The closed-mask bitset of each of `ops` over `language`, or None as
-    soon as one has none, and the caller reads image tables instead.
+def _closed_or_tables(
+    ops: Sequence[Operator], language: ExplicitLanguage, bound: int
+) -> tuple[list[int], bool]:
+    """Each of `ops` over `language` as its closed-mask bitset, with True;
+    or, as soon as one has none, each as its image table, with False.
     Refuses what `_require_small_language`, then `_require_table_fits`, refuses."""
     _require_small_language(language, bound)
     _require_table_fits(language)
@@ -671,9 +673,9 @@ def _closed_bitsets(ops: Sequence[Operator], language: ExplicitLanguage, bound: 
     for op in ops:
         closed = op._closed_masks(language) if isinstance(op, Operator) else None
         if closed is None:
-            return None
+            return [_image_table(each, language) for each in ops], False
         out.append(closed)
-    return out
+    return out, True
 
 
 def check_axioms(op: Operator, language: ExplicitLanguage, *, bound: int = DEFAULT_BOUND) -> AxiomReport:
@@ -781,12 +783,10 @@ def leq(
     both have closed-mask bitsets are compared; others compare their
     image tables entry by entry.
     """
-    closed = _closed_bitsets((first, second), language, bound)
-    if closed is not None:
-        first_closed, second_closed = closed
-        return not second_closed & ~first_closed
-    pairs = zip(_image_table(first, language), _image_table(second, language))
-    return not any(a & ~b for a, b in pairs)
+    (left, right), closed = _closed_or_tables((first, second), language, bound)
+    if closed:
+        return not right & ~left
+    return not any(a & ~b for a, b in zip(left, right))
 
 
 def equal_ops(
@@ -798,10 +798,8 @@ def equal_ops(
     so operands that both have closed-mask bitsets compare those; others
     compare their image tables.
     """
-    closed = _closed_bitsets((first, second), language, bound)
-    if closed is not None:
-        return closed[0] == closed[1]
-    return _image_table(first, language) == _image_table(second, language)
+    (left, right), _ = _closed_or_tables((first, second), language, bound)
+    return left == right
 
 
 # ---------------------------------------------------------------------------
@@ -820,11 +818,10 @@ def closed_systems(
     must be a fixed point, so the closed sets are the distinct images,
     and the whole language must be among them."""
     refusal = "the whole language is not closed; not a consequence operator"
-    closed = _closed_bitsets([op], language, bound)
-    if closed is not None:
-        (bits,) = closed
-        return ClosureFamilyOperator._of_masks(language, _set_bits(bits), bits, refusal).closed_sets
-    images = _image_table(op, language)
+    (kernel,), closed = _closed_or_tables([op], language, bound)
+    if closed:
+        return ClosureFamilyOperator._of_masks(language, _set_bits(kernel), kernel, refusal).closed_sets
+    images = kernel
     for image in images:
         if images[image] != image:
             raise UsageError(

@@ -18,7 +18,6 @@ from .engine import (
     intersect_systems,
     min_derivation_size,
     permute_premises,
-    saturate,
     union_systems,
 )
 from .errors import UsageError
@@ -219,19 +218,8 @@ def _scenario_meet_counterexample(seed: int, trials: int) -> list[Assertion]:
 
 def _scenario_meet_condition(seed: int, trials: int) -> list[Assertion]:
     language = ExplicitLanguage.of_tokens(["a", "b", "c"])
-    g_sys = RuleSystem(
-        "G",
-        language,
-        (TupleRule("step", 2, ((Element("a"), Element("b")),)),),
-    )
-    d_sys = RuleSystem(
-        "D",
-        language,
-        (
-            TupleRule("step", 2, ((Element("a"), Element("b")),)),
-            TupleRule("more", 2, ((Element("b"), Element("c")),)),
-        ),
-    )
+    g_sys = _pair_system(language, "G", [("a", "b")])
+    d_sys = _pair_system(language, "D", [("a", "b")], [("b", "c")])
     shared = intersect_systems([g_sys, d_sys])
     g_op, d_op = RuleOperator(g_sys), RuleOperator(d_sys)
     return [
@@ -351,23 +339,59 @@ def _derivable_with_verified_witness(
     return bool(check_derivation(answer.system, answer.hypotheses, witness))
 
 
-def _scenario_restricted_detachment(seed: int, trials: int) -> list[Assertion]:
+def _detachment_pair(n: int) -> list[pd.Wff]:
+    """`(Pn -> P0), Pn`: restricted detachment at index n reaches P0."""
+    return [pd.Impl(pd.Atom(n), pd.Atom(0)), pd.Atom(n)]
+
+
+def _bridge_pair(n: int) -> list[pd.Wff]:
+    """`(~P0 -> ~Pn), Pn`: the bridge variants at index n reach P0."""
+    return [pd.Impl(pd.Neg(pd.Atom(0)), pd.Neg(pd.Atom(n))), pd.Atom(n)]
+
+
+def _p0_by_index(variant: str, pair: Callable[[int], list[pd.Wff]]) -> tuple[int, str]:
+    """For `variant`: how many of n = 1..4 derive P0 from `pair(n)` with
+    a checked witness, and the kind of evidence that P0 does not follow
+    from `pair(1) + pair(2)` at index 3."""
     p0 = pd.Atom(0)
     derivable = sum(
-        _derivable_with_verified_witness(
-            "restricted-mp", [pd.Impl(pd.Atom(n), p0), pd.Atom(n)], p0, n
-        )
-        for n in range(1, 5)
+        _derivable_with_verified_witness(variant, pair(n), p0, n) for n in range(1, 5)
+    )
+    evidence = pd.certificate_non_derivable(
+        variant, pair(1) + pair(2), p0, n=3, size_cap=22, max_pool=1200
+    )
+    return derivable, type(evidence).__name__
+
+
+def _bridged_pool() -> tuple[pd.Wff, ...]:
+    """The closure of `(~P0 -> ~P1), P1, P0` and bridges 1 and 2 at cap 22."""
+    return pd.subformula_closure(
+        [*_bridge_pair(1), pd.Atom(0), pd.bridge_axiom(1), pd.bridge_axiom(2)],
+        size_cap=22,
+        max_pool=1200,
     )
 
-    small_pool = pd.subformula_closure([pd.Impl(pd.Atom(1), p0), pd.Atom(1)], size_cap=8)
-    small_sys = pd.pd_system("restricted-mp", small_pool, n=1)
-    min_steps = min_derivation_size(
-        small_sys,
-        pd.formula_subset(small_sys, [pd.Impl(pd.Atom(1), p0), pd.Atom(1)]),
-        pd.wff_element(p0),
-        cap=6,
+
+def _min_steps_to_p0(
+    variant: str, pool: Sequence[pd.Wff], hypotheses: list[pd.Wff], cap: int
+) -> int | None:
+    system = pd.pd_system(variant, pool, n=1)
+    return min_derivation_size(
+        system, pd.formula_subset(system, hypotheses), pd.wff_element(pd.Atom(0)), cap=cap
     )
+
+
+def _in_closure(system: RuleSystem, hypotheses: list[pd.Wff], goal: pd.Wff) -> bool:
+    """Whether `goal` follows from `hypotheses`, read off the closure alone."""
+    closure = system.grounded.image(pd.formula_subset(system, hypotheses))
+    return pd.wff_element(goal) in closure
+
+
+def _scenario_restricted_detachment(seed: int, trials: int) -> list[Assertion]:
+    p0 = pd.Atom(0)
+    derivable, evidence = _p0_by_index("restricted-mp", _detachment_pair)
+    small_pool = pd.subformula_closure(_detachment_pair(1), size_cap=8)
+    min_steps = _min_steps_to_p0("restricted-mp", small_pool, _detachment_pair(1), cap=6)
 
     certificate = pd.certificate_non_derivable(
         "restricted-mp", [pd.Impl(pd.Atom(2), p0), pd.Atom(1)], p0, n=3
@@ -376,74 +400,39 @@ def _scenario_restricted_detachment(seed: int, trials: int) -> list[Assertion]:
         str(certificate.valuation) if isinstance(certificate, pd.Certified) else "none"
     )
 
-    blocked_hyps = [pd.Impl(pd.Atom(1), p0), pd.Atom(1), pd.Impl(pd.Atom(2), p0), pd.Atom(2)]
-    evidence = pd.certificate_non_derivable(
-        "restricted-mp", blocked_hyps, p0, n=3, size_cap=22, max_pool=1200
-    )
-
     return [
         _expect("P0-derivable-when-index-matches", "4/4", f"{derivable}/4"),
         _expect("min-steps-direct-detachment", 3, min_steps),
         _expect("mismatched-pair-certificate", "Certified", type(certificate).__name__),
         _expect("certificate-valuation", "{P0=false, P1=true, P2=false}", valuation),
-        _expect("next-index-blocks-search", "BoundedEvidence", type(evidence).__name__),
+        _expect("next-index-blocks-search", "BoundedEvidence", evidence),
     ]
 
 
 def _scenario_missing_atom(seed: int, trials: int) -> list[Assertion]:
     p0 = pd.Atom(0)
-    derivable = 0
-    for n in range(1, 5):
-        hyps = [pd.Impl(pd.Neg(p0), pd.Neg(pd.Atom(n))), pd.Atom(n)]
-        if _derivable_with_verified_witness("missing-atom", hyps, p0, n):
-            derivable += 1
-
-    x1 = pd.Impl(pd.Neg(p0), pd.Neg(pd.Atom(1)))
+    derivable, evidence = _p0_by_index("missing-atom", _bridge_pair)
     small_pool = tuple(
         sorted(
             set().union(
-                *(pd.subformulas(w) for w in (x1, pd.Atom(1), p0, pd.bridge_axiom(1)))
+                *(pd.subformulas(w) for w in (*_bridge_pair(1), p0, pd.bridge_axiom(1)))
             ),
             key=pd.wff_token,
         )
     )
-    small_sys = pd.pd_system("missing-atom", small_pool, n=1)
-    min_steps = min_derivation_size(
-        small_sys,
-        pd.formula_subset(small_sys, [x1, pd.Atom(1)]),
-        pd.wff_element(p0),
-        cap=7,
-    )
-
-    wide_pool = pd.subformula_closure(
-        [x1, pd.Atom(1), p0, pd.bridge_axiom(1), pd.bridge_axiom(2)],
-        size_cap=22,
-        max_pool=1200,
-    )
-    wide_sys = pd.pd_system("missing-atom", wide_pool, n=1)
-    empty_closure = saturate(wide_sys, FiniteSubset.empty(wide_sys.language)).closure
-    hyp_closure = saturate(wide_sys, pd.formula_subset(wide_sys, [x1, pd.Atom(1)])).closure
-
-    blocked_hyps = [
-        pd.Impl(pd.Neg(p0), pd.Neg(pd.Atom(1))),
-        pd.Atom(1),
-        pd.Impl(pd.Neg(p0), pd.Neg(pd.Atom(2))),
-        pd.Atom(2),
-    ]
-    evidence = pd.certificate_non_derivable(
-        "missing-atom", blocked_hyps, p0, n=3, size_cap=22, max_pool=1200
-    )
+    min_steps = _min_steps_to_p0("missing-atom", small_pool, _bridge_pair(1), cap=7)
+    wide_sys = pd.pd_system("missing-atom", _bridged_pool(), n=1)
 
     return [
         _expect("P0-derivable-via-bridge", "4/4", f"{derivable}/4"),
         _expect("min-steps-via-bridge", 5, min_steps),
-        _expect("P0-not-a-theorem", False, pd.wff_element(p0) in empty_closure),
+        _expect("P0-not-a-theorem", False, _in_closure(wide_sys, [], p0)),
         _expect(
             "other-bridge-not-derivable",
             False,
-            pd.wff_element(pd.bridge_axiom(2)) in hyp_closure,
+            _in_closure(wide_sys, _bridge_pair(1), pd.bridge_axiom(2)),
         ),
-        _expect("next-index-blocks-search", "BoundedEvidence", type(evidence).__name__),
+        _expect("next-index-blocks-search", "BoundedEvidence", evidence),
     ]
 
 
@@ -451,34 +440,10 @@ def _scenario_positive_axioms(seed: int, trials: int) -> list[Assertion]:
     p0 = pd.Atom(0)
     bridge = pd.bridge_axiom(1)
     self_flip = pd.Impl(pd.Impl(pd.Neg(p0), pd.Neg(p0)), pd.Impl(p0, p0))
-
-    derivable = 0
-    for n in range(1, 5):
-        hyps = [pd.Impl(pd.Neg(p0), pd.Neg(pd.Atom(n))), pd.Atom(n)]
-        if _derivable_with_verified_witness("positive", hyps, p0, n):
-            derivable += 1
-
-    x1 = pd.Impl(pd.Neg(p0), pd.Neg(pd.Atom(1)))
-    pool = pd.subformula_closure(
-        [x1, pd.Atom(1), p0, pd.bridge_axiom(1), pd.bridge_axiom(2)],
-        size_cap=22,
-        max_pool=1200,
-    )
+    derivable, evidence = _p0_by_index("positive", _bridge_pair)
+    pool = _bridged_pool()
     sys_one = pd.pd_system("positive", pool, n=1)
     sys_two = pd.pd_system("positive", pool, n=2)
-    hyp_one = pd.formula_subset(sys_one, [x1, pd.Atom(1)])
-    closure_one = saturate(sys_one, hyp_one).closure
-    closure_two = saturate(sys_two, pd.formula_subset(sys_two, [x1, pd.Atom(1)])).closure
-
-    blocked_hyps = [
-        x1,
-        pd.Atom(1),
-        pd.Impl(pd.Neg(p0), pd.Neg(pd.Atom(2))),
-        pd.Atom(2),
-    ]
-    evidence = pd.certificate_non_derivable(
-        "positive", blocked_hyps, p0, n=3, size_cap=22, max_pool=1200
-    )
 
     return [
         _expect(
@@ -492,9 +457,9 @@ def _scenario_positive_axioms(seed: int, trials: int) -> list[Assertion]:
             pd.is_tautology(pd.h_transform(bridge)),
         ),
         _expect("P0-derivable-via-bridge", "4/4", f"{derivable}/4"),
-        _expect("own-index-derives-P0", True, pd.wff_element(p0) in closure_one),
-        _expect("other-index-does-not", False, pd.wff_element(p0) in closure_two),
-        _expect("next-index-blocks-search", "BoundedEvidence", type(evidence).__name__),
+        _expect("own-index-derives-P0", True, _in_closure(sys_one, _bridge_pair(1), p0)),
+        _expect("other-index-does-not", False, _in_closure(sys_two, _bridge_pair(1), p0)),
+        _expect("next-index-blocks-search", "BoundedEvidence", evidence),
     ]
 
 

@@ -26,7 +26,7 @@ import conseq.engine
 import conseq.propositional
 from conseq import propositional as pd
 from conseq.cli import main
-from conseq.engine import check_derivation, check_step_cap, min_derivation_size
+from conseq.engine import check_derivation, check_step_cap, min_derivation_size, saturate
 from conseq.errors import ConseqError
 from conseq.fileformat import load_system
 from conseq.language import Element, FiniteSubset
@@ -749,6 +749,41 @@ def test_printed_derive_witnesses_replay(capsys, tmp_path, query):
     derivation = printed_witness(out, Element(goal))
     result = check_derivation(system, FiniteSubset.of(system.language, hypotheses), derivation)
     assert result, (result.reason, out)
+
+
+@st.composite
+def saturate_queries(draw):
+    """A system text and hypotheses for `saturate`, over an explicit or
+    the enumerated language `f`.  Rules and axioms mention only the
+    first five names; the rest occur only as hypotheses, so over the
+    enumerated language `encode` gives them bits the grounding never
+    numbered.  f10 and f11 sort between f1 and f2 by name, not by index."""
+    names = ["f0", "f1", "f2", "f3", "f10", "f11", "f12", "f20"]
+    mentioned = st.sampled_from(names[:5])
+    enumerated = draw(st.booleans())
+    lines = ["language: enumerated f" if enumerated else "language: " + " ".join(names)]
+    for i in range(draw(st.integers(0, 3))):
+        arity = draw(st.integers(1, 3))  # arity 1 stands for an axiom set
+        rows = draw(st.lists(st.lists(mentioned, min_size=arity, max_size=arity), min_size=1, max_size=4))
+        if arity == 1:
+            lines.append(f"axioms r{i}: " + " ".join(row[0] for row in rows))
+        else:
+            lines += [f"rule r{i}: {' '.join(row[:-1])} => {row[-1]}" for row in rows]
+    return "\n".join(lines) + "\n", draw(st.lists(st.sampled_from(names), max_size=4))
+
+
+@settings(deadline=None, max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(saturate_queries())
+@example(("language: enumerated f\nrule r0: f0 => f1\n", ["f20", "f0", "f11"]))
+def test_saturate_prints_the_closure_of_the_witness_path(capsys, tmp_path, query):
+    text, hypotheses = query
+    path = tmp_path / "drawn.system"
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = run(capsys, "saturate", "--system", str(path), f"--hyp={','.join(hypotheses)}")
+    assert code == 0
+    system = load_system(path)
+    closure = saturate(system, FiniteSubset.of(system.language, hypotheses)).closure
+    assert out == "".join(f"{e.name}\n" for e in closure.members)
 
 
 PD_CATALOG = json.loads((ROOT / "perfbench" / "pd_catalog.json").read_text(encoding="utf-8"))

@@ -6,6 +6,7 @@ systems/ at the repository root holds commented files for humans;
 those round-trip semantically, not byte for byte.
 """
 
+import string
 from pathlib import Path
 
 import pytest
@@ -387,11 +388,17 @@ def test_each_distinct_token_is_validated_once(monkeypatch):
 # ---------------------------------------------------------------------------
 # canonical texts: what dumps_system writes, drawn directly
 
-_explicit_names = st.sets(st.from_regex(r"[a-zé][a-z0-9é]{0,3}", fullmatch=True), min_size=1, max_size=6)
+def _words(first: str, rest: str):
+    """Strings of one character of `first`, then up to 3 of `rest`: the
+    regex `[first][rest]{0,3}`, drawn without the regex machinery."""
+    return st.builds(str.__add__, st.sampled_from(first), st.text(rest, max_size=3))
+
+
+_LOWER = string.ascii_lowercase + "é"
+_explicit_names = st.sets(_words(_LOWER, _LOWER + string.digits), min_size=1, max_size=6)
 _enumerated_names = st.sets(st.integers(0, 30).map(lambda i: f"f{i}"), min_size=1, max_size=6)
-_rule_ids = st.lists(
-    st.from_regex(r"[A-Za-zß][A-Za-z0-9_ß]{0,3}", fullmatch=True), unique=True, max_size=5
-)
+_LETTERS = string.ascii_letters + "ß"
+_rule_ids = st.lists(_words(_LETTERS, _LETTERS + string.digits + "_"), unique=True, max_size=5)
 
 
 @st.composite
