@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import IO, Any, Callable, NamedTuple, NoReturn, Sequence
 
 from . import propositional as pd
 from .engine import (
@@ -283,9 +283,9 @@ COMMANDS: dict[str, Command] = {
 }
 
 
-def _branch(argv: Sequence[str]) -> list[str] | None:
-    """The command words that lead argv, down to a leaf of COMMANDS, or
-    None when argv does not start by naming one exactly."""
+def _branch(argv: Sequence[str]) -> tuple[list[str], Command] | None:
+    """The command words that lead argv, down to a leaf of COMMANDS, and
+    that leaf; None when argv does not start by naming one exactly."""
     table, path = COMMANDS, []
     for word in argv:
         command = table.get(word)
@@ -293,50 +293,81 @@ def _branch(argv: Sequence[str]) -> list[str] | None:
             return None
         path.append(word)
         if command.commands is None:
-            return path
+            return path, command
         table = command.commands
     return None
 
 
-def _add_commands(
-    parser: argparse.ArgumentParser, dest: str, table: dict[str, Command], path: list[str] | None
-) -> None:
-    """Give `parser` a sub-parser for each command of `table`, or only
-    for the branch `path` names when there is one.
+class _Unparsed(Exception):
+    """A leaf parser met help, a usage error or an exit."""
 
-    A narrowed root names every command in its usage line, as the full
-    parser does.  The full parser keeps argparse's own metavar, which
-    its "required: command" and "invalid choice" errors print.
+
+class _LeafParser(argparse.ArgumentParser):
+    """A parser for one leaf command that never prints or exits: where
+    argparse would, it raises `_Unparsed`, so that `main` can hand argv
+    to the full parser."""
+
+    def error(self, message: str) -> NoReturn:
+        raise _Unparsed
+
+    def exit(self, status: int = 0, message: str | None = None) -> NoReturn:
+        raise _Unparsed
+
+    def print_help(self, file: IO[str] | None = None) -> None:
+        raise _Unparsed
+
+
+def _parse_leaf(argv: Sequence[str]) -> argparse.Namespace | None:
+    """argv as the parser of the leaf command it names reads it, or None
+    when argv names no leaf, asks for help, is malformed, or leaves words
+    the leaf does not take.
+
+    The leaf keeps `-h`: under abbreviation `--h` is ambiguous between
+    `--help` and `--hyp`, as it is in the full parser.
     """
-    names = path[:1] if path else table
-    metavar = "{" + ",".join(table) + "}" if path and table is COMMANDS else None
-    sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
-    for name in names:
-        command = table[name]
+    branch = _branch(argv)
+    if branch is None:
+        return None
+    path, command = branch
+    parser = _LeafParser(prog="conseq " + " ".join(path))
+    for flags, options in command.arguments:
+        parser.add_argument(*flags, **options)
+    try:
+        args, extras = parser.parse_known_args(argv[len(path):])
+    except _Unparsed:
+        return None
+    if extras:
+        return None  # the full parser's root reports them
+    args.handler = command.handler
+    return args
+
+
+def _add_commands(parser: argparse.ArgumentParser, dest: str, table: dict[str, Command]) -> None:
+    """Give `parser` a sub-parser for each command of `table`, nested as
+    the table nests them."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, command in table.items():
         p = sub.add_parser(name, help=command.help)
         for flags, options in command.arguments:
             p.add_argument(*flags, **options)
         if command.commands is None:
             p.set_defaults(handler=command.handler)
         else:
-            _add_commands(p, f"{name}_command", command.commands, path[1:] if path else None)
+            _add_commands(p, f"{name}_command", command.commands)
 
 
-def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """A parser for `conseq`, built from COMMANDS on each call.
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser for `conseq`: the root and a sub-parser for every
+    command of COMMANDS, 13 in all, built on each call.
 
-    When argv's leading words name a command exactly (under `pd`, a
-    `pd` command as well), only that branch is registered: the root
-    plus one or two sub-parsers.  Any other argv -- empty, `-h` first,
-    an unknown or partial word, `pd` without a known subcommand -- gets
-    all 13 parsers, as `build_parser()` does.  Both read argv alike and
-    print the same root usage line.
+    `main` parses with it only when the leaf parse hands argv on, so
+    every help text, usage line, error and exit code comes from it.
     """
     parser = argparse.ArgumentParser(
         prog="conseq",
         description="Workbench for rule systems and the operators they generate.",
     )
-    _add_commands(parser, "command", COMMANDS, _branch(argv))
+    _add_commands(parser, "command", COMMANDS)
     return parser
 
 
@@ -344,17 +375,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run `conseq <argv>` (sys.argv[1:] when argv is None); return the
     exit code.
 
-    argv is parsed once, by `build_parser(argv)`, which builds only the
-    branch argv names: 2 parsers for `saturate`, 3 for `pd search`, all
-    13 when argv names no command.
+    A well-formed argv is parsed by one parser, built for the leaf
+    command argv names.  Any other argv -- no leaf named, help asked
+    for, a usage error, words the leaf does not take -- is parsed again
+    by `build_parser()`, which prints what argparse prints and gives the
+    exit code.  Neither parser is kept between calls.
     """
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        args = build_parser(argv).parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+    args = _parse_leaf(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+            return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
     except ConseqError as exc:

@@ -10,6 +10,7 @@ import io
 import json
 import os
 import resource
+import string
 import subprocess
 import sys
 import tempfile
@@ -31,6 +32,8 @@ from conseq.errors import ConseqError
 from conseq.fileformat import load_system
 from conseq.language import Element, FiniteSubset
 from conseq.rules import Apply, Derivation, Insert
+
+from test_fileformat import _words
 
 ROOT = Path(__file__).parent.parent
 SYSTEMS = ROOT / "systems"
@@ -696,7 +699,7 @@ def printed_witness(out, goal):
 # rule ids that read like the bracket words too: hypothesis, axiom, from
 witness_rule_ids = st.one_of(
     st.sampled_from(["hypothesis", "axiom", "from", "mp"]),
-    st.from_regex(r"[A-Za-z][A-Za-z0-9_.~]{0,3}", fullmatch=True),
+    _words(string.ascii_letters, string.ascii_letters + string.digits + "_.~", 3),
 )
 
 
@@ -708,7 +711,7 @@ def derive_queries(draw):
     last the goal, and each name in between gets a row (an axiom, or a
     rule row whose premises are earlier names) unless its link is
     dropped.  Noise rows connect any names."""
-    name = st.from_regex(r"[a-zé][a-z0-9é]{0,2}", fullmatch=True)
+    name = _words(string.ascii_lowercase + "é", string.ascii_lowercase + string.digits + "é", 2)
     names = draw(st.lists(name, min_size=3, max_size=7, unique=True))
     element = st.sampled_from(names)
     rule_ids = draw(st.lists(witness_rule_ids, unique=True, min_size=1, max_size=4))
@@ -1028,9 +1031,52 @@ def table_size(table):
     return sum(1 + table_size(command.commands or {}) for command in table.values())
 
 
-def test_main_builds_only_the_branch_argv_names(monkeypatch):
-    assert len(parsers_built(monkeypatch, ["saturate", "--system", STEPS, "--hyp", "a"])) == 2
-    assert len(parsers_built(monkeypatch, ["pd", "search", "--goal", "P0"])) == 3
+def test_main_builds_one_leaf_parser_for_a_well_formed_argv(monkeypatch):
+    assert parsers_built(monkeypatch, ["saturate", "--system", STEPS, "--hyp", "a"]) == ["conseq saturate"]
+    assert parsers_built(monkeypatch, ["pd", "search", "--goal", "P0"]) == ["conseq pd search"]
     every_parser = 1 + table_size(conseq.cli.COMMANDS)
     assert len(parsers_built(monkeypatch, [])) == every_parser
     assert len(parsers_built(monkeypatch, ["-h"])) == every_parser
+    # the leaf hands help and malformed argv to the full parser
+    assert len(parsers_built(monkeypatch, ["saturate", "-h"])) == 1 + every_parser
+    assert len(parsers_built(monkeypatch, ["pd", "search", "--goal", "P0", "--bogus"])) == 1 + every_parser
+
+
+def leaves(table, path=()):
+    for name, command in table.items():
+        if command.commands is None:
+            yield [*path, name], command
+        else:
+            yield from leaves(command.commands, [*path, name])
+
+
+def hand_off_argvs():
+    """For each leaf of COMMANDS: its call followed by help, `--` or an
+    unknown option, the bare command, a required argument missing, values
+    that fail `type=int` or `choices`, and a trailing word.  The leaf
+    parser hands all but a few (`pd taut P0 --`) to the full parser."""
+    for path, command in leaves(conseq.cli.COMMANDS):
+        call = next(c for c in CALLS if c[: len(path)] == path)
+        for words in (["-h"], ["--help"], ["--he"], ["--h"], ["--h", "x"], ["--"], ["--bogus", "1"]):
+            yield call + words
+        yield path  # every leaf has a required option or a positional
+        yield call + ["extra"]
+        for flags, options in command.arguments:
+            flag = flags[0]
+            if options.get("required"):
+                at = call.index(flag)
+                yield call[:at] + call[at + 2 :]
+            if options.get("type") is int:
+                yield call + [flag, "x"]
+            if "choices" in options:
+                yield call + [flag, "bogus"]
+
+
+def test_main_hands_help_and_usage_errors_of_every_leaf_to_the_full_parser(monkeypatch):
+    argvs = list(hand_off_argvs())
+    assert any("--variant" in argv for argv in argvs) and any("--via" in argv for argv in argvs)
+    for columns in ("40", "100"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in argvs:
+            got = outputs(main, argv)
+            assert got == outputs(full_parser_then_handler, argv), (argv, columns)

@@ -351,7 +351,10 @@ def test_saturation_witnesses_always_verify(seed, mask):
 # round-scan oracle: the definitional saturation loop with eager witnesses
 
 
-def _oracle_replay(goal, justification, position):
+def _replay_oracle(goal, justification, order):
+    """`engine._replay` as first written: walk the support, copy `order`
+    (every derived element, in step order) filtered to it, number that
+    copy, then build each step through its dataclass constructor."""
     support = set()
     stack = [goal]
     while stack:
@@ -362,7 +365,7 @@ def _oracle_replay(goal, justification, position):
         j = justification[e]
         if j[0] == "apply":
             stack.extend(j[2])
-    ordered = sorted(support, key=position.__getitem__)
+    ordered = [e for e in order if e in support]
     step_no = {e: i for i, e in enumerate(ordered, start=1)}
     steps = []
     for e in ordered:
@@ -415,8 +418,7 @@ def _round_scan_saturate(system, hypotheses):
                     sequence.append(conclusion)
                     fresh.append(conclusion)
         frontier = set(fresh)
-    position = {e: i for i, e in enumerate(sequence)}
-    witnesses = {e: _oracle_replay(e, justification, position) for e in sequence}
+    witnesses = {e: _replay_oracle(e, justification, sequence) for e in sequence}
     return FiniteSubset(system.language, tuple(sequence)), witnesses
 
 
@@ -514,34 +516,6 @@ def test_witnesses_are_replayed_on_lookup_only(monkeypatch):
     assert replayed == [B]
 
 
-def _replay_oracle(goal, justification):
-    """`engine._replay` as first written: walk the support, copy the
-    map's order filtered to it, number that copy, then build each step
-    through its dataclass constructor."""
-    support = set()
-    stack = [goal]
-    while stack:
-        e = stack.pop()
-        if e in support:
-            continue
-        support.add(e)
-        j = justification[e]
-        if j[0] == "apply":
-            stack.extend(j[2])
-    ordered = [e for e in justification if e in support]
-    step_no = {e: i for i, e in enumerate(ordered, start=1)}
-    steps = []
-    for e in ordered:
-        j = justification[e]
-        if j[0] == "hyp":
-            steps.append(Insert(e))
-        elif j[0] == "axiom":
-            steps.append(Insert(e, j[1]))
-        else:
-            steps.append(Apply(j[1], tuple(step_no[p] for p in j[2]), e))
-    return Derivation(tuple(steps))
-
-
 @settings(deadline=None, max_examples=60)
 @given(
     st.integers(min_value=0, max_value=10_000),
@@ -556,7 +530,7 @@ def test_replayed_witnesses_match_the_constructor_built_oracle(seed, size, mask)
     )
     witnesses = saturate(system, hypotheses).witnesses
     for element, witness in witnesses.items():
-        expected = _replay_oracle(element, witnesses._justification)
+        expected = _replay_oracle(element, witnesses._justification, witnesses._justification)
         assert [(type(s), vars(s)) for s in witness.steps] == [
             (type(s), vars(s)) for s in expected.steps
         ]
