@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import IO, Any, Callable, NamedTuple, NoReturn, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import propositional as pd
 from .engine import (
@@ -298,47 +298,56 @@ def _branch(argv: Sequence[str]) -> tuple[list[str], Command] | None:
     return None
 
 
-class _Unparsed(Exception):
-    """A leaf parser met help, a usage error or an exit."""
-
-
-class _LeafParser(argparse.ArgumentParser):
-    """A parser for one leaf command that never prints or exits: where
-    argparse would, it raises `_Unparsed`, so that `main` can hand argv
-    to the full parser."""
-
-    def error(self, message: str) -> NoReturn:
-        raise _Unparsed
-
-    def exit(self, status: int = 0, message: str | None = None) -> NoReturn:
-        raise _Unparsed
-
-    def print_help(self, file: IO[str] | None = None) -> None:
-        raise _Unparsed
+def _value(options: dict[str, Any], word: str) -> Any:
+    """word as argparse converts it for a row with these options; raises
+    ValueError or TypeError where argparse reports a usage error."""
+    value = options.get("type", str)(word)
+    if value not in options.get("choices", (value,)):
+        raise ValueError(word)
+    return value
 
 
 def _parse_leaf(argv: Sequence[str]) -> argparse.Namespace | None:
-    """argv as the parser of the leaf command it names reads it, or None
-    when argv names no leaf, asks for help, is malformed, or leaves words
-    the leaf does not take.
+    """argv read straight off the `arguments` row of the leaf it names,
+    as the full parser would read it; None when argv is not plainly
+    well-formed.
 
-    The leaf keeps `-h`: under abbreviation `--h` is ambiguous between
-    `--help` and `--hyp`, as it is in the full parser.
+    After the command words, each word is either an exact long flag of
+    the row followed by a value that does not start with `-`, or a
+    positional word that does not start with `-`, one per positional
+    row.  Values go through `type` and `choices`, a repeated flag keeps
+    its last value, and a missing optional takes its `default`.  Help,
+    abbreviations, `--x=v`, `--`, values that start with `-`, and
+    unknown, missing, extra or invalid words all give None.
     """
     branch = _branch(argv)
     if branch is None:
         return None
     path, command = branch
-    parser = _LeafParser(prog="conseq " + " ".join(path))
-    for flags, options in command.arguments:
-        parser.add_argument(*flags, **options)
-    try:
-        args, extras = parser.parse_known_args(argv[len(path):])
-    except _Unparsed:
+    rows = {flags[0]: options for flags, options in command.arguments}
+    positionals = iter([name for name in rows if not name.startswith("-")])
+    given: dict[str, Any] = {}
+    rest = iter(argv[len(path):])
+    for word in rest:
+        if not word.startswith("-"):
+            name = next(positionals, None)
+        elif word in rows:
+            name, word = word, next(rest, "-")
+        else:
+            return None
+        if name is None or word.startswith("-"):
+            return None
+        try:
+            given[name] = _value(rows[name], word)
+        except (TypeError, ValueError):
+            return None
+    if next(positionals, None) is not None:
         return None
-    if extras:
-        return None  # the full parser's root reports them
-    args.handler = command.handler
+    args = argparse.Namespace(handler=command.handler)
+    for name, options in rows.items():
+        if name not in given and options.get("required"):
+            return None
+        setattr(args, name.lstrip("-").replace("-", "_"), given.get(name, options.get("default")))
     return args
 
 
@@ -360,8 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The full parser for `conseq`: the root and a sub-parser for every
     command of COMMANDS, 13 in all, built on each call.
 
-    `main` parses with it only when the leaf parse hands argv on, so
-    every help text, usage line, error and exit code comes from it.
+    `main` builds it only for argv that `_parse_leaf` does not read, such
+    as help and malformed argv, so every help text, usage line, error
+    and exit code comes from it.
     """
     parser = argparse.ArgumentParser(
         prog="conseq",
@@ -375,11 +385,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run `conseq <argv>` (sys.argv[1:] when argv is None); return the
     exit code.
 
-    A well-formed argv is parsed by one parser, built for the leaf
-    command argv names.  Any other argv -- no leaf named, help asked
-    for, a usage error, words the leaf does not take -- is parsed again
-    by `build_parser()`, which prints what argparse prints and gives the
-    exit code.  Neither parser is kept between calls.
+    A well-formed argv is read by `_parse_leaf` off the row of the leaf
+    command it names, and no parser is built.  Any other argv -- no leaf
+    named, help asked for, a usage error, a form the reader does not
+    take -- is parsed by `build_parser()`, which prints what argparse
+    prints and gives the exit code.  No parser is kept between calls.
     """
     if argv is None:
         argv = sys.argv[1:]

@@ -328,16 +328,20 @@ def _match(shape: Wff, w: Wff, binding: dict[int, Wff]) -> bool:
     return _match(shape.antecedent, w.antecedent, binding) and _match(shape.consequent, w.consequent, binding)
 
 
-def _fill(shape: Wff, binding: Sequence[Wff], built: set[Wff]) -> Wff:
+def _fill(shape: Wff, binding: Sequence[Wff], built: set[Wff], pool: AbstractSet[Wff]) -> Wff:
     """The instance of `shape` that puts binding[i] for metavariable i; each
-    node built for it, that is each node outside the binding, goes into `built`."""
+    node built for it, that is each node outside the binding, goes into
+    `built` unless `pool` holds it."""
     if isinstance(shape, Atom):
         return binding[shape.index]
     if isinstance(shape, Neg):
-        w = Neg(_fill(shape.operand, binding, built))
+        w = Neg(_fill(shape.operand, binding, built, pool))
     else:
-        w = Impl(_fill(shape.antecedent, binding, built), _fill(shape.consequent, binding, built))
-    built.add(w)
+        w = Impl(
+            _fill(shape.antecedent, binding, built, pool), _fill(shape.consequent, binding, built, pool)
+        )
+    if w not in pool:
+        built.add(w)
     return w
 
 
@@ -346,7 +350,7 @@ def bridge_axiom(n: int) -> Wff:
     R3 with X = P0 and Y = Pn, (~P0 -> ~Pn) -> (Pn -> P0)."""
     if n < 1:
         raise UsageError("bridge axioms are indexed from 1")
-    return _fill(_SHAPES["r3"], (Atom(0), Atom(n)), set())
+    return _fill(_SHAPES["r3"], (Atom(0), Atom(n)), set(), frozenset())
 
 
 @dataclass(frozen=True)
@@ -458,7 +462,9 @@ def subformula_closure(
     children's, so a candidate is hashed and ranked without a walk or a
     second printing.  A filled instance's subformulas are its bound
     formulas, already in the pool, and the nodes built for it, which
-    `_fill` collects as it builds them; those outside the pool are new.
+    `_fill` collects as it builds them when they are new.  The pool only
+    grows within a round, so the round stops as soon as its new formulas
+    would take the pool past `max_pool`.
 
     The result is a `Pool` that records every instance filled, per shape.
     The record is exact: every pool formula fits the cap (seeds over it
@@ -482,22 +488,22 @@ def subformula_closure(
         ranked_new = sorted(((len(w._token), w) for w in new), key=itemgetter(0))
         ranked = sorted(old + ranked_new, key=itemgetter(0))  # merges the two sorted runs
         built: set[Wff] = set()
+        room = max(max_pool - len(pool), 0)  # seeds alone may pass max_pool; a new formula then does
         for kind, shape in _SHAPES.items():
             counts, filled = _COUNTS[kind], fills[kind]
             for j in range(len(counts)):  # j: the first metavariable bound to a new formula
                 lists = [old] * j + [ranked_new] + [ranked] * (len(counts) - 1 - j)
                 for binding in _bindings(counts, lists, size_cap - _SYMBOLS[kind]):
-                    filled.append(_fill(shape, binding, built))
+                    filled.append(_fill(shape, binding, built, pool))
+                    if len(built) > room:
+                        raise UsageError(
+                            f"pool grew past {max_pool} formulas under size cap {size_cap}; "
+                            "lower the cap or raise max_pool"
+                        )
 
-        built -= pool
         if not built:
             break
         pool |= built
-        if len(pool) > max_pool:
-            raise UsageError(
-                f"pool grew past {max_pool} formulas under size cap {size_cap}; "
-                "lower the cap or raise max_pool"
-            )
         old, new = ranked, built
     return Pool(
         sorted(pool, key=attrgetter("_token")),

@@ -1031,15 +1031,13 @@ def table_size(table):
     return sum(1 + table_size(command.commands or {}) for command in table.values())
 
 
-def test_main_builds_one_leaf_parser_for_a_well_formed_argv(monkeypatch):
-    assert parsers_built(monkeypatch, ["saturate", "--system", STEPS, "--hyp", "a"]) == ["conseq saturate"]
-    assert parsers_built(monkeypatch, ["pd", "search", "--goal", "P0"]) == ["conseq pd search"]
+def test_main_builds_no_parser_for_a_well_formed_argv_and_the_full_parser_otherwise(monkeypatch):
+    assert parsers_built(monkeypatch, ["saturate", "--system", STEPS, "--hyp", "a"]) == []
+    assert parsers_built(monkeypatch, ["pd", "search", "--goal", "P0"]) == []
     every_parser = 1 + table_size(conseq.cli.COMMANDS)
-    assert len(parsers_built(monkeypatch, [])) == every_parser
-    assert len(parsers_built(monkeypatch, ["-h"])) == every_parser
-    # the leaf hands help and malformed argv to the full parser
-    assert len(parsers_built(monkeypatch, ["saturate", "-h"])) == 1 + every_parser
-    assert len(parsers_built(monkeypatch, ["pd", "search", "--goal", "P0", "--bogus"])) == 1 + every_parser
+    malformed = [["saturate", "-h"], ["saturate", "--hy", "a"], ["pd", "search", "--goal", "P0", "--bogus"]]
+    for argv in [[], ["-h"], *malformed]:
+        assert len(parsers_built(monkeypatch, argv)) == every_parser, argv
 
 
 def leaves(table, path=()):
@@ -1080,3 +1078,110 @@ def test_main_hands_help_and_usage_errors_of_every_leaf_to_the_full_parser(monke
         for argv in argvs:
             got = outputs(main, argv)
             assert got == outputs(full_parser_then_handler, argv), (argv, columns)
+
+
+# ---------------------------------------------------------------------------
+# the leaf reader: `_parse_leaf` reads argv as the full parser would, or declines
+
+
+def full_namespace(argv):
+    """argv as `build_parser()` reads it, less the dests that name the command."""
+    args = vars(conseq.cli.build_parser().parse_args(argv))
+    return argparse.Namespace(**{k: v for k, v in args.items() if not k.endswith("command")})
+
+
+def perfbench_argvs():
+    """The three argv shapes perfbench's workloads run, pd search once per catalog query."""
+    yield ("saturate", "--system", STEPS, "--hyp", "x1, x2")
+    yield ("derive", "--system", STEPS, "--hyp", "x1, x2", "--goal", "b")
+    for query in PD_CATALOG["queries"]:
+        argv = ["pd", "search", "--variant", query["variant"]]
+        argv += ["--n", str(query["n"])] if query["n"] is not None else []
+        yield argv + ["--hyp", ", ".join(query["hyps"]), "--goal", query["goal"], "--pool-cap", "1200"]
+
+
+ODD_READS = [
+    ["check-axioms", "--system", STEPS, "--bound", " 3"],
+    ["check-axioms", "--system", STEPS, "--bound", "\u0663"],
+    ["check-axioms", "--system", STEPS, "--bound", "1_0"],
+    ["pd", "search", "--goal", "P0", "--n", "+4"],
+    ["pd", "search", "--goal", "P0", "--hyp", ""],
+    ["saturate", "--system", STEPS, "--hyp", "=x"],
+    ["pd", "taut", "a b"],
+    ["saturate", "--system", STEPS, "--hyp", "a", "--hyp", "b"],
+    ["example", "--seed", "3", "2.2", "--trials", "4"],
+]
+
+
+def test_the_leaf_reader_reads_every_call_and_perfbench_shape():
+    argvs = CALLS + ODD_READS + list(perfbench_argvs())
+    assert len(argvs) == len(CALLS) + len(ODD_READS) + 2 + 480
+    for argv in argvs:
+        args = conseq.cli._parse_leaf(argv)
+        assert args is not None, argv
+        assert args == full_namespace(argv), argv
+
+
+def test_commands_stay_inside_the_leaf_readers_model():
+    """The reader reads a row as argparse does only when the row is plain:
+    one long flag with `required`, an int `type`, `default`, `choices` and
+    `help` at most, and no `type` over a str default (argparse converts
+    that default, the reader does not); or one positional name with
+    `help` at most.  Groups take no arguments of their own."""
+
+    def walk(table):
+        for command in table.values():
+            yield command
+            yield from walk(command.commands or {})
+
+    for command in walk(conseq.cli.COMMANDS):
+        assert (command.commands is None) == (command.handler is not None), command.help
+        if command.commands is not None:
+            assert command.arguments == (), command.help
+        names = [flags[0] for flags, _ in command.arguments]
+        assert len(set(names)) == len(names), names
+        for flags, options in command.arguments:
+            assert len(flags) == 1, flags
+            name = flags[0]
+            if name.startswith("-"):
+                assert name.startswith("--") and name[2:].replace("-", "_").isidentifier(), name
+                assert set(options) <= {"required", "type", "default", "choices", "help"}, (name, options)
+                assert options.get("type", int) is int, name
+                assert not ("type" in options and isinstance(options.get("default"), str)), name
+            else:
+                assert name.isidentifier() and set(options) <= {"help"}, (name, options)
+
+
+READER_VALUES = VALUES + [
+    " 3", "\u0663", "1_0", "+4", "=x", "a b", "-x", "--hyp", "closed-systems", *pd.VARIANTS,
+]
+
+
+@st.composite
+def leaf_argvs(draw):
+    """A leaf's command words, then its rows in any order -- each left out,
+    given once or repeated, with values argparse may or may not take --
+    and a few stray words."""
+    path, command = draw(st.sampled_from(list(leaves(conseq.cli.COMMANDS))))
+    value = st.sampled_from(READER_VALUES)
+    units = []
+    for flags, _ in command.arguments:
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            units.append([flags[0], draw(value)] if flags[0].startswith("-") else [draw(value)])
+    stray = st.one_of(argv_words.map(lambda w: [w]), st.tuples(st.sampled_from(FLAGS), value).map(list))
+    units += draw(st.lists(stray, max_size=1))
+    return path + [word for unit in draw(st.permutations(units)) for word in unit]
+
+
+@settings(deadline=None, max_examples=400)
+@given(leaf_argvs())
+@example(["check-axioms", "--system", STEPS, "--bound", "x", "--bound", "3"])
+@example(["check-axioms", "--system", STEPS, "--bound", ""])
+@example(["sup", "--systems", STEPS, "--hyp", "a", "--via", "bogus", "--via", "union"])
+@example(["example", "--seed", "--seed"])
+@example(["pd", "taut", "P0", "--"])
+@example(["pd", "search", "--goal", "P0", "--n", "-1"])
+def test_the_leaf_reader_reads_what_the_full_parser_reads(argv):
+    args = conseq.cli._parse_leaf(argv)
+    if args is not None:
+        assert args == full_namespace(argv)

@@ -545,6 +545,29 @@ def test_subformula_closure_guards():
         subformula_closure([P0, P1], 22, max_pool=50)
 
 
+def test_subformula_closure_stops_as_soon_as_the_pool_passes_its_cap(monkeypatch):
+    """Fourteen atoms under size cap 40 bind over a million implications
+    in the second round; the closure stops once the pool passes max_pool,
+    with the error a whole round would have given."""
+    built = Counter()
+    init = Impl.__init__
+
+    def counting_init(self, antecedent, consequent):
+        built["impl"] += 1
+        init(self, antecedent, consequent)
+
+    monkeypatch.setattr(Impl, "__init__", counting_init)
+    message = "pool grew past 20000 formulas under size cap 40; lower the cap or raise max_pool"
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        subformula_closure([Atom(i) for i in range(14)], 40, max_pool=20000)
+    assert 0 < built["impl"] < 2 * 20000
+    # the cap bounds the whole pool, exactly; seeds that are closed already may pass it
+    pool = subformula_closure([P0, P1, P2], 22, max_pool=357)
+    with pytest.raises(UsageError, match="grew past 356 formulas"):
+        subformula_closure([P0, P1, P2], 22, max_pool=356)
+    assert subformula_closure(pool, 22, max_pool=356) == pool
+
+
 def _definitional_closure(seeds, size_cap, *, max_pool):
     """The closure as first written: each candidate not yet in the pool
     contributes its full subformula set, and the pool is removed after."""
