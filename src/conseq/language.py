@@ -199,6 +199,24 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def intersection_closure(masks: Iterable[int]) -> set[int]:
+    """The least family of masks that holds every one of `masks` and the
+    AND of any two of its members.
+
+    The family grows one generator at a time and stays closed: a
+    generator g adds itself and its AND with every member, since
+    (g & a) & b == g & (a & b).  Larger generators go first, so a smaller
+    one that is already the AND of larger ones is found present and adds
+    nothing.
+    """
+    family: set[int] = set()
+    for generator in sorted(set(masks), key=int.bit_count, reverse=True):
+        if generator not in family:
+            family |= {generator & member for member in family}
+            family.add(generator)
+    return family
+
+
 # b"0" to the byte 0 and b"1" to the byte 1, for reading bin() digits as flags
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 

@@ -26,6 +26,7 @@ from .language import (
     Subset,
     all_subsets,
     full_subset,
+    intersection_closure,
     require_same_language,
 )
 from .rules import RuleSystem, TupleRule, UnaryRule
@@ -61,6 +62,15 @@ def _family_order(mask: int) -> tuple[int, str]:
     return mask.bit_count(), bin(mask)[:1:-1].translate(_FLIP_DIGITS)
 
 
+def _family_masks(language: ExplicitLanguage, masks: Iterable[int], refusal: str) -> list[int]:
+    """Distinct `masks` in `_family_order`, refused with `refusal` unless
+    the whole language is among them."""
+    ordered = sorted(masks, key=_family_order)
+    if ordered[-1:] != [(1 << len(language.elements)) - 1]:
+        raise UsageError(refusal)
+    return ordered
+
+
 def _set_bits(bits: int) -> list[int]:
     """The positions of the set bits of `bits`, lowest first, read off
     its binary digits: one pass however wide `bits` is, where a big-int
@@ -83,8 +93,9 @@ class Operator:
 
         A closure operator is fixed by its closed sets, so `closed_systems`,
         `sup_w`, `leq` and `equal_ops` read these bitsets when every
-        operand has one, and its image table otherwise.  A rule operator
-        has one, and so has a closure family built from such bitsets.
+        operand has one, and its image table otherwise.  Every rule
+        operator and every closure family, `sup_w`'s results among them,
+        has one.
         """
         return None
 
@@ -356,21 +367,18 @@ class PointwiseUnion(Operator):
 
 
 class ClosureFamilyOperator(Operator):
-    """X maps to the intersection of the members containing X: the
-    family's distinct members, held as masks in `_family_order` and read
-    as `closed_sets`.  The family must contain the whole language, which
-    makes the operator extensive, monotone and idempotent by construction.
-    `apply` scans the members once.  The image table starts with each
-    member at its own index and the whole language elsewhere; then, for
-    each element e, every entry X without e is ANDed with entry X+e.
+    """X maps to the intersection of the members containing X.  The
+    family must contain the whole language, which makes the operator
+    extensive, monotone and idempotent by construction.
 
-    A family handed to the constructor, or a `sup_w` read from image
-    tables, need not be closed under intersection ({a}, {b} and the
-    whole language also fix the empty set), so its members need not be
-    the operator's fixed points, and it has no closed-mask bitset:
-    queries read its image table.  A family that `sup_w` or
-    `closed_systems` builds from closed-mask bitsets is exactly the
-    operator's fixed points, and keeps that bitset.
+    The members are held closed under intersection, as masks in
+    `_family_order`: the constructor closes the family it is given
+    ({a}, {b} and the whole language gain the empty set), which changes
+    no image.  So the members (`closed_sets`) are exactly the operator's
+    fixed points, a Moore family, and its closed-mask bitset is their
+    bits.  `apply` scans the members once.  The image table starts with
+    each member at its own index and the whole language elsewhere; then,
+    for each element e, every entry X without e is ANDed with entry X+e.
     """
 
     def __init__(self, language: ExplicitLanguage, family: Sequence[FiniteSubset]):
@@ -380,24 +388,18 @@ class ClosureFamilyOperator(Operator):
         for member in family:
             require_same_language(language, member.language, "closure family member")
             masks.add(member.mask)
-        if (1 << len(language.elements)) - 1 not in masks:
-            raise UsageError("a closure family must contain the whole language")
+        refusal = "a closure family must contain the whole language"
+        self._masks = _family_masks(language, intersection_closure(masks), refusal)
         self.language = language
-        self._masks = sorted(masks, key=_family_order)
-        self._closed = None
 
     @classmethod
     def _of_masks(
-        cls, language: ExplicitLanguage, masks: Iterable[int], closed: int | None, refusal: str
+        cls, language: ExplicitLanguage, masks: Iterable[int], refusal: str
     ) -> "ClosureFamilyOperator":
-        """The family of `masks`, which must be distinct and include the
-        whole language, else `refusal`; `closed` is their bitset when they
-        are known to be exactly the operator's fixed points, else None."""
-        ordered = sorted(masks, key=_family_order)
-        if ordered[-1:] != [(1 << len(language.elements)) - 1]:
-            raise UsageError(refusal)
+        """The family of `masks`, which must be distinct, closed under
+        intersection and include the whole language, else `refusal`."""
         op = cls.__new__(cls)
-        op.language, op._masks, op._closed = language, ordered, closed
+        op.language, op._masks = language, _family_masks(language, masks, refusal)
         return op
 
     @property
@@ -414,9 +416,14 @@ class ClosureFamilyOperator(Operator):
                 out &= member
         return FiniteSubset._of_mask(self.language, out)
 
-    def _closed_masks(self, language: ExplicitLanguage) -> int | None:
+    def _closed_masks(self, language: ExplicitLanguage) -> int:
         require_same_language(self.language, language, "apply")
-        return self._closed
+        # one binary digit per subset, written once per member, where
+        # ORing in 1 << member would cost a pass over 2^n bits each
+        digits = bytearray(b"0") * (1 << len(language.elements))
+        for member in self._masks:
+            digits[member] = 49  # ord("1")
+        return int(digits[::-1], 2)
 
     def _image_masks(self, language: ExplicitLanguage) -> list[int]:
         require_same_language(self.language, language, "apply")
@@ -475,13 +482,14 @@ def sup_w(
 ) -> ClosureFamilyOperator:
     """Least upper bound of `operands` over a finite language.
 
-    Its members (`closed_sets`) are the subsets every operand fixes, and
-    X maps to the intersection of the members containing X.  They are its
-    fixed points when the operands are closure operators; otherwise their
-    intersections may be fixed points too.  When every operand has a
-    closed-mask bitset (`Operator._closed_masks`) the members are the AND
-    of those bitsets, and the result keeps it; otherwise they are the
-    masks that every operand's image table fixes.
+    X maps to the intersection of the subsets every operand fixes that
+    contain X.  The result's members (`closed_sets`) are its fixed
+    points: the subsets every operand fixes, closed under intersection.
+    For closure operands those subsets are closed under intersection
+    already.  When every operand has a closed-mask bitset
+    (`Operator._closed_masks`) they are the AND of those bitsets;
+    otherwise they are the masks that every operand's image table fixes,
+    and are closed under intersection here.
     """
     if not operands:
         raise UsageError("sup needs at least one operand")
@@ -491,10 +499,10 @@ def sup_w(
         shared = kernels[0]
         for bits in kernels[1:]:
             shared &= bits
-        return ClosureFamilyOperator._of_masks(language, _set_bits(shared), shared, refusal)
+        return ClosureFamilyOperator._of_masks(language, _set_bits(shared), refusal)
     first, *rest = kernels
-    family = [x for x, image in enumerate(first) if image == x and all(t[x] == x for t in rest)]
-    return ClosureFamilyOperator._of_masks(language, family, None, refusal)
+    fixed = (x for x, image in enumerate(first) if image == x and all(t[x] == x for t in rest))
+    return ClosureFamilyOperator._of_masks(language, intersection_closure(fixed), refusal)
 
 
 def from_closure_family(
@@ -813,22 +821,24 @@ def closed_systems(
     then member by member, as `sup_w([op], language).closed_sets` are.
 
     An operator with a closed-mask bitset (`Operator._closed_masks`: a
-    rule operator, or a family built from such bitsets) lists its set
-    bits.  Any other operator is read from its image table: every image
-    must be a fixed point, so the closed sets are the distinct images,
-    and the whole language must be among them."""
+    rule operator or a closure family, sups included) lists its set bits.
+    Any other operator is read from its image table: every image must be
+    a fixed point, so the closed sets are the distinct images, and the
+    whole language must be among them.  They need not be closed under
+    intersection when the operator is not a closure operator."""
     refusal = "the whole language is not closed; not a consequence operator"
     (kernel,), closed = _closed_or_tables([op], language, bound)
     if closed:
-        return ClosureFamilyOperator._of_masks(language, _set_bits(kernel), kernel, refusal).closed_sets
-    images = kernel
-    for image in images:
-        if images[image] != image:
-            raise UsageError(
-                f"{FiniteSubset._of_mask(language, image)} is an image but not a fixed point; "
-                "the operator is not idempotent"
-            )
-    return ClosureFamilyOperator._of_masks(language, set(images), None, refusal).closed_sets
+        masks = _set_bits(kernel)
+    else:
+        for image in kernel:
+            if kernel[image] != image:
+                raise UsageError(
+                    f"{FiniteSubset._of_mask(language, image)} is an image but not a fixed point; "
+                    "the operator is not idempotent"
+                )
+        masks = set(kernel)
+    return tuple(FiniteSubset._of_mask(language, m) for m in _family_masks(language, masks, refusal))
 
 
 def _lattice_result(op: Operator, left: FiniteSubset, right: FiniteSubset, name: str, combine: Callable):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from .errors import UsageError
-from .language import Element, ExplicitLanguage, FiniteSubset
+from .language import Element, ExplicitLanguage, FiniteSubset, intersection_closure
 from .rules import Rule, RuleSystem, TupleRule, UnaryRule
 
 
@@ -51,11 +51,8 @@ def random_closure_family(
     whole language — the closed sets of some consequence operator."""
     elements = list(language.elements)
     n = len(elements)
-    masks = {(1 << n) - 1}
-    for _ in range(rng.randint(0, max_generators)):
-        # an intersection-closed family stays closed: (g & a) & b == g & (a & b)
-        generator = rng.randrange(1 << n)
-        masks |= {generator & m for m in masks}
+    generators = [rng.randrange(1 << n) for _ in range(rng.randint(0, max_generators))]
+    masks = intersection_closure([(1 << n) - 1, *generators])
     subsets = []
     for mask in sorted(masks, key=lambda m: (bin(m).count("1"), m)):
         members = tuple(elements[i] for i in range(n) if (mask >> i) & 1)

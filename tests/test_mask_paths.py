@@ -52,6 +52,7 @@ from conseq.operators import (
 from conseq.rules import RuleSystem
 from conseq.sampling import random_closure_family, random_system, seeded, small_language
 
+from test_moore_families import _moore_closure
 from test_rules_engine import _oracle_ground, _round_scan_saturate
 
 AXIOMS = ("extensive", "monotone", "idempotent", "finite_character")
@@ -128,11 +129,14 @@ def _images(op, language):
 
 
 def oracle_sup_family(operands, language):
+    """The subsets every operand fixes, with every intersection of two or
+    more of them."""
     tables = [_images(op, language) for op in operands]
-    family = [s for i, s in enumerate(_subsets(language)) if all(t[i] == s for t in tables)]
-    if FiniteSubset(language, language.elements) not in family:
+    shared = [s for i, s in enumerate(_subsets(language)) if all(t[i] == s for t in tables)]
+    if FiniteSubset(language, language.elements) not in shared:
         raise UsageError("constituents do not all fix the whole language")
-    return _family_sorted(family)
+    family = _moore_closure(s.member_set for s in shared)
+    return _family_sorted(FiniteSubset(language, tuple(m)) for m in family)
 
 
 def oracle_close_in_family(family, subset):
@@ -575,11 +579,12 @@ def table_shared_fixed_points(tables, language):
     return _family_of(language, [x for x in range(len(tables[0])) if all(t[x] == x for t in tables)])
 
 
-# Operators with a closed-mask bitset first, then those read from tables:
-# a sup with a step-bounded operand, a step-bounded operator, and closure
-# families from the constructor, intersection-closed or not.
-WITH_BITSETS = ("rules", "sup")
-CLOSED_KINDS = (*WITH_BITSETS, "sup-bounded", "bounded", "family", "glued-family")
+# Operators with a closed-mask bitset first: rule operators, sups (one
+# with a step-bounded operand) and closure families from the constructor,
+# intersection-closed or not.  Then a step-bounded operator, read from
+# its table.
+WITH_BITSETS = ("rules", "sup", "sup-bounded", "family", "glued-family")
+CLOSED_KINDS = (*WITH_BITSETS, "bounded")
 
 
 def closed_operand(kind, seed, language):
@@ -631,11 +636,12 @@ def test_closed_mask_bitsets_answer_as_the_image_tables_do(first_kind, second_ki
         assert equal_ops(x, y, language, bound=n) == (tables[i] == tables[j])
 
 
-def test_a_family_not_closed_under_intersection_is_read_from_its_table():
+def test_a_family_not_closed_under_intersection_is_closed_when_built():
     language = ExplicitLanguage.of_tokens(["a", "b", "c"])
     empty, a, b, whole = (FiniteSubset.of(language, m) for m in ([], ["a"], ["b"], ["a", "b", "c"]))
     glued = from_closure_family([a, b, whole], language)
-    assert glued._closed_masks(language) is None
+    assert glued.closed_sets == (empty, a, b, whole)
+    assert glued._closed_masks(language) == sum(1 << s.mask for s in (empty, a, b, whole))
     assert glued.apply(empty) == empty
     assert closed_systems(glued, language) == (empty, a, b, whole)
     rules = RuleOperator(
@@ -645,11 +651,12 @@ def test_a_family_not_closed_under_intersection_is_read_from_its_table():
     assert equal_ops(glued, rules, language) and equal_ops(rules, glued, language)
     assert leq(glued, rules, language) and leq(rules, glued, language)
     # an idempotent table that fixes {a}, {b} and the whole language: the
-    # sup's members are those fixed points, but the sup fixes the empty set too
+    # sup fixes the empty set too, so its members hold it
     fixed = {a: a, b: b, whole: whole}
     table = TableOperator(language, {s: fixed.get(s, a if s == empty else whole) for s in all_subsets(language)})
     sup = sup_w([table], language)
-    assert sup.closed_sets == (a, b, whole) and sup._closed_masks(language) is None
+    assert sup.closed_sets == (empty, a, b, whole) == closed_systems(sup, language)
+    assert sup._closed_masks(language) == glued._closed_masks(language)
     assert equal_ops(sup, rules, language) and equal_ops(sup, glued, language)
     assert not equal_ops(sup, table, language)
 
@@ -672,3 +679,15 @@ def test_closed_set_sup_and_order_queries_on_rule_operators_build_no_image_table
     assert leq(left, sup, language) and leq(right, sup, language)
     assert leq(sup, union, language) and leq(union, sup, language)
     assert equal_ops(sup_w([left], language), left, language)
+    # closure families, one given closed under intersection and one not:
+    # {e0, e1} and {e1, e2} without {e1}
+    closed = from_closure_family(family, language)
+    given = [FiniteSubset.of(language, m) for m in (["e0", "e1"], ["e1", "e2"], language.elements)]
+    glued = from_closure_family(given, language)
+    assert closed_systems(closed, language) == family
+    assert closed_systems(glued, language) == glued.closed_sets == (given[0].intersect(given[1]), *given)
+    assert equal_ops(closed, left, language) and equal_ops(left, closed, language)
+    assert equal_ops(glued, from_closure_family(glued.closed_sets, language), language)
+    assert not equal_ops(closed, glued, language)
+    assert leq(closed, glued, language) == (set(glued.closed_sets) <= set(family))
+    assert equal_ops(sup_w([closed, glued], language), sup_w([left, glued], language), language)

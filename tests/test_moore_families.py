@@ -1,0 +1,174 @@
+"""Closure operators at small sizes, every case listed.
+
+A closure operator on a finite language is fixed by its closed sets,
+which form a Moore family: a family that holds the whole language and is
+closed under intersection.  Here the families are generated by brute
+force, as frozensets of element indices, and every closure operator on
+at most 3 elements is built three ways (from its family, as the rule
+system that replays it, and as a frozen image table), so closed-set,
+sup and order queries are checked on the closed-mask and table paths
+against the set definitions: F, F ⊆ G, F = G and F ∩ G.
+
+A family that is not closed under intersection, given to
+`from_closure_family` or shared by the operands of a `sup_w`, must read
+back as its Moore closure, which is the set of the operator's fixed
+points.
+"""
+
+import random
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conseq.csystems import closed_systems
+from conseq.language import FiniteSubset
+from conseq.operators import (
+    RuleOperator,
+    TableOperator,
+    canonical_system,
+    equal_ops,
+    from_closure_family,
+    leq,
+    sup_w,
+    tabulate,
+)
+from conseq.sampling import small_language
+
+# Moore families on 1, 2 and 3 elements (OEIS A102896).  An explicit
+# language needs at least one element, so the one family on 0 elements
+# is not built.
+MOORE_COUNTS = {1: 2, 2: 7, 3: 61}
+
+
+def _all_index_sets(n):
+    return [frozenset(s) for k in range(n + 1) for s in combinations(range(n), k)]
+
+
+def _moore_closure(family):
+    """The pairwise fixpoint: add the intersection of any two members
+    until nothing new appears."""
+    family = set(family)
+    while True:
+        both = {x & y for x in family for y in family}
+        if both <= family:
+            return frozenset(family)
+        family |= both
+
+
+def _families_holding_the_top(n):
+    """Every family of index sets that holds the whole of range(n)."""
+    top = frozenset(range(n))
+    rest = [s for s in _all_index_sets(n) if s != top]
+    for k in range(len(rest) + 1):
+        for chosen in combinations(rest, k):
+            yield frozenset((top, *chosen))
+
+
+def _moore_families(n):
+    return [f for f in _families_holding_the_top(n) if _moore_closure(f) == f]
+
+
+def _subset(language, indices):
+    return FiniteSubset(language, tuple(language.elements[i] for i in indices))
+
+
+def _listed(language, family):
+    """`family` as subsets in the library's order: by size, then member
+    by member."""
+    subsets = (_subset(language, s) for s in family)
+    return tuple(sorted(subsets, key=lambda s: (len(s.members), s.members)))
+
+
+def _indices(language, subset):
+    return frozenset(language.positions[e] for e in subset)
+
+
+def _fixed_index_sets(op, language):
+    every = (_subset(language, s) for s in _all_index_sets(len(language.elements)))
+    return {_indices(language, s) for s in every if op.apply(s) == s}
+
+
+def _representations(family, language):
+    """The closure operator of `family` as a closure family, as the rule
+    system that replays it, and as an image table."""
+    op = from_closure_family([_subset(language, s) for s in family], language)
+    return (op, RuleOperator(canonical_system(op, language)), tabulate(op, language))
+
+
+@pytest.mark.parametrize("n", sorted(MOORE_COUNTS))
+def test_every_pair_of_closure_operators_answers_by_its_closed_sets(n):
+    language = small_language(n)
+    families = _moore_families(n)
+    assert len(families) == MOORE_COUNTS[n]
+    ops = [_representations(f, language) for f in families]
+    for family, each in zip(families, ops):
+        for op in each:
+            assert closed_systems(op, language) == _listed(language, family)
+    for k, ((f, f_ops), (g, g_ops)) in enumerate(
+        ((a, b) for a in zip(families, ops) for b in zip(families, ops))
+    ):
+        # every pair as closure families, and one mix of the three paths
+        # per pair, in turn
+        mixed = (f_ops[k % 3], g_ops[k // 3 % 3])
+        for first, second in ((f_ops[0], g_ops[0]), mixed):
+            assert leq(second, first, language) == (f <= g)
+            assert leq(first, second, language) == (g <= f)
+            assert equal_ops(first, second, language) == (f == g)
+            assert sup_w([first, second], language).closed_sets == _listed(language, f & g)
+
+
+def test_every_family_on_three_elements_reads_back_as_its_fixed_points():
+    language = small_language(3)
+    families = list(_families_holding_the_top(3))
+    assert len(families) == 2 ** 7
+    every, top = [_subset(language, x) for x in _all_index_sets(3)], _subset(language, range(3))
+    for family in families:
+        moore = _moore_closure(family)
+        op = from_closure_family([_subset(language, s) for s in family], language)
+        assert op.closed_sets == closed_systems(op, language) == _listed(language, moore)
+        assert _fixed_index_sets(op, language) == moore
+        # an idempotent table that fixes exactly `family` and sends every
+        # other subset to the whole language: its closed sets are its
+        # images, and its sup's are their Moore closure
+        table = TableOperator(language, {s: s if _indices(language, s) in family else top for s in every})
+        assert closed_systems(table, language) == _listed(language, family)
+        sup = sup_w([table], language)
+        assert sup.closed_sets == closed_systems(sup, language) == _listed(language, moore)
+        assert _fixed_index_sets(sup, language) == moore
+        assert equal_ops(sup, op, language)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 8), st.integers(0, 10_000), st.integers(1, 3))
+def test_families_and_sups_of_tables_read_back_as_their_fixed_points(n, seed, count):
+    language = small_language(n)
+    rng = random.Random(seed)
+    top = frozenset(range(n))
+    every = _all_index_sets(n)
+
+    def random_family():
+        return {top} | {frozenset(rng.sample(range(n), rng.randint(0, n))) for _ in range(rng.randint(0, 6))}
+
+    given_family = random_family()
+    op = from_closure_family([_subset(language, s) for s in given_family], language)
+    moore = _moore_closure(given_family)
+    assert op.closed_sets == closed_systems(op, language, bound=n) == _listed(language, moore)
+    assert _fixed_index_sets(op, language) == moore
+
+    # idempotent tables: each fixes a random family and sends every other
+    # subset to one of that family's members
+    tables, shared = [], set(every)
+    for _ in range(count):
+        fixed = random_family()
+        members = sorted(fixed, key=sorted)
+        images = {x: x if x in fixed else rng.choice(members) for x in every}
+        table = {_subset(language, x): _subset(language, y) for x, y in images.items()}
+        tables.append(TableOperator(language, table))
+        shared &= fixed
+    sup = sup_w(tables, language, bound=n)
+    moore = _moore_closure(shared)
+    assert sup.closed_sets == closed_systems(sup, language, bound=n) == _listed(language, moore)
+    assert _fixed_index_sets(sup, language) == moore
+    assert equal_ops(sup, from_closure_family(sup.closed_sets, language), language, bound=n)
