@@ -25,7 +25,7 @@ from conseq.operators import (
 from conseq.sampling import random_system, seeded, small_language
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=100)
     parser.add_argument(
@@ -35,7 +35,7 @@ def main() -> int:
         help="language size (exhaustive checks need <= 6)",
     )
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     language = small_language(args.lang_size)
     rng = seeded(args.seed, "sweep")

@@ -4,9 +4,11 @@
 Writes tests/data/golden/cli.json (argv, exit code and stdout of each
 command below, run from the repository root),
 tests/data/golden/scenarios/<id>.txt (the seed-0 report of every
-scenario) and tests/data/golden/pd_catalog_outputs.jsonl (what
-scripts/pd_catalog_outputs.py prints).  Run it only when an output is
-meant to change:
+scenario), tests/data/golden/pd_catalog_outputs.jsonl (what
+scripts/pd_catalog_outputs.py prints) and
+tests/data/golden/random_sweep.txt (what `scripts/random_sweep.py
+--trials 60 --seed 3` prints, its time masked as X.XXs).  Run it only
+when an output is meant to change:
 
     PYTHONPATH=src python3 scripts/record_golden.py
 """
@@ -15,11 +17,13 @@ import contextlib
 import io
 import json
 import os
+import re
 from pathlib import Path
 
 from conseq.cli import main
 from conseq.scenarios import run_scenario, scenario_ids
 from pd_catalog_outputs import output_lines
+from random_sweep import main as random_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden"
@@ -148,6 +152,12 @@ def main_record():
         (scenarios / f"{scenario_id}.txt").write_text(report + "\n", encoding="utf-8")
     lines = "".join(line + "\n" for line in output_lines())
     (GOLDEN / "pd_catalog_outputs.jsonl").write_text(lines, encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        random_sweep(["--trials", "60", "--seed", "3"])
+    # the time masked as CI masks it
+    summary = re.sub(r" in [0-9]*\.[0-9]*s:", " in X.XXs:", out.getvalue())
+    (GOLDEN / "random_sweep.txt").write_text(summary, encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -31,7 +31,6 @@ from conseq.operators import (
     BoundedOperator,
     Identity,
     RuleOperator,
-    TableOperator,
     canonical_system,
     check_axioms,
     cup_join,
@@ -47,8 +46,7 @@ from conseq import propositional as pd
 from conseq.rules import RuleSystem, TupleRule
 from conseq.sampling import random_system, seeded, small_language
 
-from test_operators import random_subset
-from test_rules_engine import random_operator_table
+from reference import random_subset, random_table_operator
 
 
 def sample_systems(seed, count, *, language_size=5):
@@ -60,16 +58,6 @@ def sample_systems(seed, count, *, language_size=5):
 def _verdict(number: int, label: str, ok: bool) -> None:
     print(f"ACCEPTANCE {number} {label}: {'PASS' if ok else 'FAIL'}")
     assert ok, f"acceptance check {number} ({label}) failed"
-
-
-def _table_op(language: ExplicitLanguage, rng) -> TableOperator:
-    return TableOperator(
-        language,
-        {
-            FiniteSubset(language, tuple(k)): FiniteSubset(language, tuple(v))
-            for k, v in random_operator_table(rng, language).items()
-        },
-    )
 
 
 def test_1_generated_operators_always_satisfy_the_closure_axioms():
@@ -279,7 +267,7 @@ def test_8_canonical_systems_round_trip_and_premise_order_is_free():
     round_trip_failures = 0
     op = None
     for _ in range(20):
-        op = _table_op(language, rng)
+        op = random_table_operator(rng, language)
         if not equal_ops(RuleOperator(canonical_system(op, language)), op, language):
             round_trip_failures += 1
 
@@ -304,7 +292,7 @@ def test_9_closed_set_families_form_the_expected_lattice():
     rng = seeded(0, "acceptance-lattice")
     failures = 0
     for _ in range(50):
-        op = _table_op(language, rng)
+        op = random_table_operator(rng, language)
         family = closed_systems(op, language)
         members = list(family)
         member_sets = {frozenset(m.members) for m in members}

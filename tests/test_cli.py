@@ -33,7 +33,7 @@ from conseq.fileformat import load_system
 from conseq.language import Element, FiniteSubset
 from conseq.rules import Apply, Derivation, Insert
 
-from test_fileformat import _words
+from reference import search_pool, words
 
 ROOT = Path(__file__).parent.parent
 SYSTEMS = ROOT / "systems"
@@ -389,12 +389,6 @@ def test_pd_search_builds_and_saturates_its_pool_once(capsys, monkeypatch, argv,
     assert calls["axioms"] == 0
 
 
-def search_pool(variant, hypotheses, goal, *, n=None, size_cap=22, max_pool=400):
-    """The query's saturation, with no truth table tried first."""
-    pool = pd.query_pool(variant, hypotheses, goal, n=n, size_cap=size_cap, max_pool=max_pool)
-    return pd.saturate_pool(variant, pool, hypotheses, n=n)
-
-
 def _search_first(variant, n, hypotheses, goal, size_cap, pool_cap, max_steps):
     """`pd search` searching its pool before it looks at the truth table:
     (exit code, stdout, stderr)."""
@@ -699,7 +693,7 @@ def printed_witness(out, goal):
 # rule ids that read like the bracket words too: hypothesis, axiom, from
 witness_rule_ids = st.one_of(
     st.sampled_from(["hypothesis", "axiom", "from", "mp"]),
-    _words(string.ascii_letters, string.ascii_letters + string.digits + "_.~", 3),
+    words(string.ascii_letters, string.ascii_letters + string.digits + "_.~", 3),
 )
 
 
@@ -711,7 +705,7 @@ def derive_queries(draw):
     last the goal, and each name in between gets a row (an axiom, or a
     rule row whose premises are earlier names) unless its link is
     dropped.  Noise rows connect any names."""
-    name = _words(string.ascii_lowercase + "é", string.ascii_lowercase + string.digits + "é", 2)
+    name = words(string.ascii_lowercase + "é", string.ascii_lowercase + string.digits + "é", 2)
     names = draw(st.lists(name, min_size=3, max_size=7, unique=True))
     element = st.sampled_from(names)
     rule_ids = draw(st.lists(witness_rule_ids, unique=True, min_size=1, max_size=4))

@@ -26,6 +26,8 @@ from conseq.rules import (
 )
 from conseq.sampling import random_system, seeded, small_language
 
+from reference import words
+
 DATA = Path(__file__).parent / "data"
 SHOWCASE = Path(__file__).parent.parent / "systems"
 
@@ -388,18 +390,11 @@ def test_each_distinct_token_is_validated_once(monkeypatch):
 # ---------------------------------------------------------------------------
 # canonical texts: what dumps_system writes, drawn directly
 
-def _words(first: str, rest: str, longest: int):
-    """Strings of one character of `first`, then up to `longest` of
-    `rest`: the regex `[first][rest]{0,longest}`, drawn without the regex
-    machinery."""
-    return st.builds(str.__add__, st.sampled_from(first), st.text(rest, max_size=longest))
-
-
 _LOWER = string.ascii_lowercase + "é"
-_explicit_names = st.sets(_words(_LOWER, _LOWER + string.digits, 3), min_size=1, max_size=6)
+_explicit_names = st.sets(words(_LOWER, _LOWER + string.digits, 3), min_size=1, max_size=6)
 _enumerated_names = st.sets(st.integers(0, 30).map(lambda i: f"f{i}"), min_size=1, max_size=6)
 _LETTERS = string.ascii_letters + "ß"
-_rule_ids = st.lists(_words(_LETTERS, _LETTERS + string.digits + "_", 3), unique=True, max_size=5)
+_rule_ids = st.lists(words(_LETTERS, _LETTERS + string.digits + "_", 3), unique=True, max_size=5)
 
 
 @st.composite

@@ -1,12 +1,15 @@
 """The package's import order: each module imports only modules below it.
 
 Every intra-package import counts, at module level or inside a function.
+The test modules import no other test module: what they share comes from
+tests/reference.py.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).parent.parent / "src" / "conseq"
+TESTS = Path(__file__).parent
+PACKAGE = TESTS.parent / "src" / "conseq"
 
 # lowest first
 ORDER = (
@@ -56,3 +59,18 @@ def test_every_package_import_points_down():
             if target not in ORDER or ORDER.index(target) >= ORDER.index(path.stem):
                 upward.append(f"{path.stem} -> {target}")
     assert upward == []
+
+
+def test_no_test_module_imports_another():
+    test_modules = {p.stem for p in TESTS.glob("test_*.py")}
+    crossing = []
+    for path in sorted(TESTS.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            crossing += [f"{path.stem} -> {name}" for name in names if name.split(".")[0] in test_modules]
+    assert crossing == []

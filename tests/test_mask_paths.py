@@ -1,9 +1,10 @@
 """The bit-mask paths of exhaustive operator work and step-bounded
 deduction, against the FiniteSubset loops they replaced.
 
-Each oracle below is the definitional loop: it builds every subset with
-the validating constructor, asks the operator through `apply`, and
-compares member sets.  Reports, counterexample subsets, family order,
+Each oracle is the definitional loop: it builds every subset with the
+validating constructor, asks the operator through `apply`, and reads the
+answers as the definitions say (tests/reference.py holds the shared
+ones).  Reports, counterexample subsets, family order,
 bounded sets and minimal sizes must come out equal, on lawful operators
 (rule systems, closure families) and lawless ones (pointwise unions,
 step-bounded operators, random tables), and on composites whose
@@ -30,8 +31,6 @@ from conseq.language import Element, ExplicitLanguage, FiniteSubset, all_subsets
 from conseq.operators import (
     AdjoinIfContains,
     AdjoinIfIntersects,
-    AxiomCounterexample,
-    AxiomReport,
     BoundedOperator,
     ClosureFamilyOperator,
     MeetOperator,
@@ -52,153 +51,35 @@ from conseq.operators import (
 from conseq.rules import RuleSystem
 from conseq.sampling import random_closure_family, random_system, seeded, small_language
 
-from test_moore_families import _moore_closure
-from test_rules_engine import _oracle_ground, _round_scan_saturate
-
-AXIOMS = ("extensive", "monotone", "idempotent", "finite_character")
+from reference import (
+    apply_table,
+    axiom_report,
+    close_in_family,
+    oracle_ground,
+    oracle_min_size,
+    random_subset,
+    round_scan_saturate,
+    subsets,
+    sup_family,
+    table_closed_systems,
+    table_leq,
+)
 
 
 # ---------------------------------------------------------------------------
 # oracles
 
 
-def _subsets(language):
-    """Every subset in binary-counting order: bit i is element i."""
-    elements = language.elements
-    return [
-        FiniteSubset(language, tuple(e for i, e in enumerate(elements) if m >> i & 1))
-        for m in range(1 << len(elements))
-    ]
-
-
-def _family_sorted(family):
-    return tuple(sorted(family, key=lambda s: (len(s.members), s.members)))
-
-
-def oracle_check_axioms(op, language):
-    """Every subset-superset pair scanned, supersets in binary-counting
-    order and each superset's submasks in descending order."""
-    subsets = _subsets(language)
-    results = [op.apply(s) for s in subsets]
-    outs = [r.member_set for r in results]
-    index = {s.member_set: i for i, s in enumerate(subsets)}
-    failures = {}
-    for i, s in enumerate(subsets):
-        if not s.member_set <= outs[i]:
-            failures["extensive"] = AxiomCounterexample("extensive", (s,))
-            break
-    for hi in range(len(subsets)):
-        lo = hi
-        while True:
-            if not outs[lo] <= outs[hi]:
-                failures["monotone"] = AxiomCounterexample("monotone", (subsets[lo], subsets[hi]))
-                failures["finite_character"] = AxiomCounterexample("finite_character", (subsets[hi],))
-                break
-            if lo == 0:
-                break
-            lo = (lo - 1) & hi
-        if "monotone" in failures:
-            break
-    for i, s in enumerate(subsets):
-        if outs[index[results[i].member_set]] != outs[i]:
-            failures["idempotent"] = AxiomCounterexample("idempotent", (s,))
-            break
-    first = next((failures[a] for a in AXIOMS if a in failures), None)
-    return AxiomReport(*(a not in failures for a in AXIOMS), counterexample=first)
-
-
-def oracle_closed_systems(op, language):
-    members = {}
-    for subset in _subsets(language):
-        closed = op.apply(subset)
-        if closed not in members:
-            if op.apply(closed) != closed:
-                raise UsageError(
-                    f"{closed} is an image but not a fixed point; the operator is not idempotent"
-                )
-            members[closed] = None
-    if FiniteSubset(language, language.elements) not in members:
-        raise UsageError("the whole language is not closed; not a consequence operator")
-    return _family_sorted(members)
-
-
-def _images(op, language):
-    """Every image, asked for before any is compared: an operator that
-    refuses some input is refused even where an earlier input decides."""
-    return [op.apply(s) for s in _subsets(language)]
-
-
-def oracle_sup_family(operands, language):
-    """The subsets every operand fixes, with every intersection of two or
-    more of them."""
-    tables = [_images(op, language) for op in operands]
-    shared = [s for i, s in enumerate(_subsets(language)) if all(t[i] == s for t in tables)]
-    if FiniteSubset(language, language.elements) not in shared:
-        raise UsageError("constituents do not all fix the whole language")
-    family = _moore_closure(s.member_set for s in shared)
-    return _family_sorted(FiniteSubset(language, tuple(m)) for m in family)
-
-
-def oracle_close_in_family(family, subset):
-    out = set(subset.language.elements)
-    for member in family:
-        if subset.member_set <= member.member_set:
-            out &= member.member_set
-    return FiniteSubset(subset.language, tuple(out))
-
-
 def oracle_leq(first, second, language):
-    pairs = zip(_images(first, language), _images(second, language))
-    return all(a.is_subset_of(b) for a, b in pairs)
+    return table_leq(apply_table(first, language), apply_table(second, language))
 
 
 def oracle_equal(first, second, language):
-    return _images(first, language) == _images(second, language)
-
-
-def oracle_min_size(insertable, arcs, goal, cap):
-    """Breadth-first search over sets of goal-relevant elements, held as
-    frozensets, one derivable element added per step."""
-    relevant = {goal}
-    grew = True
-    while grew:
-        grew = False
-        for premises, conclusion in arcs:
-            if conclusion in relevant and not premises <= relevant:
-                relevant |= premises
-                grew = True
-    insertable = {e for e in insertable if e in relevant}
-    arcs = [(p, c) for p, c in arcs if c in relevant]
-
-    def successors(have):
-        out = {e for e in insertable if e not in have}
-        for premises, conclusion in arcs:
-            if conclusion not in have and premises <= have:
-                out.add(conclusion)
-        return out
-
-    frontier = {frozenset()}
-    visited = set(frontier)
-    for size in range(cap):
-        next_frontier = set()
-        for have in frontier:
-            grown = successors(have)
-            if goal in grown:
-                return size + 1
-            if size + 1 < cap:
-                for e in grown:
-                    bigger = have | {e}
-                    if bigger not in visited:
-                        visited.add(bigger)
-                        next_frontier.add(bigger)
-        frontier = next_frontier
-        if not frontier:
-            break
-    return None
+    return apply_table(first, language) == apply_table(second, language)
 
 
 def _step_grounding(system, hypotheses):
-    insertable, grounded = _oracle_ground(system, hypotheses)
+    insertable, grounded = oracle_ground(system, hypotheses)
     arcs = [(frozenset(t[:-1]), t[-1]) for _, tuples in grounded for t in tuples]
     universe = set(insertable) | {c for _, c in arcs}
     return set(insertable), arcs, universe
@@ -238,7 +119,7 @@ KINDS = (
 
 def random_operator(kind, seed, language):
     rng = seeded(seed, kind)
-    subsets = _subsets(language)
+    every = subsets(language)
     if kind == "rules":
         return RuleOperator(random_system(rng, language))
     if kind == "union":
@@ -258,18 +139,18 @@ def random_operator(kind, seed, language):
     if kind in ("meet-trigger", "union-trigger"):  # a kernel operand beside one asked through apply
         system = random_system(rng, language)
         kernel = BoundedOperator(system, rng.randint(1, 3)) if rng.random() < 0.5 else RuleOperator(system)
-        adjoin = rng.choice((AdjoinIfContains, AdjoinIfIntersects))(rng.choice(subsets), rng.choice(subsets))
+        adjoin = rng.choice((AdjoinIfContains, AdjoinIfIntersects))(rng.choice(every), rng.choice(every))
         pair = [kernel, _ApplyOnly(adjoin) if rng.random() < 0.5 else adjoin]
         rng.shuffle(pair)
         return meet(pair) if kind == "meet-trigger" else cup_join(*pair)
     if kind == "table":
-        return TableOperator(language, {s: rng.choice(subsets) for s in subsets})
+        return TableOperator(language, {s: rng.choice(every) for s in every})
     if kind == "grow":  # extensive, otherwise arbitrary
-        return TableOperator(language, {s: s.union(rng.choice(subsets)) for s in subsets})
+        return TableOperator(language, {s: s.union(rng.choice(every)) for s in every})
     if rng.random() < 0.5:
         return from_closure_family(random_closure_family(rng, language), language)
     # not intersection-closed: the operator glues by intersection anyway
-    return from_closure_family(rng.sample(subsets, rng.randint(0, min(4, len(subsets)))) + [subsets[-1]], language)
+    return from_closure_family(rng.sample(every, rng.randint(0, min(4, len(every)))) + [every[-1]], language)
 
 
 operators = st.tuples(
@@ -284,7 +165,7 @@ def test_every_image_table_is_the_per_subset_apply(drawn):
     language = small_language(n)
     op = random_operator(kind, seed, language)
     table = tabulate(op, language)
-    for s in _subsets(language):
+    for s in subsets(language):
         assert table.apply(s) == op.apply(s)
 
 
@@ -295,7 +176,7 @@ def test_check_axioms_matches_the_full_submask_scan(drawn):
     language = small_language(n)
     op = random_operator(kind, seed, language)
     got = _outcome(check_axioms, op, language)
-    assert got == _outcome(oracle_check_axioms, op, language)
+    assert got == _outcome(lambda: axiom_report(apply_table(op, language), language))
 
 
 @settings(deadline=None, max_examples=150)
@@ -305,7 +186,7 @@ def test_closed_systems_match_the_image_scan(drawn):
     language = small_language(n)
     op = random_operator(kind, seed, language)
     got = _outcome(closed_systems, op, language)
-    assert got == _outcome(oracle_closed_systems, op, language)
+    assert got == _outcome(lambda: table_closed_systems(apply_table(op, language), language))
 
 
 @settings(deadline=None, max_examples=150)
@@ -314,11 +195,11 @@ def test_sup_w_matches_the_shared_fixed_points(drawn, n):
     language = small_language(n)
     ops = [random_operator(kind, seed, language) for kind, seed, _ in drawn]
     got = _outcome(lambda: sup_w(ops, language).closed_sets)
-    assert got == _outcome(oracle_sup_family, ops, language)
+    assert got == _outcome(lambda: sup_family([apply_table(op, language) for op in ops], language))
     if got[0] == "value":
         sup = sup_w(ops, language)
-        for s in _subsets(language):
-            assert sup.apply(s) == oracle_close_in_family(got[1], s)
+        for s in subsets(language):
+            assert sup.apply(s) == close_in_family(got[1], s)
 
 
 @settings(deadline=None, max_examples=150)
@@ -337,18 +218,13 @@ def test_leq_and_equal_ops_match_the_pointwise_loops(first, second):
 # step-bounded deduction
 
 
-def _random_hypotheses(rng, language):
-    elements = list(language.elements)
-    return FiniteSubset(language, tuple(rng.sample(elements, rng.randint(0, len(elements)))))
-
-
 @settings(deadline=None, max_examples=150)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(1, 6), st.integers(1, 4))
 def test_bounded_consequences_and_min_sizes_match_the_per_element_search(seed, n, steps):
     language = small_language(n)
     rng = seeded(seed, "bounded-oracle")
     system = random_system(rng, language)
-    hypotheses = _random_hypotheses(rng, language)
+    hypotheses = random_subset(rng, language)
     assert bounded_consequences(system, hypotheses, steps) == oracle_bounded(system, hypotheses, steps)
     insertable, arcs, _ = _step_grounding(system, hypotheses)
     for goal in language.elements:
@@ -363,7 +239,7 @@ def test_bounded_consequences_grow_with_steps_up_to_saturation(seed, n):
     language = small_language(n)
     rng = seeded(seed, "bounded-growth")
     system = random_system(rng, language, max_rules=4, max_tuples=5)
-    hypotheses = _random_hypotheses(rng, language)
+    hypotheses = random_subset(rng, language)
     closure = saturate(system, hypotheses).closure
     universe = len(_step_grounding(system, hypotheses)[2])
     previous = FiniteSubset.empty(language)
@@ -435,7 +311,7 @@ def test_mask_paths_over_an_enumerated_language(seed, steps):
     hypotheses = FiniteSubset(language, tuple(Element(f"f{i}") for i in picked))
     result = saturate(system, hypotheses)
     closure = result.closure
-    oracle_closure, oracle_witnesses = _round_scan_saturate(system, hypotheses)
+    oracle_closure, oracle_witnesses = round_scan_saturate(system, hypotheses)
     assert (closure, [(e, w.render()) for e, w in result.witnesses.items()]) == (
         oracle_closure,
         [(e, w.render()) for e, w in oracle_witnesses.items()],
@@ -557,28 +433,6 @@ def test_each_query_grounds_its_system_once(monkeypatch, capsys, query):
 # closed-mask bitsets against the image tables
 
 
-def _family_of(language, masks):
-    return _family_sorted(FiniteSubset._of_mask(language, m) for m in masks)
-
-
-def table_closed_systems(table, language):
-    """The fixed points of one image table, refused as `closed_systems`
-    refuses a table that is not idempotent or does not fix the top."""
-    for image in table:
-        if table[image] != image:
-            raise UsageError(
-                f"{FiniteSubset._of_mask(language, image)} is an image but not a fixed point; "
-                "the operator is not idempotent"
-            )
-    if table[-1] != len(table) - 1:
-        raise UsageError("the whole language is not closed; not a consequence operator")
-    return _family_of(language, [x for x, image in enumerate(table) if image == x])
-
-
-def table_shared_fixed_points(tables, language):
-    return _family_of(language, [x for x in range(len(tables[0])) if all(t[x] == x for t in tables)])
-
-
 # Operators with a closed-mask bitset first: rule operators, sups (one
 # with a step-bounded operand) and closure families from the constructor,
 # intersection-closed or not.  Then a step-bounded operator, read from
@@ -629,10 +483,10 @@ def test_closed_mask_bitsets_answer_as_the_image_tables_do(first_kind, second_ki
             assert closed == sum(1 << x for x, image in enumerate(table) if image == x)
         got = _outcome(lambda: closed_systems(op, language, bound=n))
         assert got == _outcome(table_closed_systems, table, language)
-    assert sup.closed_sets == table_shared_fixed_points(tables[:2], language)
+    assert sup.closed_sets == sup_family(tables[:2], language)
     for i, j in ((0, 1), (1, 0), (0, 2), (0, 3), (3, 0), (1, 3), (3, 1)):
         x, y = ops[i], ops[j]
-        assert leq(x, y, language, bound=n) == (not any(a & ~b for a, b in zip(tables[i], tables[j])))
+        assert leq(x, y, language, bound=n) == table_leq(tables[i], tables[j])
         assert equal_ops(x, y, language, bound=n) == (tables[i] == tables[j])
 
 

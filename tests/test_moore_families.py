@@ -7,7 +7,13 @@ force, as frozensets of element indices, and every closure operator on
 at most 3 elements is built three ways (from its family, as the rule
 system that replays it, and as a frozen image table), so closed-set,
 sup and order queries are checked on the closed-mask and table paths
-against the set definitions: F, F ⊆ G, F = G and F ∩ G.
+against the set definitions: F, F ⊆ G, F = G and F ∩ G.  Every pair of
+them also goes through `meet` and `cup_join`, against the pointwise
+intersection and union of their images and the literal closure axioms,
+and every pair of one operator's closed sets through `join_uplus` and
+`meet_cap`, against the least closed superset and the intersection.
+The 2480 closure operators on 4 elements are checked one at a time, and
+all 256 operators of any kind on 2 elements against the literal axioms.
 
 A family that is not closed under intersection, given to
 `from_closure_family` or shared by the operands of a `sup_w`, must read
@@ -16,25 +22,32 @@ points.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conseq.csystems import closed_systems
+from conseq.csystems import closed_systems, join_uplus, meet_cap
 from conseq.language import FiniteSubset
 from conseq.operators import (
+    AxiomCounterexample,
     RuleOperator,
     TableOperator,
     canonical_system,
+    check_axioms,
+    counterexample_reproduces,
+    cup_join,
     equal_ops,
     from_closure_family,
     leq,
+    meet,
     sup_w,
     tabulate,
 )
 from conseq.sampling import small_language
+
+from reference import apply_table, axiom_report, family_sorted, literal_axioms, moore_closure, subsets
 
 # Moore families on 1, 2 and 3 elements (OEIS A102896).  An explicit
 # language needs at least one element, so the one family on 0 elements
@@ -44,17 +57,6 @@ MOORE_COUNTS = {1: 2, 2: 7, 3: 61}
 
 def _all_index_sets(n):
     return [frozenset(s) for k in range(n + 1) for s in combinations(range(n), k)]
-
-
-def _moore_closure(family):
-    """The pairwise fixpoint: add the intersection of any two members
-    until nothing new appears."""
-    family = set(family)
-    while True:
-        both = {x & y for x in family for y in family}
-        if both <= family:
-            return frozenset(family)
-        family |= both
 
 
 def _families_holding_the_top(n):
@@ -67,7 +69,8 @@ def _families_holding_the_top(n):
 
 
 def _moore_families(n):
-    return [f for f in _families_holding_the_top(n) if _moore_closure(f) == f]
+    """The families holding the top that are closed under intersection."""
+    return [f for f in _families_holding_the_top(n) if all(x & y in f for x in f for y in f)]
 
 
 def _subset(language, indices):
@@ -75,10 +78,8 @@ def _subset(language, indices):
 
 
 def _listed(language, family):
-    """`family` as subsets in the library's order: by size, then member
-    by member."""
-    subsets = (_subset(language, s) for s in family)
-    return tuple(sorted(subsets, key=lambda s: (len(s.members), s.members)))
+    """`family` as subsets in the library's order."""
+    return family_sorted(_subset(language, s) for s in family)
 
 
 def _indices(language, subset):
@@ -125,7 +126,7 @@ def test_every_family_on_three_elements_reads_back_as_its_fixed_points():
     assert len(families) == 2 ** 7
     every, top = [_subset(language, x) for x in _all_index_sets(3)], _subset(language, range(3))
     for family in families:
-        moore = _moore_closure(family)
+        moore = moore_closure(family)
         op = from_closure_family([_subset(language, s) for s in family], language)
         assert op.closed_sets == closed_systems(op, language) == _listed(language, moore)
         assert _fixed_index_sets(op, language) == moore
@@ -153,7 +154,7 @@ def test_families_and_sups_of_tables_read_back_as_their_fixed_points(n, seed, co
 
     given_family = random_family()
     op = from_closure_family([_subset(language, s) for s in given_family], language)
-    moore = _moore_closure(given_family)
+    moore = moore_closure(given_family)
     assert op.closed_sets == closed_systems(op, language, bound=n) == _listed(language, moore)
     assert _fixed_index_sets(op, language) == moore
 
@@ -168,7 +169,57 @@ def test_families_and_sups_of_tables_read_back_as_their_fixed_points(n, seed, co
         tables.append(TableOperator(language, table))
         shared &= fixed
     sup = sup_w(tables, language, bound=n)
-    moore = _moore_closure(shared)
+    moore = moore_closure(shared)
     assert sup.closed_sets == closed_systems(sup, language, bound=n) == _listed(language, moore)
     assert _fixed_index_sets(sup, language) == moore
     assert equal_ops(sup, from_closure_family(sup.closed_sets, language), language, bound=n)
+
+
+def test_every_pair_of_closure_operators_on_three_elements_meets_and_joins_pointwise():
+    language = small_language(3)
+    ops = [_representations(f, language) for f in _moore_families(3)]
+    for k, (f_ops, g_ops) in enumerate(product(ops, repeat=2)):
+        # one mix of the three paths per pair, in turn
+        first, second = f_ops[k % 3], g_ops[k // 3 % 3]
+        f_table, g_table = apply_table(first, language), apply_table(second, language)
+        for combined, table in (
+            (meet([first, second]), [a & b for a, b in zip(f_table, g_table)]),
+            (cup_join(first, second), [a | b for a, b in zip(f_table, g_table)]),
+        ):
+            assert apply_table(tabulate(combined, language), language) == table
+            assert check_axioms(combined, language) == axiom_report(table, language)
+
+
+def test_every_pair_of_closed_sets_joins_to_its_least_closed_superset_and_meets_to_its_intersection():
+    language = small_language(3)
+    for family in _moore_families(3):
+        for op in _representations(family, language):
+            for x, y in product(family, repeat=2):
+                least = frozenset.intersection(*(m for m in family if x | y <= m))
+                left, right = _subset(language, x), _subset(language, y)
+                assert join_uplus(op, left, right) == _subset(language, least)
+                assert meet_cap(op, left, right) == _subset(language, x & y)
+
+
+def test_every_closure_operator_on_four_elements_answers_by_its_closed_sets():
+    language = small_language(4)
+    families = _moore_families(4)
+    assert len(families) == 2480
+    for family in families:
+        op = from_closure_family([_subset(language, s) for s in family], language)
+        assert closed_systems(op, language) == _listed(language, family)
+        assert check_axioms(op, language) == axiom_report(apply_table(op, language), language)
+        assert equal_ops(RuleOperator(canonical_system(op, language)), op, language)
+
+
+def test_every_operator_on_two_elements_meets_the_literal_axioms():
+    language = small_language(2)
+    every = subsets(language)
+    tables = list(product(range(4), repeat=4))
+    assert len(tables) == 256
+    for out in tables:
+        op = TableOperator(language, {s: every[image] for s, image in zip(every, out)})
+        assert check_axioms(op, language) == axiom_report(out, language)
+        for axiom, masks in literal_axioms(out, 2).items():
+            if masks is not None:
+                assert counterexample_reproduces(op, AxiomCounterexample(axiom, tuple(every[m] for m in masks)))

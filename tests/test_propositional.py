@@ -43,7 +43,6 @@ from conseq.propositional import (
     pd_system,
     query,
     query_pool,
-    saturate_pool,
     subformula_closure,
     subformulas,
     wff_element,
@@ -52,6 +51,8 @@ from conseq.propositional import (
 )
 from conseq.language import Element
 from conseq.rules import RuleSystem, UnaryRule
+
+from reference import oracle_axioms, r1_shape, r2_shape, r3_shape, search_pool
 
 ROOT = Path(__file__).resolve().parent.parent
 P0, P1, P2 = Atom(0), Atom(1), Atom(2)
@@ -328,67 +329,6 @@ def test_h_transform_erases_negations():
 # schemata
 
 
-# The axiom schemata as first written, the oracle for the variant table:
-# each schema names the shapes it draws instances from and the filter they
-# must pass, and its instances in a pool are recognized by matching every
-# pool formula against those shapes.
-
-R1 = Schema("r1")
-R2 = Schema("r2")
-R3 = Schema("r3")
-R3_POSITIVE = Schema("r3-positive")
-
-
-def axioms_without_atom0(m):
-    """Axiom instances that avoid atom 0 entirely, plus the single
-    bridge axiom of index m."""
-    if m < 1:
-        raise UsageError("the bridge index starts at 1")
-    return Schema("axioms-without-atom0", m)
-
-
-_AXIOM_SCHEMATA = {
-    "r1": (("r1",), None),
-    "r2": (("r2",), None),
-    "r3": (("r3",), None),
-    "r3-positive": (("r3",), lambda w: is_tautology(h_transform(w))),
-    "axioms-without-atom0": (("r1", "r2", "r3"), lambda w: 0 not in atoms(w)),
-}
-
-
-def _axiom_instances(schema, instances, pool):
-    """The instances of an axiom schema in the pool, given each shape's
-    instances in it; axioms_without_atom0 adds its bridge axiom when the
-    pool holds it."""
-    kinds, keep = _AXIOM_SCHEMATA[schema.kind]
-    found = {w for kind in kinds for w in instances[kind] if keep is None or keep(w)}
-    if schema.kind == "axioms-without-atom0" and bridge_axiom(schema.index) in pool:
-        found.add(bridge_axiom(schema.index))
-    return found
-
-
-def instantiate_axiom_schema(schema, pool):
-    """All instances of an axiom schema in the pool, as 1-tuples."""
-    shapes, match = conseq.propositional._SHAPES, conseq.propositional._match
-    kinds = _AXIOM_SCHEMATA[schema.kind][0]
-    instances = {kind: [w for w in pool if match(shapes[kind], w, {})] for kind in kinds}
-    return frozenset((w,) for w in _axiom_instances(schema, instances, pool))
-
-
-def oracle_axioms(variant, pool, n):
-    """The axioms of `pd_system(variant, pool, n=n)` as first written."""
-    if variant == "missing-atom":
-        schemata = (axioms_without_atom0(n),)
-    elif variant == "positive":
-        schemata = (R1, R2, R3_POSITIVE)
-    else:
-        schemata = (R1, R2, R3)
-    found = {w for schema in schemata for (w,) in instantiate_axiom_schema(schema, frozenset(pool))}
-    if variant == "positive" and bridge_axiom(n) in pool:
-        found.add(bridge_axiom(n))
-    return found
-
-
 def axiom_wffs(system):
     return {element_wff(e) for e in system.rule("axioms").axioms}
 
@@ -404,14 +344,14 @@ def test_axiom_schema_instantiation():
     )
     r3 = Impl(Impl(Neg(P0), Neg(P1)), Impl(P1, P0))
     pool = frozenset({r1, r2, r3, P0, P1, Impl(P0, P1)})
-    assert instantiate_axiom_schema(R1, pool) == frozenset({(r1,)})
-    assert instantiate_axiom_schema(R2, pool) == frozenset({(r2,)})
-    assert instantiate_axiom_schema(R3, pool) == frozenset({(r3,)})
+    assert {w for w in pool if r1_shape(w)} == {r1}
+    assert {w for w in pool if r2_shape(w)} == {r2}
+    assert {w for w in pool if r3_shape(w)} == {r3}
     # r3's negation-erased transform is not a tautology, so the
     # positive schema rejects it
-    assert instantiate_axiom_schema(R3_POSITIVE, pool) == frozenset()
+    assert {w for w in pool if r3_shape(w) and is_tautology(h_transform(w))} == set()
     taut_r3 = Impl(Impl(Neg(P0), Neg(P0)), Impl(P0, P0))
-    assert instantiate_axiom_schema(R3_POSITIVE, pool | {taut_r3}) == frozenset({(taut_r3,)})
+    assert {w for w in pool | {taut_r3} if r3_shape(w) and is_tautology(h_transform(w))} == {taut_r3}
     # the variants' axiom sets recognize the same instances in a closed
     # pool (r3 is the bridge axiom of index 1, so index 2 leaves it out)
     closed = _closed(r1, r2, r3)
@@ -489,10 +429,10 @@ def test_axioms_without_atom0_keep_only_the_bridge():
         {with_zero, without_zero, bridge_axiom(2)}
         | subformulas(bridge_axiom(2))
     )
-    kept = {w for (w,) in instantiate_axiom_schema(axioms_without_atom0(2), pool)}
+    kept = oracle_axioms("missing-atom", pool, 2)
     assert kept == {without_zero, bridge_axiom(2)}
     # a bridge of a different index is just an R3 instance with atom 0
-    kept1 = {w for (w,) in instantiate_axiom_schema(axioms_without_atom0(1), pool)}
+    kept1 = oracle_axioms("missing-atom", pool, 1)
     assert kept1 == {without_zero}
     # and so is it for the missing-atom variant over the closed pool
     closed = _closed(*pool)
@@ -506,7 +446,7 @@ def test_schema_index_validation():
     with pytest.raises(UsageError):
         mp_restricted(0)
     with pytest.raises(UsageError):
-        axioms_without_atom0(0)
+        oracle_axioms("missing-atom", (P0,), 0)
     with pytest.raises(UsageError, match="needs an index n >= 1"):
         pd_system("missing-atom", (P0,), n=0)
     with pytest.raises(UsageError):
@@ -662,11 +602,10 @@ def test_closure_records_the_instances_recognition_finds(seeds, size_cap, max_po
         pool = subformula_closure(seeds, size_cap, max_pool=max_pool)
     except UsageError:
         return
-    members = frozenset(pool)
-    for schema in (R1, R2, R3):
-        recorded = pool.instances[schema.kind]
+    for kind, shape in (("r1", r1_shape), ("r2", r2_shape), ("r3", r3_shape)):
+        recorded = pool.instances[kind]
         assert len(set(recorded)) == len(recorded)
-        assert {(w,) for w in recorded} == instantiate_axiom_schema(schema, members)
+        assert set(recorded) == {w for w in pool if shape(w)}
     # the closure's record and recognition over a plain tuple ground the same system
     for variant in VARIANTS:
         for n in [None] if variant == "standard" else [1, 2]:
@@ -823,53 +762,11 @@ def test_bridge_derivation_needs_five_steps():
         assert min_derivation_size(system, hyp, wff_element(P0), cap=7) == 5
 
 
-# pd_system as first written: per-variant axiom filters held inline,
-# detachment instantiated by parsing each element's name back into its
-# formula, and closure checked against every formula's full subformula
-# set.  These oracles state each part from its definition.
-
-
-def _r1_shape(w):
-    # X -> (Y -> X)
-    return isinstance(w, Impl) and isinstance(w.consequent, Impl) and w.consequent.consequent == w.antecedent
-
-
-def _r2_shape(w):
-    # (X -> (Y -> Z)) -> ((X -> Y) -> (X -> Z))
-    if not (isinstance(w, Impl) and isinstance(w.antecedent, Impl)):
-        return False
-    if not isinstance(w.antecedent.consequent, Impl):
-        return False
-    x, y, z = w.antecedent.antecedent, w.antecedent.consequent.antecedent, w.antecedent.consequent.consequent
-    return w.consequent == Impl(Impl(x, y), Impl(x, z))
-
-
-def _r3_shape(w):
-    # (~X -> ~Y) -> (Y -> X)
-    if not (isinstance(w, Impl) and isinstance(w.antecedent, Impl)):
-        return False
-    nx, ny = w.antecedent.antecedent, w.antecedent.consequent
-    return isinstance(nx, Neg) and isinstance(ny, Neg) and w.consequent == Impl(ny.operand, nx.operand)
-
-
-def _inline_axioms(variant, pool_set, n):
-    if variant in ("standard", "restricted-mp"):
-        return {w for w in pool_set if _r1_shape(w) or _r2_shape(w) or _r3_shape(w)}
-    if variant == "missing-atom":
-        kept = {
-            w
-            for w in pool_set
-            if (_r1_shape(w) or _r2_shape(w) or _r3_shape(w)) and 0 not in atoms(w)
-        }
-    else:  # positive
-        kept = {
-            w
-            for w in pool_set
-            if _r1_shape(w) or _r2_shape(w) or (_r3_shape(w) and is_tautology(h_transform(w)))
-        }
-    if bridge_axiom(n) in pool_set:
-        kept.add(bridge_axiom(n))
-    return kept
+# pd_system as first written: the axioms filtered per variant on the
+# shapes (`oracle_axioms`), detachment instantiated by parsing each
+# element's name back into its formula, and closure checked against every
+# formula's full subformula set.  These oracles state each part from its
+# definition.
 
 
 def _parsed_detachment(variant, n, pool_elements):
@@ -922,7 +819,7 @@ def test_pd_system_matches_its_definitional_oracles(seeds, size_cap, variant, n,
         return
     system = pd_system(variant, pool, n=None if variant == "standard" else n)
     assert {e.name for e in system.rule("axioms").axioms} == {
-        _printed(w) for w in _inline_axioms(variant, frozenset(pool), n)
+        _printed(w) for w in oracle_axioms(variant, pool, n)
     }
     tuples = system.rule("mp").tuples
     assert set(tuples) == _parsed_detachment(variant, n, frozenset(system.language.elements))
@@ -989,12 +886,6 @@ def test_pd_system_neither_parses_nor_collects_subformulas(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # certificates
-
-
-def search_pool(variant, hypotheses, goal, *, n=None, size_cap=22, max_pool=400):
-    """The query's saturation, with no truth table tried first."""
-    pool = query_pool(variant, hypotheses, goal, n=n, size_cap=size_cap, max_pool=max_pool)
-    return saturate_pool(variant, pool, hypotheses, n=n)
 
 
 def test_certificate_semantic_route():

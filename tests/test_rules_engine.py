@@ -34,7 +34,6 @@ from conseq.language import (
 )
 from conseq.operators import (
     RuleOperator,
-    TableOperator,
     canonical_system,
     check_axioms,
     equal_ops,
@@ -50,6 +49,14 @@ from conseq.rules import (
 )
 from conseq.sampling import random_closure_family, random_system, seeded, small_language
 
+from reference import (
+    moore_closure,
+    oracle_min_steps,
+    random_table_operator,
+    replay_oracle,
+    round_scan_saturate,
+)
+
 
 def _pairwise_closure_family(rng, language, *, max_generators=4):
     """The definitional `random_closure_family`: draw every generator,
@@ -59,16 +66,8 @@ def _pairwise_closure_family(rng, language, *, max_generators=4):
     masks = {(1 << n) - 1}
     for _ in range(rng.randint(0, max_generators)):
         masks.add(rng.randrange(1 << n))
-    grew = True
-    while grew:
-        grew = False
-        for a in list(masks):
-            for b in list(masks):
-                if (a & b) not in masks:
-                    masks.add(a & b)
-                    grew = True
     subsets = []
-    for mask in sorted(masks, key=lambda m: (bin(m).count("1"), m)):
+    for mask in sorted(moore_closure(masks), key=lambda m: (bin(m).count("1"), m)):
         members = tuple(elements[i] for i in range(n) if (mask >> i) & 1)
         subsets.append(FiniteSubset(language, members))
     return tuple(subsets)
@@ -88,23 +87,6 @@ def test_random_closure_family_matches_the_pairwise_fixpoint():
                 assert got == expected, (n, max_generators, seed)
 
 
-def random_operator_table(rng, language):
-    """A total table for a random consequence operator, built by closing
-    each subset within a random intersection-closed family."""
-    family = random_closure_family(rng, language)
-    table = {}
-    elements = list(language.elements)
-    n = len(elements)
-    for mask in range(1 << n):
-        members = frozenset(elements[i] for i in range(n) if (mask >> i) & 1)
-        closed = [frozenset(s.members) for s in family if members <= frozenset(s.members)]
-        image = frozenset(language.elements)
-        for c in closed:
-            image &= c
-        table[members] = image
-    return table
-
-
 def _el(*names):
     return tuple(Element(n) for n in names)
 
@@ -119,40 +101,6 @@ def step_system():
         LANG4,
         (TupleRule("to-a", 3, ((X1, X2, A),)), TupleRule("to-b", 2, ((A, B),))),
     )
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle: enumerate literal step sequences
-
-
-def oracle_min_steps(system, hypotheses, goal, cap):
-    """Try every numbered deduction of length <= cap, smallest first."""
-    insertable = set(hypotheses.members)
-    for rule in system.rules:
-        if isinstance(rule, UnaryRule):
-            insertable |= set(rule.axioms.members)
-    tuples = [
-        t
-        for rule in system.rules
-        if isinstance(rule, TupleRule)
-        for t in rule.tuples
-    ]
-
-    def extend(done, depth):
-        if goal in done:
-            return True
-        if depth == 0:
-            return False
-        options = set(insertable)
-        for t in tuples:
-            if all(p in done for p in t[:-1]):
-                options.add(t[-1])
-        return any(extend(done + (o,), depth - 1) for o in options)
-
-    for size in range(1, cap + 1):
-        if extend((), size):
-            return size
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -348,83 +296,13 @@ def test_saturation_witnesses_always_verify(seed, mask):
 
 
 # ---------------------------------------------------------------------------
-# round-scan oracle: the definitional saturation loop with eager witnesses
-
-
-def _replay_oracle(goal, justification, order):
-    """`engine._replay` as first written: walk the support, copy `order`
-    (every derived element, in step order) filtered to it, number that
-    copy, then build each step through its dataclass constructor."""
-    support = set()
-    stack = [goal]
-    while stack:
-        e = stack.pop()
-        if e in support:
-            continue
-        support.add(e)
-        j = justification[e]
-        if j[0] == "apply":
-            stack.extend(j[2])
-    ordered = [e for e in order if e in support]
-    step_no = {e: i for i, e in enumerate(ordered, start=1)}
-    steps = []
-    for e in ordered:
-        j = justification[e]
-        if j[0] == "hyp":
-            steps.append(Insert(e))
-        elif j[0] == "axiom":
-            steps.append(Insert(e, j[1]))
-        else:
-            steps.append(Apply(j[1], tuple(step_no[p] for p in j[2]), e))
-    return Derivation(tuple(steps))
-
-
-def _oracle_ground(system, hypotheses):
-    """The insertable elements with their justifications (hypotheses in
-    sorted order, then the other axioms in rule order) and every tuple
-    rule's (rule id, tuples), in system order."""
-    insertable = {e: ("hyp",) for e in hypotheses}
-    grounded = []
-    for rule in system.rules:
-        if isinstance(rule, UnaryRule):
-            for e in rule.axioms:
-                insertable.setdefault(e, ("axiom", rule.rule_id))
-        else:
-            grounded.append((rule.rule_id, rule.tuples))
-    return insertable, grounded
-
-
-def _round_scan_saturate(system, hypotheses):
-    """Every round scans every grounded tuple in rule, then tuple order;
-    a tuple fires when its conclusion is new, all its premises are
-    present and one of them was derived in the previous round.  Every
-    witness is replayed eagerly.  Returns (closure, witnesses dict)."""
-    insertable, grounded = _oracle_ground(system, hypotheses)
-    justification = dict(insertable)
-    sequence = list(insertable)
-    derived = set(sequence)
-    frontier = set(sequence)
-    while frontier:
-        fresh = []
-        for rule_id, tuples in grounded:
-            for t in tuples:
-                conclusion = t[-1]
-                if conclusion in derived:
-                    continue
-                premises = t[:-1]
-                if all(p in derived for p in premises) and any(p in frontier for p in premises):
-                    derived.add(conclusion)
-                    justification[conclusion] = ("apply", rule_id, premises)
-                    sequence.append(conclusion)
-                    fresh.append(conclusion)
-        frontier = set(fresh)
-    witnesses = {e: _replay_oracle(e, justification, sequence) for e in sequence}
-    return FiniteSubset(system.language, tuple(sequence)), witnesses
+# saturation against the round-scan oracle, the definitional loop with
+# eager witnesses
 
 
 def _assert_matches_oracle(system, hypotheses):
     result = saturate(system, hypotheses)
-    closure, witnesses = _round_scan_saturate(system, hypotheses)
+    closure, witnesses = round_scan_saturate(system, hypotheses)
     assert result.closure == closure
     assert list(result.witnesses) == list(witnesses)
     for element, witness in witnesses.items():
@@ -530,7 +408,7 @@ def test_replayed_witnesses_match_the_constructor_built_oracle(seed, size, mask)
     )
     witnesses = saturate(system, hypotheses).witnesses
     for element, witness in witnesses.items():
-        expected = _replay_oracle(element, witnesses._justification, witnesses._justification)
+        expected = replay_oracle(element, witnesses._justification, witnesses._justification)
         assert [(type(s), vars(s)) for s in witness.steps] == [
             (type(s), vars(s)) for s in expected.steps
         ]
@@ -711,20 +589,9 @@ def test_bounded_consequences_equals_saturation_past_universe_size():
 # canonical systems and premise permutation
 
 
-def _random_table_operator(seed, language):
-    table = random_operator_table(seeded(seed, "table"), language)
-    return TableOperator(
-        language,
-        {
-            FiniteSubset(language, tuple(k)): FiniteSubset(language, tuple(v))
-            for k, v in table.items()
-        },
-    )
-
-
 def test_canonical_system_replays_the_operator():
     language = small_language(3)
-    op = _random_table_operator(7, language)
+    op = random_table_operator(seeded(7, "table"), language)
     system = canonical_system(op, language)
     assert equal_ops(RuleOperator(system), op, language)
     assert system.rule("axioms").axioms == op.apply(FiniteSubset.empty(language))
@@ -754,7 +621,7 @@ def test_canonical_system_refuses_non_closure_operators():
 
 def test_permute_premises_changes_structure_not_behavior():
     language = small_language(4)
-    op = _random_table_operator(19, language)
+    op = random_table_operator(seeded(19, "table"), language)
     system = canonical_system(op, language)
     seen = set()
     for permutation in itertools.permutations(range(4)):

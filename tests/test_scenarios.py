@@ -1,6 +1,10 @@
 """The scenario registry: every named demonstration passes, and the
 reports are deterministic regression fixtures."""
 
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +13,7 @@ from conseq.errors import UsageError
 from conseq.scenarios import Assertion, ScenarioReport, run_scenario, scenario_ids
 
 GOLDEN = Path(__file__).parent / "data" / "golden" / "scenarios"
+ROOT = Path(__file__).parent.parent
 
 EXPECTED_IDS = (
     "2.1-axioms",
@@ -32,15 +37,38 @@ def test_registry_contents():
     assert scenario_ids() == EXPECTED_IDS
 
 
-@pytest.mark.parametrize("scenario_id", EXPECTED_IDS)
-def test_every_scenario_passes_at_defaults(scenario_id):
-    report = run_scenario(scenario_id, seed=0)
+# Seeds 1-3 give the seed-0 reports too; the seed-0 cases keep their bare ids.
+@pytest.mark.parametrize(
+    "scenario_id, seed",
+    [
+        pytest.param(scenario_id, seed, id=scenario_id if seed == 0 else f"{scenario_id}-seed{seed}")
+        for seed in range(4)
+        for scenario_id in EXPECTED_IDS
+    ],
+)
+def test_every_scenario_passes_at_defaults(scenario_id, seed):
+    report = run_scenario(scenario_id, seed=seed)
     assert report.scenario_id == scenario_id
     assert report.assertions, "a scenario must assert something"
     assert report.passed, report.render()
     assert report.render().endswith(f"SCENARIO {scenario_id}: PASS")
     # recorded by scripts/record_golden.py
     assert report.render() + "\n" == (GOLDEN / f"{scenario_id}.txt").read_text(encoding="utf-8")
+
+
+def test_the_random_sweep_prints_its_golden_summary():
+    done = subprocess.run(
+        [sys.executable, "scripts/random_sweep.py", "--trials", "60", "--seed", "3"],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    # recorded by scripts/record_golden.py, the time masked as CI masks it
+    summary = re.sub(r" in [0-9]*\.[0-9]*s:", " in X.XXs:", done.stdout)
+    assert summary == (GOLDEN.parent / "random_sweep.txt").read_text(encoding="utf-8")
 
 
 def test_reports_are_deterministic():
