@@ -13,13 +13,14 @@ import argparse
 import sys
 import time
 
-from conseq.csystems import closed_systems, join_uplus
 from conseq.engine import union_systems
 from conseq.operators import (
     RuleOperator,
     check_axioms,
+    closed_systems,
     equal_ops,
     from_closure_family,
+    join_uplus,
     sup_w,
 )
 from conseq.sampling import random_system, seeded, small_language

@@ -211,17 +211,21 @@ def _min_steps(insertable: int, arcs: list[tuple[int, int]], goal: int, cap: int
     step that does not feed the goal, so its steps are a set of
     goal-relevant elements built one derivable element at a time;
     breadth-first search over those sets, held as masks, is exact.
+    The relevant elements (the goal and the premises of each arc that
+    concludes one) are found backward from the goal, each arc read once.
     """
-    relevant = goal
-    grew = True
-    while grew:
-        grew = False
-        for premises, conclusion in arcs:
-            if conclusion & relevant and premises & ~relevant:
-                relevant |= premises
-                grew = True
+    premises_of: dict[int, list[int]] = {}
+    for premises, conclusion in arcs:
+        premises_of.setdefault(conclusion, []).append(premises)
+    relevant, todo, arcs = goal, goal, []
+    while todo:
+        conclusion = todo & -todo
+        todo ^= conclusion
+        for premises in premises_of.get(conclusion, ()):
+            arcs.append((premises, conclusion))
+            todo |= premises & ~relevant
+            relevant |= premises
     insertable &= relevant
-    arcs = [(p, c) for p, c in arcs if c & relevant]
 
     frontier = {0}
     visited = {0}

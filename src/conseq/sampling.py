@@ -1,4 +1,4 @@
-"""Seeded random generators for rule systems and closure families.
+"""Seeded random generators for rule systems and closure-family operators.
 
 Everything here is deterministic in the seed, so randomized checks in
 the scenario registry and the test suite replay exactly.
@@ -10,6 +10,7 @@ import random
 
 from .errors import UsageError
 from .language import Element, ExplicitLanguage, FiniteSubset, intersection_closure
+from .operators import ClosureFamilyOperator
 from .rules import Rule, RuleSystem, TupleRule, UnaryRule
 
 
@@ -25,7 +26,6 @@ def random_system(
     *,
     max_rules: int = 3,
     max_tuples: int = 4,
-    max_arity: int = 3,
     axiom_chance: float = 0.7,
 ) -> RuleSystem:
     """A random system: maybe a unary axiom rule, then a few tuple rules."""
@@ -36,28 +36,22 @@ def random_system(
         members = tuple(rng.sample(elements, count))
         rules.append(UnaryRule("ax", FiniteSubset(language, members)))
     for i in range(rng.randint(1, max_rules)):
-        arity = rng.randint(2, max_arity)
-        tuples = []
-        for _ in range(rng.randint(1, max_tuples)):
-            tuples.append(tuple(rng.choice(elements) for _ in range(arity)))
-        rules.append(TupleRule(f"r{i}", arity, tuple(dict.fromkeys(tuples))))
+        arity = rng.randint(2, 3)
+        count = rng.randint(1, max_tuples)
+        tuples = tuple(tuple(rng.choice(elements) for _ in range(arity)) for _ in range(count))
+        rules.append(TupleRule(f"r{i}", arity, tuples))
     return RuleSystem("random", language, tuple(rules))
 
 
 def random_closure_family(
     rng: random.Random, language: ExplicitLanguage, *, max_generators: int = 4
-) -> tuple[FiniteSubset, ...]:
-    """Random subsets, closed under intersection, always containing the
-    whole language — the closed sets of some consequence operator."""
-    elements = list(language.elements)
-    n = len(elements)
+) -> ClosureFamilyOperator:
+    """The closure-family operator of the whole language and a few random subsets."""
+    n = len(language.elements)
     generators = [rng.randrange(1 << n) for _ in range(rng.randint(0, max_generators))]
     masks = intersection_closure([(1 << n) - 1, *generators])
-    subsets = []
-    for mask in sorted(masks, key=lambda m: (bin(m).count("1"), m)):
-        members = tuple(elements[i] for i in range(n) if (mask >> i) & 1)
-        subsets.append(FiniteSubset(language, members))
-    return tuple(subsets)
+    refusal = "a closure family must contain the whole language"
+    return ClosureFamilyOperator._of_masks(language, masks, refusal)
 
 
 def seeded(seed: int, stream: str) -> random.Random:

@@ -503,7 +503,7 @@ def _scenario_canonical_permutations(seed: int, trials: int) -> list[Assertion]:
     mismatches = 0
     op = None
     for _ in range(trials):
-        op = tabulate(from_closure_family(random_closure_family(rng, language), language), language)
+        op = tabulate(random_closure_family(rng, language), language)
         system = canonical_system(op, language)
         if not equal_ops(RuleOperator(system), op, language):
             mismatches += 1
@@ -565,7 +565,7 @@ def _scenario_closed_set_lattice(seed: int, trials: int) -> list[Assertion]:
     meet_mismatches = 0
     recovery_failures = 0
     for _ in range(trials):
-        op = tabulate(from_closure_family(random_closure_family(rng, language), language), language)
+        op = tabulate(random_closure_family(rng, language), language)
         family = closed_systems(op, language)
         members = list(family)
         member_sets = {frozenset(m.members) for m in members}

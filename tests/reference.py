@@ -108,7 +108,7 @@ def close_in_family(family, subset):
 def random_table_operator(rng, language):
     """A random consequence operator as a table: each subset closed within
     one `random_closure_family`, the only draws made."""
-    family = random_closure_family(rng, language)
+    family = random_closure_family(rng, language).closed_sets
     return TableOperator(language, {s: close_in_family(family, s) for s in subsets(language)})
 
 

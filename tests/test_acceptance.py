@@ -7,7 +7,6 @@ FAIL line is always followed by the assertion failure that explains it.
 
 import itertools
 
-from conseq.csystems import closed_systems, join_uplus, meet_cap
 from conseq.engine import (
     check_derivation,
     intersect_rulewise,
@@ -33,10 +32,13 @@ from conseq.operators import (
     RuleOperator,
     canonical_system,
     check_axioms,
+    closed_systems,
     cup_join,
     equal_ops,
     from_closure_family,
+    join_uplus,
     meet,
+    meet_cap,
     overlap_trigger_system,
     prefix_adjoin_family,
     sup_w,

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conseq.csystems import closed_systems, join_uplus, meet_cap
 from conseq.errors import UsageError
 from conseq.fileformat import loads_system
 from conseq.language import Element, ExplicitLanguage, FiniteSubset, all_subsets
@@ -13,8 +12,11 @@ from conseq.operators import (
     Identity,
     RuleOperator,
     Unit,
+    closed_systems,
     equal_ops,
     from_closure_family,
+    join_uplus,
+    meet_cap,
     sup_w,
 )
 from conseq.rules import RuleSystem, TupleRule
@@ -155,7 +157,7 @@ def test_family_is_the_tuple_sup_w_gives(kind, seed, n):
     if kind == "rules":
         op = RuleOperator(random_system(rng, language))
     else:
-        op = from_closure_family(random_closure_family(rng, language), language)
+        op = random_closure_family(rng, language)
     family = closed_systems(op, language)
     assert type(family) is tuple
     assert family == sup_w([op], language).closed_sets

@@ -18,9 +18,9 @@ ORDER = (
     "rules",
     "engine",
     "fileformat",
-    "sampling",
     "operators",
     "csystems",
+    "sampling",
     "propositional",
     "scenarios",
     "cli",

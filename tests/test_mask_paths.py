@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from conseq import rules
 from conseq.cli import main
-from conseq.csystems import closed_systems
 from conseq.engine import bounded_consequences, min_derivation_size, saturate, union_systems
 from conseq.errors import DomainError, UsageError
 from conseq.fileformat import load_system, loads_system
@@ -40,6 +39,7 @@ from conseq.operators import (
     TableOperator,
     _image_table,
     check_axioms,
+    closed_systems,
     cup_join,
     equal_ops,
     from_closure_family,
@@ -148,7 +148,7 @@ def random_operator(kind, seed, language):
     if kind == "grow":  # extensive, otherwise arbitrary
         return TableOperator(language, {s: s.union(rng.choice(every)) for s in every})
     if rng.random() < 0.5:
-        return from_closure_family(random_closure_family(rng, language), language)
+        return random_closure_family(rng, language)
     # not intersection-closed: the operator glues by intersection anyway
     return from_closure_family(rng.sample(every, rng.randint(0, min(4, len(every)))) + [every[-1]], language)
 
@@ -455,7 +455,7 @@ def closed_operand(kind, seed, language):
     if kind == "bounded":
         return BoundedOperator(random_system(rng, language), rng.randint(1, 3))
     if kind == "family":
-        return from_closure_family(random_closure_family(rng, language), language)
+        return random_closure_family(rng, language)
     subsets = [FiniteSubset._of_mask(language, rng.randrange(1 << n)) for _ in range(rng.randint(0, 4))]
     return from_closure_family(subsets + [FiniteSubset(language, language.elements)], language)
 

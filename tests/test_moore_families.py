@@ -13,7 +13,10 @@ intersection and union of their images and the literal closure axioms,
 and every pair of one operator's closed sets through `join_uplus` and
 `meet_cap`, against the least closed superset and the intersection.
 The 2480 closure operators on 4 elements are checked one at a time, and
-all 256 operators of any kind on 2 elements against the literal axioms.
+all 256 operators of any kind on 2 elements against the literal axioms;
+every pair of those 256 goes through `meet` and `cup_join`, against the
+pointwise AND and OR of their images, and every pair in which one of
+them fixes the whole language through `sup_w`, refusals included.
 
 A family that is not closed under intersection, given to
 `from_closure_family` or shared by the operands of a `sup_w`, must read
@@ -28,26 +31,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conseq.csystems import closed_systems, join_uplus, meet_cap
+from conseq.errors import UsageError
 from conseq.language import FiniteSubset
 from conseq.operators import (
     AxiomCounterexample,
     RuleOperator,
     TableOperator,
+    _image_table,
     canonical_system,
     check_axioms,
+    closed_systems,
     counterexample_reproduces,
     cup_join,
     equal_ops,
     from_closure_family,
+    join_uplus,
     leq,
     meet,
+    meet_cap,
     sup_w,
     tabulate,
 )
 from conseq.sampling import small_language
 
-from reference import apply_table, axiom_report, family_sorted, literal_axioms, moore_closure, subsets
+from reference import (
+    apply_table,
+    axiom_report,
+    family_sorted,
+    literal_axioms,
+    moore_closure,
+    subsets,
+    sup_family,
+)
 
 # Moore families on 1, 2 and 3 elements (OEIS A102896).  An explicit
 # language needs at least one element, so the one family on 0 elements
@@ -223,3 +238,31 @@ def test_every_operator_on_two_elements_meets_the_literal_axioms():
         for axiom, masks in literal_axioms(out, 2).items():
             if masks is not None:
                 assert counterexample_reproduces(op, AxiomCounterexample(axiom, tuple(every[m] for m in masks)))
+
+
+def _outcome(call):
+    """A value, or the refusal it raised, so that refusals compare too."""
+    try:
+        return ("value", call())
+    except UsageError as exc:
+        return ("error", str(exc))
+
+
+def test_every_pair_of_operators_on_two_elements_meets_joins_and_sups_pointwise():
+    language = small_language(2)
+    every, whole = subsets(language), 0b11
+    images = product(range(4), repeat=4)
+    ops = [TableOperator(language, {s: every[i] for s, i in zip(every, out)}) for out in images]
+    tables = [apply_table(op, language) for op in ops]
+    for (first, f_table), (second, g_table) in product(zip(ops, tables), repeat=2):
+        # `tabulate` stores the table each composite builds, read back as stored
+        meets = _image_table(tabulate(meet([first, second]), language), language)
+        joins = _image_table(tabulate(cup_join(first, second), language), language)
+        assert meets == [a & b for a, b in zip(f_table, g_table)]
+        assert joins == [a | b for a, b in zip(f_table, g_table)]
+        # the sups, and the refusals with either operand at fault; a pair
+        # where neither operand fixes L is refused by the same check
+        if f_table[whole] == whole or g_table[whole] == whole:
+            assert _outcome(lambda: sup_w([first, second], language).closed_sets) == _outcome(
+                lambda: sup_family([f_table, g_table], language)
+            )

@@ -33,6 +33,7 @@ from conseq.language import (
     all_subsets,
 )
 from conseq.operators import (
+    ClosureFamilyOperator,
     RuleOperator,
     canonical_system,
     check_axioms,
@@ -50,6 +51,7 @@ from conseq.rules import (
 from conseq.sampling import random_closure_family, random_system, seeded, small_language
 
 from reference import (
+    family_of,
     moore_closure,
     oracle_min_steps,
     random_table_operator,
@@ -61,16 +63,11 @@ from reference import (
 def _pairwise_closure_family(rng, language, *, max_generators=4):
     """The definitional `random_closure_family`: draw every generator,
     then add pairwise intersections until none is new."""
-    elements = list(language.elements)
-    n = len(elements)
+    n = len(language.elements)
     masks = {(1 << n) - 1}
     for _ in range(rng.randint(0, max_generators)):
         masks.add(rng.randrange(1 << n))
-    subsets = []
-    for mask in sorted(moore_closure(masks), key=lambda m: (bin(m).count("1"), m)):
-        members = tuple(elements[i] for i in range(n) if (mask >> i) & 1)
-        subsets.append(FiniteSubset(language, members))
-    return tuple(subsets)
+    return family_of(language, moore_closure(masks))
 
 
 def test_random_closure_family_matches_the_pairwise_fixpoint():
@@ -84,7 +81,13 @@ def test_random_closure_family_matches_the_pairwise_fixpoint():
                 got = random_closure_family(
                     random.Random(seed), language, max_generators=max_generators
                 )
-                assert got == expected, (n, max_generators, seed)
+                assert got.closed_sets == expected, (n, max_generators, seed)
+
+
+def test_random_closure_family_is_an_operator_in_the_family_order():
+    op = random_closure_family(random.Random(25), small_language(4))
+    assert type(op) is ClosureFamilyOperator
+    assert [str(s) for s in op.closed_sets] == ["{}", "{e0,e3}", "{e1,e2}", "{e0,e1,e2,e3}"]
 
 
 def _el(*names):
