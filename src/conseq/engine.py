@@ -82,7 +82,7 @@ def saturate(system: RuleSystem, hypotheses: FiniteSubset) -> SaturationResult:
     element of it, by the rounds the module docstring describes."""
     grounded = system.grounded
     have = grounded.encode(hypotheses) | grounded.insertable
-    arcs, sources, users = grounded.arcs, grounded.sources, grounded._users
+    arcs, sources, users = grounded.arcs, grounded.sources, grounded.users
     # the hypotheses in sorted order, then the other axioms in rule order:
     # merging keeps a key's first position and its last value
     hyps = dict.fromkeys(hypotheses.members, ("hyp",))
@@ -202,33 +202,43 @@ def check_derivation(
 # step-bounded deduction
 
 
-def _min_steps(insertable: int, arcs: list[tuple[int, int]], goal: int, cap: int) -> int | None:
+def _min_steps(
+    insertable: int, producers: dict[int, list[int]], goal: int, cap: int
+) -> int | None:
     """Length of the shortest numbered deduction of the `goal` bit, up
-    to `cap`, from the `insertable` mask (hypotheses and axioms) over a
-    `MaskSystem`'s arcs.
+    to `cap`, from the `insertable` mask (hypotheses and axioms), with
+    `producers` mapping each conclusion bit to the premise masks of the
+    arcs that conclude it (`MaskSystem.producers`).
 
     A shortest deduction never repeats an element and never takes a
     step that does not feed the goal, so its steps are a set of
     goal-relevant elements built one derivable element at a time;
-    breadth-first search over those sets, held as masks, is exact.
-    The relevant elements (the goal and the premises of each arc that
-    concludes one) are found backward from the goal, each arc read once.
+    breadth-first search over those sets, held as masks, is exact.  A
+    state at level k holds exactly k elements, so no state repeats.
+    The relevant elements are found backward from the goal, one level
+    of premises at a time, for at most `cap` - 1 levels.  Every arc has
+    a premise, so a derived element of a deduction of at most `cap`
+    steps lies at most `cap` - 2 premise links from the goal, and an
+    element `cap` - 1 links away can only be inserted: the arcs that
+    conclude it are never read.
     """
-    premises_of: dict[int, list[int]] = {}
-    for premises, conclusion in arcs:
-        premises_of.setdefault(conclusion, []).append(premises)
-    relevant, todo, arcs = goal, goal, []
-    while todo:
-        conclusion = todo & -todo
-        todo ^= conclusion
-        for premises in premises_of.get(conclusion, ()):
-            arcs.append((premises, conclusion))
-            todo |= premises & ~relevant
-            relevant |= premises
+    relevant = level = goal
+    arcs = []
+    for _ in range(cap - 1):
+        todo, level = level, 0
+        while todo:
+            conclusion = todo & -todo
+            todo ^= conclusion
+            for premises in producers.get(conclusion, ()):
+                arcs.append((premises, conclusion))
+                level |= premises
+        level &= ~relevant
+        if not level:
+            break
+        relevant |= level
     insertable &= relevant
 
     frontier = {0}
-    visited = {0}
     for size in range(cap):
         next_frontier: set[int] = set()
         for have in frontier:
@@ -241,10 +251,7 @@ def _min_steps(insertable: int, arcs: list[tuple[int, int]], goal: int, cap: int
                 return size + 1
             if size + 1 < cap:
                 for i in bit_indices(grown):
-                    bigger = have | 1 << i
-                    if bigger not in visited:
-                        visited.add(bigger)
-                        next_frontier.add(bigger)
+                    next_frontier.add(have | 1 << i)
         frontier = next_frontier
         if not frontier:
             break
@@ -270,7 +277,7 @@ def min_derivation_size(
     goal_bit = grounded.bits.get(goal)
     if goal_bit is None:  # neither a hypothesis nor in any rule
         return None
-    return _min_steps(start, grounded.arcs, 1 << goal_bit, cap)
+    return _min_steps(start, grounded.producers, 1 << goal_bit, cap)
 
 
 def bounded_consequences(
@@ -296,14 +303,16 @@ def bounded_mask(
     accepted outright; an element outside the closure has no deduction
     and is rejected outright.  Each other element of the closure gets
     its own exact search (`_min_steps`), confined to the elements
-    relevant to it: one search over all sets of derivable elements would
-    grow with every hypothesis.  A caller that already has the closure
-    of the hypotheses passes it as `closure`, and bits it already knows
-    to fit the bound as `known`; those are not searched again.  Once
-    `steps` reaches the size of the universe (insertable elements and
-    tuple conclusions) the bound no longer binds, since a shortest
-    deduction never repeats an element, and the result is the
-    saturation closure.
+    relevant to it within the bound: the grounding's one conclusion
+    index (`MaskSystem.producers`) is read backward from the element for
+    at most `steps` - 1 levels of premises.  One search over all sets of
+    derivable elements would grow with every hypothesis.  A caller that
+    already has the closure of the hypotheses passes it as `closure`,
+    and bits it already knows to fit the bound as `known`; those are
+    not searched again.  Once `steps` reaches the size of the universe
+    (insertable elements and tuple conclusions) the bound no longer
+    binds, since a shortest deduction never repeats an element, and the
+    result is the saturation closure.
     """
     grounded = system.grounded
     start = hypotheses | grounded.insertable
@@ -313,7 +322,7 @@ def bounded_mask(
         closure = grounded.close(start)
     reachable = start | known
     for i in bit_indices(closure & ~reachable):
-        if _min_steps(start, grounded.arcs, 1 << i, steps) is not None:
+        if _min_steps(start, grounded.producers, 1 << i, steps) is not None:
             reachable |= 1 << i
     return reachable
 

@@ -15,7 +15,7 @@ decided by `engine.check_derivation`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Mapping, Sequence, Union
 
 from .errors import DomainError, UsageError
@@ -157,17 +157,22 @@ class MaskSystem:
     justifications in rule order.  Hypotheses are no part of the
     grounding: each call encodes its own as a mask.  Every grounded
     tuple is one arc (premise mask, conclusion bit), in system order,
-    `sources` keeps its rule id and tuple, and `conclusions` is the
-    union of the arcs' conclusion bits.  One index maps each premise bit
-    to the numbers of the arcs that use it, read by two forward-chaining
-    loops over these Horn clauses (Dowling & Gallier 1984): `close` in
-    any order, `engine.saturate` in witness order.  Arcs and the index
-    never change after grounding.  Over masks of a given width, two
-    tables read the arcs: `closures`, the closure of every mask, and
-    `closed_masks`, the closed family as one int of 2^width bits, built
-    from the arcs alone with a few big-int ANDs per arc and premise.
+    and `sources` keeps its rule id and tuple.  `users` maps each
+    premise bit to the numbers of the arcs that use it, read by two
+    forward-chaining loops over these Horn clauses (Dowling & Gallier
+    1984): `close` in any order, `engine.saturate` in witness order.
+    `producers` maps each conclusion bit, as a mask, to the premise
+    masks of the arcs that conclude it, in arc order: the step-bounded
+    search reads it backward from its goal.  `conclusions` is the union
+    of its keys.  These two are built from the arcs on first use, once
+    per grounding, so a caller that never reads them never pays for
+    them.  Arcs and indexes never change after grounding.  Over masks
+    of a given width, two tables read the arcs: `closures`, the closure
+    of every mask, and `closed_masks`, the closed family as one int of
+    2^width bits, built from the arcs alone with a few big-int ANDs per
+    arc and premise.
 
-    Two producers build the parts: `ground`, the generic per-rule loop
+    Two functions build the parts: `ground`, the generic per-rule loop
     every `RuleSystem` constructor runs, and `propositional.pd_system`,
     whose bit i is pool formula i.
     """
@@ -185,11 +190,21 @@ class MaskSystem:
     ):
         self.language, self.elements, self.bits = language, elements, bits
         self.inserted, self.insertable = inserted, insertable
-        self.arcs, self.sources, self._users = arcs, sources, users
+        self.arcs, self.sources, self.users = arcs, sources, users
+
+    @cached_property
+    def producers(self) -> dict[int, list[int]]:
+        producers: dict[int, list[int]] = {}
+        for premises, conclusion in self.arcs:
+            producers.setdefault(conclusion, []).append(premises)
+        return producers
+
+    @cached_property
+    def conclusions(self) -> int:
         conclusions = 0
-        for _, conclusion in arcs:
+        for conclusion in self.producers:
             conclusions |= conclusion
-        self.conclusions = conclusions
+        return conclusions
 
     def _bit_of(self, e: Element) -> int:
         return _number(self.language, self.elements, self.bits, e)
@@ -225,7 +240,7 @@ class MaskSystem:
         """
         have = mask | self.insertable
         todo = have if fresh is None else fresh
-        arcs, users = self.arcs, self._users
+        arcs, users = self.arcs, self.users
         while todo:
             low = todo & -todo
             todo ^= low

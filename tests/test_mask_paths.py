@@ -48,7 +48,7 @@ from conseq.operators import (
     sup_w,
     tabulate,
 )
-from conseq.rules import RuleSystem
+from conseq.rules import RuleSystem, TupleRule
 from conseq.sampling import random_closure_family, random_system, seeded, small_language
 
 from reference import (
@@ -225,12 +225,45 @@ def test_bounded_consequences_and_min_sizes_match_the_per_element_search(seed, n
     rng = seeded(seed, "bounded-oracle")
     system = random_system(rng, language)
     hypotheses = random_subset(rng, language)
+    _assert_bounded_search_matches_the_oracles(system, hypotheses, steps)
+
+
+def _assert_bounded_search_matches_the_oracles(system, hypotheses, steps):
     assert bounded_consequences(system, hypotheses, steps) == oracle_bounded(system, hypotheses, steps)
     insertable, arcs, _ = _step_grounding(system, hypotheses)
-    for goal in language.elements:
+    for goal in system.language.elements:
         assert min_derivation_size(system, hypotheses, goal, steps) == oracle_min_size(
             insertable, arcs, goal, steps
         )
+
+
+def _layered_system(rng, language):
+    """A deep Horn system from e0: each later element is concluded from
+    1-3 of the three elements before it, and now and then by a second
+    arc that also needs the last element, which nothing concludes."""
+    *layers, dead = language.elements
+    by_arity = {}
+    for i in range(1, len(layers)):
+        window = layers[max(0, i - 3):i]
+        premises = rng.sample(window, rng.randint(1, len(window)))
+        by_arity.setdefault(len(premises) + 1, []).append((*premises, layers[i]))
+        if rng.random() < 0.25:
+            premises = rng.sample(window, rng.randint(1, min(2, len(window))))
+            by_arity.setdefault(len(premises) + 2, []).append((*premises, dead, layers[i]))
+    rules = tuple(TupleRule(f"r{k}", k, tuple(by_arity[k])) for k in sorted(by_arity))
+    return RuleSystem("layered", language, rules)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(6, 10), st.data())
+def test_bounded_search_matches_the_oracles_on_goals_deeper_than_the_cap(seed, n, data):
+    language = small_language(n)
+    rng = seeded(seed, "bounded-layered")
+    system = _layered_system(rng, language)
+    extra = rng.sample(language.elements[1:-1], rng.randint(0, 1))
+    hypotheses = FiniteSubset(language, (language.elements[0], *extra))
+    steps = data.draw(st.integers(1, n))
+    _assert_bounded_search_matches_the_oracles(system, hypotheses, steps)
 
 
 @settings(deadline=None, max_examples=100)

@@ -626,7 +626,8 @@ def _assert_generic_grounding(system, pool):
     assert list(built.inserted.items()) == list(generic.inserted.items())
     assert built.arcs == generic.arcs
     assert built.sources == generic.sources
-    assert list(built._users.items()) == list(generic._users.items())
+    assert list(built.users.items()) == list(generic.users.items())
+    assert list(built.producers.items()) == list(generic.producers.items())
     # the elements pd_system builds unchecked are the checked ones, bit i for pool formula i
     assert [type(e) for e in built.elements] == [Element] * len(pool)
     assert list(built.elements) == [Element(wff_token(w)) for w in pool]
