@@ -3,6 +3,8 @@
 
 Writes tests/data/golden/cli.json (argv, exit code and stdout of each
 command below, run from the repository root),
+tests/data/golden/help.json (argv, exit code, stdout and stderr of
+each call in `help_argv()`, with COLUMNS set to 80),
 tests/data/golden/scenarios/<id>.txt (the seed-0 report of every
 scenario), tests/data/golden/pd_catalog_outputs.jsonl (what
 scripts/pd_catalog_outputs.py prints) and
@@ -20,7 +22,7 @@ import os
 import re
 from pathlib import Path
 
-from conseq.cli import main
+from conseq.cli import COMMANDS, main
 from conseq.scenarios import run_scenario, scenario_ids
 from pd_catalog_outputs import output_lines
 from random_sweep import main as random_sweep
@@ -130,21 +132,52 @@ def golden_argv():
     return argvs
 
 
+# the terminal width argparse wraps help and usage at in help.json
+HELP_COLUMNS = "80"
+
+
+def leaves(table=COMMANDS, path=()):
+    """The command words of every leaf of COMMANDS, in table order."""
+    for name, command in table.items():
+        if command.commands is None:
+            yield [*path, name]
+        else:
+            yield from leaves(command.commands, (*path, name))
+
+
+def help_argv():
+    """`conseq -h`, `-h` after every leaf, then `example` with no id and a
+    `pd search --variant` that is not a choice."""
+    return [
+        ["-h"],
+        *([*leaf, "-h"] for leaf in leaves()),
+        ["example"],
+        ["pd", "search", "--variant", "nope", "--goal", "P0"],
+    ]
+
+
 def run_cli(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    """main(argv)'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def main_record():
     os.chdir(ROOT)
     cases = []
     for argv in golden_argv():
-        code, stdout = run_cli(argv)
+        code, stdout, _ = run_cli(argv)
         cases.append({"argv": argv, "exit": code, "stdout": stdout})
     GOLDEN.mkdir(parents=True, exist_ok=True)
     (GOLDEN / "cli.json").write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
+    os.environ["COLUMNS"] = HELP_COLUMNS
+    helps = []
+    for argv in help_argv():
+        code, stdout, stderr = run_cli(argv)
+        helps.append({"argv": argv, "exit": code, "stdout": stdout, "stderr": stderr})
+    (GOLDEN / "help.json").write_text(json.dumps(helps, indent=1) + "\n", encoding="utf-8")
     scenarios = GOLDEN / "scenarios"
     scenarios.mkdir(exist_ok=True)
     for scenario_id in scenario_ids():

@@ -21,10 +21,8 @@ from .engine import (
 )
 from .errors import ConseqError, UsageError
 from .fileformat import load_system
-from .language import Element, FiniteSubset
-from .operators import DEFAULT_BOUND, RuleOperator, check_axioms, closed_systems, meet, sup_w
+from .language import DEFAULT_BOUND, Element, FiniteSubset
 from .rules import RuleSystem
-from .scenarios import run_scenario, scenario_ids
 
 
 def _parse_hypotheses(system: RuleSystem, text: str) -> FiniteSubset:
@@ -53,6 +51,8 @@ def _parse_formulas(text: str) -> list[pd.Wff]:
 
 
 def _cmd_check_axioms(args: argparse.Namespace) -> int:
+    from .operators import RuleOperator, check_axioms
+
     system = load_system(args.system)
     report = check_axioms(RuleOperator(system), system.language, bound=args.bound)
     for axiom in ("extensive", "monotone", "idempotent", "finite_character"):
@@ -99,6 +99,8 @@ def _cmd_bounded(args: argparse.Namespace) -> int:
 
 
 def _cmd_meet(args: argparse.Namespace) -> int:
+    from .operators import RuleOperator, meet
+
     systems = _load_many(args.systems)
     hypotheses = _parse_hypotheses(systems[0], args.hyp)
     _print_subset(meet([RuleOperator(s) for s in systems]).apply(hypotheses))
@@ -106,6 +108,8 @@ def _cmd_meet(args: argparse.Namespace) -> int:
 
 
 def _cmd_sup(args: argparse.Namespace) -> int:
+    from .operators import RuleOperator, sup_w
+
     systems = _load_many(args.systems)
     hypotheses = _parse_hypotheses(systems[0], args.hyp)
     if args.via == "union":
@@ -117,6 +121,8 @@ def _cmd_sup(args: argparse.Namespace) -> int:
 
 
 def _cmd_csystems(args: argparse.Namespace) -> int:
+    from .operators import RuleOperator, closed_systems
+
     system = load_system(args.system)
     family = closed_systems(RuleOperator(system), system.language)
     for member in family:
@@ -171,6 +177,8 @@ def _cmd_pd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_example(args: argparse.Namespace) -> int:
+    from .scenarios import run_scenario
+
     report = run_scenario(args.id, seed=args.seed, trials=args.trials)
     print(report.render())
     return 0 if report.passed else 1
@@ -276,7 +284,7 @@ COMMANDS: dict[str, Command] = {
     "example": _command(
         "run a named scenario",
         _cmd_example,
-        _arg("id", help="scenario id; one of: " + ", ".join(scenario_ids())),
+        _arg("id", help="scenario id; one of: {scenario_ids}"),
         _arg("--seed", type=int, default=0),
         _arg("--trials", type=int, default=None),
     ),
@@ -353,11 +361,16 @@ def _parse_leaf(argv: Sequence[str]) -> argparse.Namespace | None:
 
 def _add_commands(parser: argparse.ArgumentParser, dest: str, table: dict[str, Command]) -> None:
     """Give `parser` a sub-parser for each command of `table`, nested as
-    the table nests them."""
+    the table nests them.  A help text's `{scenario_ids}` field gets the
+    scenario ids here, so only the full parser loads `scenarios`."""
     sub = parser.add_subparsers(dest=dest, required=True)
     for name, command in table.items():
         p = sub.add_parser(name, help=command.help)
         for flags, options in command.arguments:
+            if "{scenario_ids}" in options.get("help", ""):
+                from .scenarios import scenario_ids
+
+                options = {**options, "help": options["help"].format(scenario_ids=", ".join(scenario_ids()))}
             p.add_argument(*flags, **options)
         if command.commands is None:
             p.set_defaults(handler=command.handler)

@@ -411,6 +411,10 @@ def subsets_equal(a: Subset, b: Subset) -> bool:
     return a == b
 
 
+# The largest language the exhaustive checks take unless told otherwise.
+DEFAULT_BOUND = 6
+
+
 def all_subsets(language: ExplicitLanguage) -> Iterator[FiniteSubset]:
     """Every subset of a finite language, in binary-counting order."""
     if not isinstance(language, ExplicitLanguage):

@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .engine import bounded_consequences, bounded_mask
 from .errors import DomainError, UsageError
 from .language import (
+    DEFAULT_BOUND,
     CofiniteSubset,
     Element,
     EnumeratedLanguage,
@@ -30,9 +31,6 @@ from .language import (
     require_same_language,
 )
 from .rules import RuleSystem, TupleRule, UnaryRule
-
-# The largest language the exhaustive checks take unless told otherwise.
-DEFAULT_BOUND = 6
 
 # The largest language any image table is built for, whatever the bound:
 # one table holds 2^n images.  `check-axioms --bound n` on an n-element

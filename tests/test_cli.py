@@ -607,6 +607,16 @@ def test_golden_stdout_and_exit_code(capsys, monkeypatch, case):
     assert (code, out) == (case["exit"], case["stdout"])
 
 
+HELP_CASES = json.loads((ROOT / "tests" / "data" / "golden" / "help.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", HELP_CASES, ids=[" ".join(c["argv"]) for c in HELP_CASES])
+def test_golden_help_and_usage_errors(capsys, monkeypatch, case):
+    # recorded by scripts/record_golden.py at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
+
+
 @pytest.mark.parametrize(
     "argv",
     [
