@@ -107,6 +107,15 @@ PD_EDGE_QUERIES = (
 )
 
 
+# A step-capped `derive` whose saturation witness of g (a, x1, x2, x3, g:
+# five steps) is longer than its minimum, four (a, b, c, g): the derivation
+# printed is a shortest one.
+SHORTEST_NOT_SHALLOWEST = [
+    "derive", "--system", "tests/data/shortest-not-shallowest.system",
+    "--hyp", "a", "--goal", "g", "--max-steps", "4",
+]
+
+
 def golden_argv():
     argvs = []
     for name, (hyp, goal) in SYSTEMS.items():
@@ -129,6 +138,7 @@ def golden_argv():
         argvs.append([extra[0], "--system", "tests/data/enumerated.system"] + extra[1:])
     for extra in PD_EDGE_QUERIES:
         argvs.append(["pd", "search"] + extra)
+    argvs.append(SHORTEST_NOT_SHALLOWEST)
     return argvs
 
 

@@ -54,6 +54,7 @@ _EXPORTS = {
         "min_derivation_size",
         "permute_premises",
         "saturate",
+        "shortest_derivation",
         "union_systems",
     ),
     "operators": (

@@ -15,14 +15,14 @@ from . import propositional as pd
 from .engine import (
     bounded_consequences,
     check_step_cap,
-    min_derivation_size,
     saturate,
+    shortest_derivation,
     union_systems,
 )
 from .errors import ConseqError, UsageError
 from .fileformat import load_system
 from .language import DEFAULT_BOUND, Element, FiniteSubset
-from .rules import RuleSystem
+from .rules import Derivation, RuleSystem
 
 
 def _parse_hypotheses(system: RuleSystem, text: str) -> FiniteSubset:
@@ -40,6 +40,18 @@ def _load_many(paths: str) -> list[RuleSystem]:
     if not systems:
         raise UsageError("--systems names no system file")
     return systems
+
+
+def _capped_derivation(
+    system: RuleSystem, hypotheses: FiniteSubset, goal: Element, cap: int, witness: Derivation
+) -> Derivation | None:
+    """A derivation of `goal` of minimal length, or None beyond `cap` steps:
+    `witness`, the saturation's, when it is that short, and otherwise
+    `shortest_derivation`'s."""
+    shortest = shortest_derivation(system, hypotheses, goal, cap)
+    if shortest is not None and len(witness) == len(shortest):
+        return witness
+    return shortest
 
 
 def _parse_formulas(text: str) -> list[pd.Wff]:
@@ -81,13 +93,14 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     if goal not in result.closure:
         print(f"{goal.name} is not derivable from {hypotheses}")
         return 1
+    derivation = result.witnesses[goal]
     if args.max_steps is not None:
-        size = min_derivation_size(system, hypotheses, goal, cap=args.max_steps)
-        if size is None:
+        derivation = _capped_derivation(system, hypotheses, goal, args.max_steps, derivation)
+        if derivation is None:
             print(f"{goal.name} is not derivable within {args.max_steps} steps")
             return 1
-        print(f"minimal steps: {size}")
-    print(result.witnesses[goal].render())
+        print(f"minimal steps: {len(derivation)}")
+    print(derivation.render())
     return 0
 
 
@@ -157,13 +170,16 @@ def _cmd_pd_search(args: argparse.Namespace) -> int:
     )
     if isinstance(answer, pd.PoolSearch):
         goal_element = pd.wff_element(goal)
+        derivation = answer.result.witnesses[goal_element]
         if args.max_steps is not None:
-            size = min_derivation_size(answer.system, answer.hypotheses, goal_element, cap=args.max_steps)
-            if size is None:
+            derivation = _capped_derivation(
+                answer.system, answer.hypotheses, goal_element, args.max_steps, derivation
+            )
+            if derivation is None:
                 print(f"derivable, but not within {args.max_steps} steps")
                 return 1
-            print(f"minimal steps: {size}")
-        print(answer.result.witnesses[goal_element].render())
+            print(f"minimal steps: {len(derivation)}")
+        print(derivation.render())
         return 0
     if isinstance(answer, pd.Certified):
         print(f"not derivable: {pd.wff_to_text(answer.transform)} is falsified by {answer.valuation}")

@@ -205,10 +205,11 @@ def check_derivation(
 def _min_steps(
     insertable: int, producers: dict[int, list[int]], goal: int, cap: int
 ) -> int | None:
-    """Length of the shortest numbered deduction of the `goal` bit, up
-    to `cap`, from the `insertable` mask (hypotheses and axioms), with
-    `producers` mapping each conclusion bit to the premise masks of the
-    arcs that conclude it (`MaskSystem.producers`).
+    """The mask of the elements of a shortest numbered deduction of the
+    `goal` bit, up to `cap` steps, or None: from the `insertable` mask
+    (hypotheses and axioms), with `producers` mapping each conclusion bit
+    to the premise masks of the arcs that conclude it
+    (`MaskSystem.producers`).  Its popcount is the deduction's length.
 
     A shortest deduction never repeats an element and never takes a
     step that does not feed the goal, so its steps are a set of
@@ -248,7 +249,7 @@ def _min_steps(
                     grown |= conclusion
             grown &= ~have
             if grown & goal:
-                return size + 1
+                return have | goal
             if size + 1 < cap:
                 for i in bit_indices(grown):
                     next_frontier.add(have | 1 << i)
@@ -264,10 +265,11 @@ def check_step_cap(cap: int) -> None:
         raise UsageError("the step cap must be at least 1")
 
 
-def min_derivation_size(
+def _shortest_mask(
     system: RuleSystem, hypotheses: FiniteSubset, goal: Element, cap: int
-) -> int | None:
-    """Exact minimal derivation length for `goal`, or None beyond `cap`."""
+) -> tuple[int, int | None]:
+    """The mask of the hypotheses and axioms, and `_min_steps`' mask of
+    a shortest deduction of `goal` within `cap` steps, or None."""
     check_step_cap(cap)
     if goal not in system.language:
         raise DomainError(f"goal {goal} is not in the language")
@@ -276,8 +278,63 @@ def min_derivation_size(
     start = grounded.encode(hypotheses) | grounded.insertable
     goal_bit = grounded.bits.get(goal)
     if goal_bit is None:  # neither a hypothesis nor in any rule
+        return start, None
+    return start, _min_steps(start, grounded.producers, 1 << goal_bit, cap)
+
+
+def min_derivation_size(
+    system: RuleSystem, hypotheses: FiniteSubset, goal: Element, cap: int
+) -> int | None:
+    """Exact minimal derivation length for `goal`, or None beyond `cap`."""
+    deduction = _shortest_mask(system, hypotheses, goal, cap)[1]
+    return None if deduction is None else deduction.bit_count()
+
+
+def shortest_derivation(
+    system: RuleSystem, hypotheses: FiniteSubset, goal: Element, cap: int
+) -> Derivation | None:
+    """A derivation of `goal` of minimal length, or None beyond `cap`.
+
+    Its steps are the elements of the shortest deduction `_min_steps`
+    finds, in a fixed order: first the hypotheses and axioms among them,
+    in bit order, each inserted as a hypothesis when it is one, as
+    `saturate` does, and otherwise as an axiom of the first rule that
+    has it; then, repeatedly, the lowest bit that some arc concludes
+    from elements already present, justified by the first such arc in
+    system order.  Each element was added to the deduction from
+    elements before it, so such a bit exists until the goal is in.
+    """
+    start, deduction = _shortest_mask(system, hypotheses, goal, cap)
+    if deduction is None:
         return None
-    return _min_steps(start, grounded.producers, 1 << goal_bit, cap)
+    grounded = system.grounded
+    elements, hyps = grounded.elements, hypotheses.member_set
+    steps: list[Insert | Apply] = []
+    step_no: dict[Element, int] = {}
+    have = deduction & start
+    for i in bit_indices(have):
+        e = elements[i]
+        steps.append(Insert(e) if e in hyps else Insert(e, grounded.inserted[e][1]))
+        step_no[e] = len(steps)
+    todo = deduction & ~have
+    # the arcs into the derived elements, lowest conclusion first, then in system order
+    candidates = sorted(
+        (conclusion, a, premises)
+        for a, (premises, conclusion) in enumerate(grounded.arcs)
+        if conclusion & todo
+    )
+    while todo:
+        conclusion, a = next(
+            (conclusion, a)
+            for conclusion, a, premises in candidates
+            if conclusion & todo and have & premises == premises
+        )
+        rule_id, t = grounded.sources[a]
+        steps.append(Apply(rule_id, tuple(step_no[p] for p in t[:-1]), t[-1]))
+        step_no[t[-1]] = len(steps)
+        have |= conclusion
+        todo ^= conclusion
+    return Derivation(tuple(steps))
 
 
 def bounded_consequences(

@@ -5,14 +5,15 @@ The deductive systems here pair a set of axiom instances (drawn from
 the three standard schemata, possibly filtered) with detachment, and
 everything runs over an explicit finite formula pool so that the
 generic saturation engine applies unchanged.  Each schema is written
-once, as a shape that recognizes its instances, fills them and bounds
-their printed size.  The pool closure fills shapes in semi-naive rounds
-and returns, with the pool, each shape's fills: exactly its instances in
-the pool.  A variant is one row of a table: a filter per shape on those
-instances, whether the bridge axiom of its index joins them, and whether
-detachment is restricted to that index.  `query` answers a query in the
-one order the command line uses: pool, truth table, saturation, then
-bounded evidence.
+once, as a shape that bounds the printed size of its instances and
+recognizes them.  The pool closure builds the instances with one fill
+loop per shape, in semi-naive rounds, and returns, with the pool, each
+shape's fills: exactly its instances in the pool, as the shape
+recognizes them.  A variant is one row of a table: a filter per shape
+on those instances, whether the bridge axiom of its index joins them,
+and whether detachment is restricted to that index.  `query` answers a
+query in the one order the command line uses: pool, truth table,
+saturation, then bounded evidence.
 
 Formula syntax: atoms are ``P`` plus a decimal index, negation is
 ``~``, implication is infix ``->`` and every implication is
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from operator import attrgetter, itemgetter
 from typing import (
-    TYPE_CHECKING, AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+    TYPE_CHECKING, AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 )
 
 from .errors import DomainError, InputSyntaxError, UsageError
@@ -41,19 +42,23 @@ if TYPE_CHECKING:
 # formulas
 
 
-# Each formula node stores its hash and its printed token, both computed
-# once at construction from its children's stored ones.  The hash equals
-# the field-tuple hash the dataclass would compute on every call by walking
-# the whole tree, so set iteration order, and every output built from it,
-# is unchanged; hashes of int tuples are not salted per process, so a
-# pickled formula's stored hash stays valid where it is unpickled.  The
-# token is the whitespace-free rendering, the formula's element name.
-# The nodes stay frozen slotted dataclasses, but `__init__` is written by
-# hand: it stores each slot by calling the slot descriptor's `__set__`,
-# which the frozen `__setattr__` never sees, one call per slot in place of
-# the generated `__init__` plus a `__post_init__` of `object.__setattr__`
-# calls, the closure's main cost per node.  Equality, repr, pickling and
-# the refusal of assignment stay the dataclass's own.
+# Each formula node stores its printed token, the whitespace-free
+# rendering that is its element name, computed once at construction from
+# its children's stored tokens.  An atom also stores its hash at
+# construction; a negation or implication stores None and computes its
+# hash on the first `__hash__` call, from its children's, and keeps it.
+# That hash equals the field-tuple hash the dataclass would compute on
+# every call by walking the whole tree, so set iteration order, and every
+# output built from it, is unchanged, and a node that is never hashed
+# (most nodes of a formula pool, which is keyed by token) never pays for
+# it.  Hashes of int tuples are not salted per process, so a pickled
+# formula's stored hash stays valid where it is unpickled.  The nodes stay
+# frozen slotted dataclasses, but `__init__` is written by hand: it stores
+# each slot by calling the slot descriptor's `__set__`, which the frozen
+# `__setattr__` never sees, one call per slot in place of the generated
+# `__init__` plus a `__post_init__` of `object.__setattr__` calls.
+# Equality, repr, pickling and the refusal of assignment stay the
+# dataclass's own.
 
 
 def _slot_setters(cls: type) -> tuple:
@@ -82,39 +87,48 @@ class Atom:
 
 @dataclass(frozen=True, slots=True, init=False)
 class Neg:
-    """The negation ~operand; stores its hash, `hash((operand,))`, and its token."""
+    """The negation ~operand; stores its token, and its hash,
+    `hash((operand,))`, once asked."""
 
     operand: "Wff"
-    _hash: int = field(init=False, repr=False, compare=False)
+    _hash: int | None = field(init=False, repr=False, compare=False)
     _token: str = field(init=False, repr=False, compare=False)
 
     def __init__(self, operand: "Wff") -> None:
         _set_operand(self, operand)
-        _set_neg_hash(self, hash((operand,)))
+        _set_neg_hash(self, None)
         _set_neg_token(self, f"~{operand._token}")
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash((self.operand,))
+            _set_neg_hash(self, h)
+        return h
 
 
 @dataclass(frozen=True, slots=True, init=False)
 class Impl:
-    """The implication (antecedent -> consequent); stores its hash,
-    `hash((antecedent, consequent))`, and its token."""
+    """The implication (antecedent -> consequent); stores its token, and
+    its hash, `hash((antecedent, consequent))`, once asked."""
 
     antecedent: "Wff"
     consequent: "Wff"
-    _hash: int = field(init=False, repr=False, compare=False)
+    _hash: int | None = field(init=False, repr=False, compare=False)
     _token: str = field(init=False, repr=False, compare=False)
 
     def __init__(self, antecedent: "Wff", consequent: "Wff") -> None:
         _set_antecedent(self, antecedent)
         _set_consequent(self, consequent)
-        _set_impl_hash(self, hash((antecedent, consequent)))
+        _set_impl_hash(self, None)
         _set_impl_token(self, f"({antecedent._token}->{consequent._token})")
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash((self.antecedent, self.consequent))
+            _set_impl_hash(self, h)
+        return h
 
 
 _set_index, _set_atom_hash, _set_atom_token = _slot_setters(Atom)
@@ -296,9 +310,12 @@ def h_transform(w: Wff) -> Wff:
 
 
 # Each axiom schema is written once, as a shape: a formula whose atoms P0,
-# P1 and P2 stand for the metavariables X, Y and Z.  `_match` recognizes its
-# instances, `_fill` builds them and `subformula_closure` bounds their size
-# and records, per shape, the instances it fills.
+# P1 and P2 stand for the metavariables X, Y and Z.  The shape bounds the
+# printed size of its instances and `_match` recognizes them; the shape's
+# fill loop in the pool section builds them, and `subformula_closure`
+# records, per shape, the instances it fills.  The tests check each loop
+# against its shape: in every closed pool, what it fills is what `_match`
+# recognizes.
 _SHAPES = {
     "r1": parse("(P0 -> (P1 -> P0))"),
     "r2": parse("((P0 -> (P1 -> P2)) -> ((P0 -> P1) -> (P0 -> P2)))"),
@@ -328,29 +345,13 @@ def _match(shape: Wff, w: Wff, binding: dict[int, Wff]) -> bool:
     return _match(shape.antecedent, w.antecedent, binding) and _match(shape.consequent, w.consequent, binding)
 
 
-def _fill(shape: Wff, binding: Sequence[Wff], built: set[Wff], pool: AbstractSet[Wff]) -> Wff:
-    """The instance of `shape` that puts binding[i] for metavariable i; each
-    node built for it, that is each node outside the binding, goes into
-    `built` unless `pool` holds it."""
-    if isinstance(shape, Atom):
-        return binding[shape.index]
-    if isinstance(shape, Neg):
-        w = Neg(_fill(shape.operand, binding, built, pool))
-    else:
-        w = Impl(
-            _fill(shape.antecedent, binding, built, pool), _fill(shape.consequent, binding, built, pool)
-        )
-    if w not in pool:
-        built.add(w)
-    return w
-
-
 def bridge_axiom(n: int) -> Wff:
     """The one axiom instance that reintroduces atom 0 from atom n:
     R3 with X = P0 and Y = Pn, (~P0 -> ~Pn) -> (Pn -> P0)."""
     if n < 1:
         raise UsageError("bridge axioms are indexed from 1")
-    return _fill(_SHAPES["r3"], (Atom(0), Atom(n)), set(), frozenset())
+    p0, pn = Atom(0), Atom(n)
+    return Impl(Impl(Neg(p0), Neg(pn)), Impl(pn, p0))
 
 
 @dataclass(frozen=True)
@@ -404,21 +405,6 @@ def instantiate_schema(schema: Schema, pool: AbstractSet[Wff] | Pool) -> tuple[t
 # pools
 
 
-def _bindings(
-    counts: list[int], lists: list[list[tuple[int, Wff]]], room: int, binding: tuple[Wff, ...] = ()
-) -> Iterator[tuple[Wff, ...]]:
-    """Each extension of `binding` by a formula of lists[i] per further metavariable i (occurring
-    counts[i] times) within `room` more characters; lists hold (length, formula), shortest first."""
-    i = len(binding)
-    for length, w in lists[i]:
-        if counts[i] * length > room:
-            break
-        if i + 1 < len(lists):
-            yield from _bindings(counts, lists, room - counts[i] * length, binding + (w,))
-        else:
-            yield binding + (w,)
-
-
 class Pool(tuple):
     """A formula pool: distinct, subformula-closed formulas in token order.
 
@@ -439,6 +425,179 @@ class Pool(tuple):
         return tuple(self), self.instances
 
 
+# The fill loops, one per shape.  Each binds the shape's metavariables,
+# outermost first, to formulas from its lists, one per metavariable, each
+# holding (printed length, token, formula) shortest first, within `bound`:
+# the printed size the cap leaves beside the shape's own symbols.  A loop
+# stops as soon as the shortest formulas of the lists inside it no longer
+# fit.  Every instance goes into `filled`.  A node's token is built first
+# and looked up in `known`, the pool plus the round's new nodes; the node
+# is built, into `known` and `built`, only when the token is new.  The
+# instance is looked up before its parts, which are known whenever it is.
+# A part that depends only on outer metavariables, such as R3's ~X, is
+# looked up once per outer binding, before the inner loop; that loop has
+# at least one binding, so the part belongs to an instance.  An instance
+# with a new part is new itself, so `built` is measured against `room` at
+# each new instance, and the loop returns once it holds more.
+
+_Ranked = list[tuple[int, str, Wff]]
+
+
+def _fill_r1(
+    xs: _Ranked,
+    ys: _Ranked,
+    bound: int,
+    known: dict[str, Wff],
+    built: list[Wff],
+    filled: list[Wff],
+    room: int,
+) -> None:
+    """R1, (X -> (Y -> X)), for X from `xs` and Y from `ys`."""
+    cx, cy = _COUNTS["r1"]
+    if not ys:
+        return
+    get, add = known.get, built.append
+    least_y = cy * ys[0][0]
+    for lx, tx, x in xs:
+        rest = bound - cx * lx
+        if least_y > rest:
+            break
+        for ly, ty, y in ys:
+            if cy * ly > rest:
+                break
+            t_yx = f"({ty}->{tx})"
+            t = f"({tx}->{t_yx})"
+            w = get(t)
+            if w is None:
+                yx = get(t_yx)
+                if yx is None:
+                    yx = known[t_yx] = Impl(y, x)
+                    add(yx)
+                w = known[t] = Impl(x, yx)
+                add(w)
+                if len(built) > room:
+                    return
+            filled.append(w)
+
+
+def _fill_r2(
+    xs: _Ranked,
+    ys: _Ranked,
+    zs: _Ranked,
+    bound: int,
+    known: dict[str, Wff],
+    built: list[Wff],
+    filled: list[Wff],
+    room: int,
+) -> None:
+    """R2, ((X -> (Y -> Z)) -> ((X -> Y) -> (X -> Z))), for X from `xs`,
+    Y from `ys` and Z from `zs`; (X -> Y) is looked up once per (X, Y)."""
+    cx, cy, cz = _COUNTS["r2"]
+    if not ys or not zs:
+        return
+    get, add = known.get, built.append
+    least_y, least_z = cy * ys[0][0], cz * zs[0][0]
+    for lx, tx, x in xs:
+        rest_x = bound - cx * lx
+        if least_y + least_z > rest_x:
+            break
+        for ly, ty, y in ys:
+            rest = rest_x - cy * ly
+            if least_z > rest:
+                break
+            t_xy = f"({tx}->{ty})"
+            xy = get(t_xy)
+            if xy is None:
+                xy = known[t_xy] = Impl(x, y)
+                add(xy)
+            for lz, tz, z in zs:
+                if cz * lz > rest:
+                    break
+                t_yz = f"({ty}->{tz})"
+                t_xyz = f"({tx}->{t_yz})"
+                t_xz = f"({tx}->{tz})"
+                t_right = f"({t_xy}->{t_xz})"
+                t = f"({t_xyz}->{t_right})"
+                w = get(t)
+                if w is None:
+                    xyz = get(t_xyz)
+                    if xyz is None:
+                        yz = get(t_yz)
+                        if yz is None:
+                            yz = known[t_yz] = Impl(y, z)
+                            add(yz)
+                        xyz = known[t_xyz] = Impl(x, yz)
+                        add(xyz)
+                    right = get(t_right)
+                    if right is None:
+                        xz = get(t_xz)
+                        if xz is None:
+                            xz = known[t_xz] = Impl(x, z)
+                            add(xz)
+                        right = known[t_right] = Impl(xy, xz)
+                        add(right)
+                    w = known[t] = Impl(xyz, right)
+                    add(w)
+                    if len(built) > room:
+                        return
+                filled.append(w)
+
+
+def _fill_r3(
+    xs: _Ranked,
+    ys: _Ranked,
+    bound: int,
+    known: dict[str, Wff],
+    built: list[Wff],
+    filled: list[Wff],
+    room: int,
+) -> None:
+    """R3, ((~X -> ~Y) -> (Y -> X)), for X from `xs` and Y from `ys`; ~X
+    is looked up once per X."""
+    cx, cy = _COUNTS["r3"]
+    if not ys:
+        return
+    get, add = known.get, built.append
+    least_y = cy * ys[0][0]
+    for lx, tx, x in xs:
+        rest = bound - cx * lx
+        if least_y > rest:
+            break
+        t_nx = f"~{tx}"
+        nx = get(t_nx)
+        if nx is None:
+            nx = known[t_nx] = Neg(x)
+            add(nx)
+        for ly, ty, y in ys:
+            if cy * ly > rest:
+                break
+            t_ny = f"~{ty}"
+            t_left = f"({t_nx}->{t_ny})"
+            t_yx = f"({ty}->{tx})"
+            t = f"({t_left}->{t_yx})"
+            w = get(t)
+            if w is None:
+                left = get(t_left)
+                if left is None:
+                    ny = get(t_ny)
+                    if ny is None:
+                        ny = known[t_ny] = Neg(y)
+                        add(ny)
+                    left = known[t_left] = Impl(nx, ny)
+                    add(left)
+                yx = get(t_yx)
+                if yx is None:
+                    yx = known[t_yx] = Impl(y, x)
+                    add(yx)
+                w = known[t] = Impl(left, yx)
+                add(w)
+                if len(built) > room:
+                    return
+            filled.append(w)
+
+
+_FILLS = {"r1": _fill_r1, "r2": _fill_r2, "r3": _fill_r3}  # in `_SHAPES` order
+
 DEFAULT_MAX_POOL = 400
 
 
@@ -452,19 +611,20 @@ def subformula_closure(
     nothing changes.  Growth past `max_pool` formulas aborts with an
     error rather than silently truncating.
 
-    Instances are filled from the schema shapes.  An instance prints in
-    its shape's own symbols plus, per metavariable, the occurrences
-    times the printed size of the bound formula, so bindings run
-    shortest first and stop at the cap.  Rounds are semi-naive: a round
-    binds some metavariable to a formula new since the last one (an
-    all-old binding was offered then) and ranks only the new formulas.
-    Each node stores its hash and token, set at construction from its
-    children's, so a candidate is hashed and ranked without a walk or a
-    second printing.  A filled instance's subformulas are its bound
-    formulas, already in the pool, and the nodes built for it, which
-    `_fill` collects as it builds them when they are new.  The pool only
-    grows within a round, so the round stops as soon as its new formulas
-    would take the pool past `max_pool`.
+    Instances are built by each shape's fill loop (`_fill_r1`, `_fill_r2`
+    and `_fill_r3`).  An instance prints in its shape's own symbols plus,
+    per metavariable, the occurrences times the printed size of the
+    bound formula, so bindings run shortest first and stop at the cap.
+    Rounds are semi-naive: a round binds some metavariable to a formula
+    new since the last one (an all-old binding was offered then) and
+    ranks only the new formulas.  The pool is one dict from token to
+    formula, which also takes each round's new nodes as they are built:
+    a loop builds a node's token from its parts' tokens, and the node
+    itself only when that token is new, so each pool formula is built
+    once and no node is hashed.  A filled instance's subformulas are its
+    bound formulas, already in the pool, and the nodes built for it.
+    The pool only grows within a round, so the round stops as soon as
+    its new formulas would take the pool past `max_pool`.
 
     The result is a `Pool` that records every instance filled, per shape.
     The record is exact: every pool formula fits the cap (seeds over it
@@ -473,40 +633,43 @@ def subformula_closure(
     the final pool was filled; the fills of a shape are its instances in
     the pool, as `_match` recognizes them.
     """
-    pool: set[Wff] = set()
+    known: dict[str, Wff] = {}
     for w in seeds:
         if len(w._token) > size_cap:
             raise UsageError(
                 f"seed {wff_to_text(w)} is longer than the size cap {size_cap}"
             )
-        pool |= subformulas(w)
+        stack = [w]  # the seed's subformulas, walked by token: `subformulas` would hash each one
+        while stack:
+            v = stack.pop()
+            if v._token not in known:
+                known[v._token] = v
+                stack.extend(_children(v))
 
     fills: dict[str, list[Wff]] = {kind: [] for kind in _SHAPES}
-    old: list[tuple[int, Wff]] = []  # the pool outside `new` as (printed length, formula), shortest first
-    new = pool
+    old: _Ranked = []  # the pool outside `new`, shortest first
+    new = list(known.values())
     while True:
-        ranked_new = sorted(((len(w._token), w) for w in new), key=itemgetter(0))
+        ranked_new = sorted(((len(w._token), w._token, w) for w in new), key=itemgetter(0))
         ranked = sorted(old + ranked_new, key=itemgetter(0))  # merges the two sorted runs
-        built: set[Wff] = set()
-        room = max(max_pool - len(pool), 0)  # seeds alone may pass max_pool; a new formula then does
-        for kind, shape in _SHAPES.items():
-            counts, filled = _COUNTS[kind], fills[kind]
-            for j in range(len(counts)):  # j: the first metavariable bound to a new formula
-                lists = [old] * j + [ranked_new] + [ranked] * (len(counts) - 1 - j)
-                for binding in _bindings(counts, lists, size_cap - _SYMBOLS[kind]):
-                    filled.append(_fill(shape, binding, built, pool))
-                    if len(built) > room:
-                        raise UsageError(
-                            f"pool grew past {max_pool} formulas under size cap {size_cap}; "
-                            "lower the cap or raise max_pool"
-                        )
+        built: list[Wff] = []
+        room = max(max_pool - len(known), 0)  # seeds alone may pass max_pool; a new formula then does
+        for kind, fill in _FILLS.items():
+            width, bound = len(_COUNTS[kind]), size_cap - _SYMBOLS[kind]
+            for j in range(width):  # j: the first metavariable bound to a new formula
+                lists = [old] * j + [ranked_new] + [ranked] * (width - 1 - j)
+                fill(*lists, bound, known, built, fills[kind], room)
+                if len(built) > room:
+                    raise UsageError(
+                        f"pool grew past {max_pool} formulas under size cap {size_cap}; "
+                        "lower the cap or raise max_pool"
+                    )
 
         if not built:
             break
-        pool |= built
         old, new = ranked, built
     return Pool(
-        sorted(pool, key=attrgetter("_token")),
+        [known[token] for token in sorted(known)],
         {kind: tuple(filled) for kind, filled in fills.items()},
     )
 

@@ -29,11 +29,12 @@ from conseq import propositional as pd
 from conseq.cli import main
 from conseq.engine import check_derivation, check_step_cap, min_derivation_size, saturate
 from conseq.errors import ConseqError
-from conseq.fileformat import load_system
+from conseq.fileformat import dumps_system, load_system
 from conseq.language import Element, FiniteSubset
 from conseq.rules import Apply, Derivation, Insert
+from conseq.sampling import random_system, seeded, small_language
 
-from reference import search_pool, words
+from reference import random_subset, search_pool, words
 
 ROOT = Path(__file__).parent.parent
 SYSTEMS = ROOT / "systems"
@@ -756,6 +757,121 @@ def test_printed_derive_witnesses_replay(capsys, tmp_path, query):
     derivation = printed_witness(out, Element(goal))
     result = check_derivation(system, FiniteSubset.of(system.language, hypotheses), derivation)
     assert result, (result.reason, out)
+
+
+def capped_answer(out):
+    """The printed minimum and derivation of a step-capped answer."""
+    first, *rest = out.splitlines()
+    assert first.startswith("minimal steps: "), out
+    return int(first.removeprefix("minimal steps: ")), parse_witness(rest)
+
+
+def assert_prints_a_shortest_derivation(out, system, hypotheses, goal, cap):
+    """The step-capped answer in `out` is a derivation of `goal` that
+    checks, as long as its printed minimum, the true minimum; it is the
+    saturation witness when that one is as short."""
+    size = min_derivation_size(system, hypotheses, goal, cap)
+    printed, derivation = capped_answer(out)
+    assert printed == len(derivation) == size, out
+    assert derivation.final_element() == goal
+    result = check_derivation(system, hypotheses, derivation)
+    assert result, (result.reason, out)
+    witness = saturate(system, hypotheses).witnesses[goal]
+    if len(witness) == size:
+        assert derivation == witness
+
+
+@settings(deadline=None, max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(min_value=0, max_value=10_000), st.integers(1, 6), st.integers(1, 5))
+# saturation witnesses one step longer than the minimum
+@example(72, 5, 2)
+@example(74, 6, 3)
+def test_step_capped_derive_prints_a_shortest_derivation(capsys, tmp_path, seed, n, cap):
+    rng = seeded(seed, "capped-derive")
+    language = small_language(n)
+    system = random_system(rng, language)
+    hypotheses = random_subset(rng, language)
+    path = tmp_path / "random.system"
+    path.write_text(dumps_system(system), encoding="utf-8")
+    hyp = ",".join(e.name for e in hypotheses.members)
+    for goal in saturate(system, hypotheses).closure.members:
+        code, out, _ = run(
+            capsys, "derive", "--system", str(path), "--hyp", hyp, "--goal", goal.name, "--max-steps", str(cap)
+        )
+        if min_derivation_size(system, hypotheses, goal, cap) is None:
+            assert (code, out) == (1, f"{goal.name} is not derivable within {cap} steps\n")
+        else:
+            assert code == 0
+            assert_prints_a_shortest_derivation(out, system, hypotheses, goal, cap)
+
+
+def test_step_capped_derive_fits_its_cap(capsys):
+    """A witness built round by round can be longer than the minimum: here
+    a, x1, x2, x3, g against a, b, c, g."""
+    path = str(ROOT / "tests" / "data" / "shortest-not-shallowest.system")
+    system = load_system(path)
+    hypotheses, goal = FiniteSubset.of(system.language, ["a"]), Element("g")
+    assert len(saturate(system, hypotheses).witnesses[goal]) == 5
+    for cap in (4, 5, 9):
+        code, out, _ = run(capsys, "derive", "--system", path, "--hyp", "a", "--goal", "g", "--max-steps", str(cap))
+        assert code == 0
+        assert_prints_a_shortest_derivation(out, system, hypotheses, goal, cap)
+    assert run(capsys, "derive", "--system", path, "--hyp", "a", "--goal", "g", "--max-steps", "3") == (
+        1, "g is not derivable within 3 steps\n", ""
+    )
+
+
+@st.composite
+def detachment_chains(draw):
+    """Hypotheses that hold a literal and an implication from each literal
+    of a chain to the next, plus up to two drawn formulas; the goal is the
+    chain's last literal."""
+    literal = st.integers(0, 3).map(pd.Atom).flatmap(lambda a: st.sampled_from([a, pd.Neg(a)]))
+    chain = draw(st.lists(literal, min_size=2, max_size=3))
+    hypotheses = draw(st.lists(small_wffs, max_size=2)) + [chain[0]]
+    return hypotheses + [pd.Impl(a, b) for a, b in zip(chain, chain[1:])], chain[-1]
+
+
+# The variants without a bridge axiom, whose pools stay small under these
+# size caps; a bridge axiom needs size cap 22, where a step-capped search
+# can take seconds.
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([("standard", None), ("restricted-mp", 1), ("restricted-mp", 2)]),
+    detachment_chains(),
+    st.sampled_from([10, 14]),
+    st.integers(min_value=1, max_value=5),
+)
+@example(("restricted-mp", 1), ([pd.parse("(P1 -> P2)"), pd.parse("(P2 -> P3)"), pd.Atom(1)], pd.Atom(3)), 10, 5)
+@example(("missing-atom", 1), ([pd.parse("(~P0 -> ~P1)"), pd.Atom(1)], pd.Atom(0)), 22, 5)
+# saturation witnesses longer than the minimum: 4 steps against 3, and 5
+# against 3 through an axiom
+@example(
+    ("standard", None),
+    ([pd.parse(t) for t in ("(P1 -> P2)", "P0", "P1", "(P0 -> (P0 -> P2))")], pd.Atom(2)),
+    14,
+    4,
+)
+@example(
+    ("restricted-mp", 1),
+    ([pd.parse(t) for t in ("(P0 -> P1)", "(~P2 -> P1)", "P2", "P0", "(P1 -> (P0 -> P2))")], pd.parse("(P0 -> P2)")),
+    14,
+    5,
+)
+def test_step_capped_pd_search_prints_a_shortest_derivation(variant_n, query, size_cap, cap):
+    variant, n = variant_n
+    hypotheses, goal = query
+    argv = ["pd", "search", "--variant", variant, "--goal", pd.wff_to_text(goal)]
+    argv += ["--hyp", ", ".join(pd.wff_to_text(h) for h in hypotheses)]
+    argv += ["--size-cap", str(size_cap), "--max-steps", str(cap)]
+    argv += ["--n", str(n)] if n is not None else []
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    if code != 0:
+        return  # refused by a cap, or not within the step cap
+    search = search_pool(variant, hypotheses, goal, n=n, size_cap=size_cap)
+    assert_prints_a_shortest_derivation(out.getvalue(), search.system, search.hypotheses, pd.wff_element(goal), cap)
 
 
 @st.composite

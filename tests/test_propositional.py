@@ -188,6 +188,35 @@ def test_stored_hash_is_the_field_tuple_hash(w):
             setattr(w, f.name, getattr(w, f.name))
 
 
+def _field_tuple_hash(w):
+    """The hash the dataclass would compute for `w` from its fields."""
+    if isinstance(w, Atom):
+        return hash((w.index,))
+    if isinstance(w, Neg):
+        return hash((w.operand,))
+    return hash((w.antecedent, w.consequent))
+
+
+@settings(deadline=None, max_examples=150)
+@given(wffs())
+def test_a_node_copied_or_pickled_before_its_hash_is_asked_hashes_as_its_fields(w):
+    for round_trip in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        fresh = parse(wff_to_text(w))  # parsing hashes no node
+        if not isinstance(fresh, Atom):
+            assert fresh._hash is None
+        again = round_trip(fresh)
+        assert again == w
+        assert hash(again) == _field_tuple_hash(again) == hash(_plain(w))
+        assert hash(fresh) == hash(again)
+
+
+def test_closure_formulas_equal_and_hash_as_their_parsed_text():
+    for w in subformula_closure([P0, P1, P2], 22):
+        parsed = parse(wff_to_text(w))
+        assert parsed == w
+        assert hash(parsed) == hash(w) == _field_tuple_hash(w)
+
+
 def _printed(w):
     """The recursive printer, kept as the oracle for the stored token."""
     if isinstance(w, Atom):
@@ -506,6 +535,30 @@ def test_subformula_closure_stops_as_soon_as_the_pool_passes_its_cap(monkeypatch
     with pytest.raises(UsageError, match="grew past 356 formulas"):
         subformula_closure([P0, P1, P2], 22, max_pool=356)
     assert subformula_closure(pool, 22, max_pool=356) == pool
+
+
+def test_subformula_closure_builds_each_new_formula_once(monkeypatch):
+    """Each pool formula that no seed holds is constructed exactly once:
+    a node is looked up by its token before it is built."""
+    built = Counter()
+    impl_init, neg_init = Impl.__init__, Neg.__init__
+
+    def counting_impl_init(self, antecedent, consequent):
+        impl_init(self, antecedent, consequent)
+        built[wff_token(self)] += 1
+
+    def counting_neg_init(self, operand):
+        neg_init(self, operand)
+        built[wff_token(self)] += 1
+
+    monkeypatch.setattr(Impl, "__init__", counting_impl_init)
+    monkeypatch.setattr(Neg, "__init__", counting_neg_init)
+    seeds = [P0, P1, P2]
+    pool = subformula_closure(seeds, 22)
+    held = set().union(*map(subformulas, seeds))
+    compound = [w for w in pool if not isinstance(w, Atom) and w not in held]
+    assert len(compound) == 354
+    assert built == Counter(wff_token(w) for w in compound)
 
 
 def _definitional_closure(seeds, size_cap, *, max_pool):
