@@ -115,6 +115,19 @@ SHORTEST_NOT_SHALLOWEST = [
     "--hyp", "a", "--goal", "g", "--max-steps", "4",
 ]
 
+# Step-capped answers no other case pins: a `derive` refused by its cap;
+# a `pd search` whose saturation witness (4 steps) is longer than its
+# minimum (3), so the shortest derivation is printed; and the same search
+# refused by a cap below that minimum.
+CAPPED_SEARCH = [
+    "pd", "search", "--hyp", "(P1 -> P2), P0, P1, (P0 -> (P0 -> P2))", "--goal", "P2", "--size-cap", "14",
+]
+STEP_CAPPED = (
+    ["derive", "--system", "systems/step-limited.system", "--hyp", "x1,x2", "--goal", "b", "--max-steps", "3"],
+    CAPPED_SEARCH + ["--max-steps", "4"],
+    CAPPED_SEARCH + ["--max-steps", "2"],
+)
+
 
 def golden_argv():
     argvs = []
@@ -139,6 +152,7 @@ def golden_argv():
     for extra in PD_EDGE_QUERIES:
         argvs.append(["pd", "search"] + extra)
     argvs.append(SHORTEST_NOT_SHALLOWEST)
+    argvs += STEP_CAPPED
     return argvs
 
 

@@ -42,16 +42,23 @@ def _load_many(paths: str) -> list[RuleSystem]:
     return systems
 
 
-def _capped_derivation(
-    system: RuleSystem, hypotheses: FiniteSubset, goal: Element, cap: int, witness: Derivation
-) -> Derivation | None:
-    """A derivation of `goal` of minimal length, or None beyond `cap` steps:
-    `witness`, the saturation's, when it is that short, and otherwise
-    `shortest_derivation`'s."""
-    shortest = shortest_derivation(system, hypotheses, goal, cap)
-    if shortest is not None and len(witness) == len(shortest):
-        return witness
-    return shortest
+def _print_derivation(
+    system: RuleSystem, hypotheses: FiniteSubset, goal: Element, witness: Derivation, cap: int | None
+) -> bool:
+    """Print a derivation of `goal`: `witness`, the saturation's, when
+    there is no step `cap`.  Under a cap, print `minimal steps: s` and a
+    derivation of s steps: `witness` when it is that short, and otherwise
+    `shortest_derivation`'s.  False, printing nothing, when no derivation
+    fits the cap."""
+    if cap is not None:
+        shortest = shortest_derivation(system, hypotheses, goal, cap)
+        if shortest is None:
+            return False
+        print(f"minimal steps: {len(shortest)}")
+        if len(witness) != len(shortest):
+            witness = shortest
+    print(witness.render())
+    return True
 
 
 def _parse_formulas(text: str) -> list[pd.Wff]:
@@ -93,14 +100,9 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     if goal not in result.closure:
         print(f"{goal.name} is not derivable from {hypotheses}")
         return 1
-    derivation = result.witnesses[goal]
-    if args.max_steps is not None:
-        derivation = _capped_derivation(system, hypotheses, goal, args.max_steps, derivation)
-        if derivation is None:
-            print(f"{goal.name} is not derivable within {args.max_steps} steps")
-            return 1
-        print(f"minimal steps: {len(derivation)}")
-    print(derivation.render())
+    if not _print_derivation(system, hypotheses, goal, result.witnesses[goal], args.max_steps):
+        print(f"{goal.name} is not derivable within {args.max_steps} steps")
+        return 1
     return 0
 
 
@@ -170,16 +172,10 @@ def _cmd_pd_search(args: argparse.Namespace) -> int:
     )
     if isinstance(answer, pd.PoolSearch):
         goal_element = pd.wff_element(goal)
-        derivation = answer.result.witnesses[goal_element]
-        if args.max_steps is not None:
-            derivation = _capped_derivation(
-                answer.system, answer.hypotheses, goal_element, args.max_steps, derivation
-            )
-            if derivation is None:
-                print(f"derivable, but not within {args.max_steps} steps")
-                return 1
-            print(f"minimal steps: {len(derivation)}")
-        print(derivation.render())
+        witness = answer.result.witnesses[goal_element]
+        if not _print_derivation(answer.system, answer.hypotheses, goal_element, witness, args.max_steps):
+            print(f"derivable, but not within {args.max_steps} steps")
+            return 1
         return 0
     if isinstance(answer, pd.Certified):
         print(f"not derivable: {pd.wff_to_text(answer.transform)} is falsified by {answer.valuation}")

@@ -295,27 +295,26 @@ def shortest_derivation(
 ) -> Derivation | None:
     """A derivation of `goal` of minimal length, or None beyond `cap`.
 
-    Its steps are the elements of the shortest deduction `_min_steps`
-    finds, in a fixed order: first the hypotheses and axioms among them,
-    in bit order, each inserted as a hypothesis when it is one, as
-    `saturate` does, and otherwise as an axiom of the first rule that
-    has it; then, repeatedly, the lowest bit that some arc concludes
+    `_replay` numbers the elements of the shortest deduction `_min_steps`
+    finds, justified in a fixed order: first the hypotheses and axioms
+    among them, in bit order, each inserted as a hypothesis when it is
+    one, as `saturate` does, and otherwise as an axiom of the first rule
+    that has it; then, repeatedly, the lowest bit that some arc concludes
     from elements already present, justified by the first such arc in
-    system order.  Each element was added to the deduction from
-    elements before it, so such a bit exists until the goal is in.
+    system order.  Each element was added to the deduction from elements
+    before it, so such a bit exists until the goal is in; each supports
+    the goal, or the replay would be shorter, so the replay keeps all.
     """
     start, deduction = _shortest_mask(system, hypotheses, goal, cap)
     if deduction is None:
         return None
     grounded = system.grounded
     elements, hyps = grounded.elements, hypotheses.member_set
-    steps: list[Insert | Apply] = []
-    step_no: dict[Element, int] = {}
     have = deduction & start
+    justification: dict[Element, tuple] = {}
     for i in bit_indices(have):
         e = elements[i]
-        steps.append(Insert(e) if e in hyps else Insert(e, grounded.inserted[e][1]))
-        step_no[e] = len(steps)
+        justification[e] = ("hyp",) if e in hyps else grounded.inserted[e]
     todo = deduction & ~have
     # the arcs into the derived elements, lowest conclusion first, then in system order
     candidates = sorted(
@@ -330,11 +329,10 @@ def shortest_derivation(
             if conclusion & todo and have & premises == premises
         )
         rule_id, t = grounded.sources[a]
-        steps.append(Apply(rule_id, tuple(step_no[p] for p in t[:-1]), t[-1]))
-        step_no[t[-1]] = len(steps)
+        justification[t[-1]] = ("apply", rule_id, t[:-1])
         have |= conclusion
         todo ^= conclusion
-    return Derivation(tuple(steps))
+    return _replay(goal, justification)
 
 
 def bounded_consequences(

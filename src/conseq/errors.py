@@ -31,7 +31,7 @@ class InputSyntaxError(ConseqError):
     """Unparseable input text.
 
     `where` is a human-readable location: a line number for system
-    files, a character offset for formulas.
+    files, a 1-based `column N` for formulas.
     """
 
     def __init__(self, message: str, where: str | None = None):

@@ -224,6 +224,38 @@ def replay_oracle(goal, justification, order):
     return Derivation(tuple(steps))
 
 
+def documented_order(system, hypotheses, deduction):
+    """The derivation of the elements `deduction` in the order
+    `shortest_derivation` documents, over an explicit language: its
+    hypotheses and axioms first, in language order, each inserted as a
+    hypothesis when it is one and otherwise as an axiom of the first
+    rule that has it; then, repeatedly, the first remaining element in
+    language order that some tuple concludes from elements already
+    present, by the first such tuple in system order."""
+    insertable, grounded = oracle_ground(system, hypotheses)
+    position = {e: i for i, e in enumerate(system.language.elements)}
+    ordered = sorted(deduction, key=position.__getitem__)
+    steps, step_no = [], {}
+    for e in ordered:
+        if e in insertable:
+            source = insertable[e]
+            steps.append(Insert(e) if source == ("hyp",) else Insert(e, source[1]))
+            step_no[e] = len(steps)
+    remaining = [e for e in ordered if e not in step_no]
+    while remaining:
+        rule_id, t = next(
+            (rule_id, t)
+            for e in remaining
+            for rule_id, tuples in grounded
+            for t in tuples
+            if t[-1] == e and all(p in step_no for p in t[:-1])
+        )
+        steps.append(Apply(rule_id, tuple(step_no[p] for p in t[:-1]), t[-1]))
+        step_no[t[-1]] = len(steps)
+        remaining.remove(t[-1])
+    return Derivation(tuple(steps))
+
+
 def round_scan_saturate(system, hypotheses):
     """Every round scans every grounded tuple in rule, then tuple order;
     a tuple fires when its conclusion is new, all its premises are

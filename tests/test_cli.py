@@ -27,14 +27,20 @@ import conseq.engine
 import conseq.propositional
 from conseq import propositional as pd
 from conseq.cli import main
-from conseq.engine import check_derivation, check_step_cap, min_derivation_size, saturate
+from conseq.engine import (
+    check_derivation,
+    check_step_cap,
+    min_derivation_size,
+    saturate,
+    shortest_derivation,
+)
 from conseq.errors import ConseqError
 from conseq.fileformat import dumps_system, load_system
 from conseq.language import Element, FiniteSubset
-from conseq.rules import Apply, Derivation, Insert
+from conseq.rules import Apply, Derivation, Insert, step_element
 from conseq.sampling import random_system, seeded, small_language
 
-from reference import random_subset, search_pool, words
+from reference import documented_order, random_subset, search_pool, words
 
 ROOT = Path(__file__).parent.parent
 SYSTEMS = ROOT / "systems"
@@ -400,12 +406,15 @@ def _search_first(variant, n, hypotheses, goal, size_cap, pool_cap, max_steps):
         goal_element = pd.wff_element(goal)
         if goal_element in search.result.closure:
             out = ""
+            derivation = search.result.witnesses[goal_element]
             if max_steps is not None:
                 size = min_derivation_size(search.system, search.hypotheses, goal_element, cap=max_steps)
                 if size is None:
                     return 1, f"derivable, but not within {max_steps} steps\n", ""
                 out = f"minimal steps: {size}\n"
-            return 0, out + search.result.witnesses[goal_element].render() + "\n", ""
+                if len(derivation) != size:
+                    derivation = shortest_derivation(search.system, search.hypotheses, goal_element, max_steps)
+            return 0, out + derivation.render() + "\n", ""
         certificate = pd.certificate_non_derivable(
             variant, hypotheses, goal, n=n, size_cap=size_cap, max_pool=pool_cap, search=search
         )
@@ -418,6 +427,11 @@ def _search_first(variant, n, hypotheses, goal, size_cap, pool_cap, max_steps):
         f"not derived: search exhausted a pool of {certificate.pool_size} formulas "
         f"(size cap {certificate.size_cap}); evidence only, not a proof\n"
     ), ""
+
+
+# hypotheses and a goal whose saturation witness (4 steps at size cap 14)
+# is longer than its minimum (3)
+LONGER_WITNESS = ([pd.parse(t) for t in ("(P1 -> P2)", "P0", "P1", "(P0 -> (P0 -> P2))")], pd.Atom(2))
 
 
 small_wffs = st.recursive(
@@ -441,6 +455,7 @@ small_wffs = st.recursive(
 @example(("positive", 0), [pd.Atom(1)], pd.Atom(0), 22, 400, None)
 @example(("standard", None), [pd.Atom(1), pd.parse("(P1 -> P2)")], pd.Atom(1), 22, 150, 1)
 @example(("standard", None), [pd.Atom(1)] * (pd.MAX_DEPTH + 1), pd.Atom(2), 4, 3, None)
+@example(("standard", None), *LONGER_WITNESS, 14, 400, 4)
 def test_pd_search_prints_what_searching_first_prints(
     variant_n, hypotheses, goal, size_cap, pool_cap, max_steps
 ):
@@ -846,12 +861,7 @@ def detachment_chains(draw):
 @example(("missing-atom", 1), ([pd.parse("(~P0 -> ~P1)"), pd.Atom(1)], pd.Atom(0)), 22, 5)
 # saturation witnesses longer than the minimum: 4 steps against 3, and 5
 # against 3 through an axiom
-@example(
-    ("standard", None),
-    ([pd.parse(t) for t in ("(P1 -> P2)", "P0", "P1", "(P0 -> (P0 -> P2))")], pd.Atom(2)),
-    14,
-    4,
-)
+@example(("standard", None), LONGER_WITNESS, 14, 4)
 @example(
     ("restricted-mp", 1),
     ([pd.parse(t) for t in ("(P0 -> P1)", "(~P2 -> P1)", "P2", "P0", "(P1 -> (P0 -> P2))")], pd.parse("(P0 -> P2)")),
@@ -872,6 +882,40 @@ def test_step_capped_pd_search_prints_a_shortest_derivation(variant_n, query, si
         return  # refused by a cap, or not within the step cap
     search = search_pool(variant, hypotheses, goal, n=n, size_cap=size_cap)
     assert_prints_a_shortest_derivation(out.getvalue(), search.system, search.hypotheses, pd.wff_element(goal), cap)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([("standard", None), ("restricted-mp", 1), ("restricted-mp", 2)]),
+    detachment_chains(),
+    st.sampled_from([10, 14]),
+    st.integers(min_value=1, max_value=5),
+)
+@example(("standard", None), LONGER_WITNESS, 14, 4)
+# P1 and (P1 -> P2) are both ready after the insertions
+@example(
+    ("standard", None),
+    ([pd.parse(t) for t in ("P0", "(P0 -> P1)", "(P0 -> (P1 -> P2))")], pd.Atom(2)),
+    14,
+    6,
+)
+def test_shortest_pd_derivations_keep_their_documented_order(variant_n, query, size_cap, cap):
+    variant, n = variant_n
+    hypotheses, goal = query
+    try:
+        search = search_pool(variant, hypotheses, goal, n=n, size_cap=size_cap)
+    except ConseqError:
+        return  # a seed longer than the size cap, or a pool past its cap
+    goal_element = pd.wff_element(goal)
+    derivation = shortest_derivation(search.system, search.hypotheses, goal_element, cap)
+    size = min_derivation_size(search.system, search.hypotheses, goal_element, cap)
+    if derivation is None:
+        assert size is None
+        return
+    assert len(derivation) == size and derivation.final_element() == goal_element
+    deduction = [step_element(s) for s in derivation.steps]
+    expected = documented_order(search.system, search.hypotheses, deduction)
+    assert derivation == expected, derivation.render()
 
 
 @st.composite

@@ -10,7 +10,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conseq import engine
@@ -25,6 +25,7 @@ from conseq.engine import (
     union_systems,
 )
 from conseq.errors import DomainError, UsageError
+from conseq.fileformat import loads_system
 from conseq.language import (
     Element,
     EnumeratedLanguage,
@@ -47,10 +48,12 @@ from conseq.rules import (
     TupleRule,
     UnaryRule,
     rules_extensionally_equal,
+    step_element,
 )
 from conseq.sampling import random_closure_family, random_system, seeded, small_language
 
 from reference import (
+    documented_order,
     family_of,
     moore_closure,
     oracle_min_steps,
@@ -566,6 +569,52 @@ def test_min_sizes_match_brute_force_on_random_systems():
             got = min_derivation_size(system, hyp, goal, cap=4)
             want = oracle_min_steps(system, hyp, goal, cap=4)
             assert got == want, (system, str(hyp), goal.name, got, want)
+
+
+@st.composite
+def layered_systems(draw):
+    """A system over at most 8 elements, and hypotheses that hold its
+    first element.  Each later element is concluded by up to two tuples
+    whose premises come before it, so deductions branch and merge; up
+    to two tuples per rule connect any elements, and two axiom sets may
+    share members.  The rules come in a drawn order."""
+    language = small_language(draw(st.integers(1, 8)))
+    elements = language.elements
+    element = st.sampled_from(elements)
+    rows = {2: [], 3: []}
+    for k in range(1, len(elements)):
+        for arity in draw(st.lists(st.sampled_from([2, 3]), max_size=2)):
+            premises = draw(st.lists(st.sampled_from(elements[:k]), min_size=arity - 1, max_size=arity - 1))
+            rows[arity].append((*premises, elements[k]))
+    rules = [
+        UnaryRule(rule_id, FiniteSubset.of(language, draw(st.lists(element, max_size=2))))
+        for rule_id in ("ax", "bx")
+    ]
+    for arity, tuples in rows.items():
+        tuples += draw(st.lists(st.tuples(*[element] * arity), max_size=2))
+        rules.append(TupleRule(f"r{arity}", arity, tuple(tuples)))
+    system = RuleSystem("layered", language, tuple(draw(st.permutations(rules))))
+    return system, FiniteSubset.of(language, [elements[0], *draw(st.lists(element, max_size=1))])
+
+
+# x and y are both ready after a: the lower bit, x, comes first
+BRANCHING = loads_system("language: a g x y\nrule f: a => y\nrule h: a => x\nrule w: x y => g\n")
+
+
+@settings(deadline=None, max_examples=150)
+@given(layered_systems(), st.integers(1, 6))
+@example((BRANCHING, FiniteSubset.of(BRANCHING.language, ["a"])), 4)
+def test_shortest_derivations_keep_their_documented_order(query, cap):
+    system, hypotheses = query
+    for goal in saturate(system, hypotheses).closure.members:
+        derivation = engine.shortest_derivation(system, hypotheses, goal, cap)
+        size = min_derivation_size(system, hypotheses, goal, cap)
+        if derivation is None:
+            assert size is None
+            continue
+        assert len(derivation) == size and derivation.final_element() == goal
+        deduction = [step_element(s) for s in derivation.steps]
+        assert derivation == documented_order(system, hypotheses, deduction), derivation.render()
 
 
 def test_bounded_consequences_three_step_cap():
